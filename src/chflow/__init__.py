@@ -13,7 +13,6 @@ continuous dependence in dyadic (Besov-type) norms, and weighted-norm
 persistence and tail decay.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .besov import BesovIndex, besov_norm, lp_decompose, lp_norm, sobolev_norm
 from .characteristics import (
     FlowDegeneracyError,
@@ -51,7 +50,6 @@ from .spectral import (
     apply_inertia,
     dealias,
     derivative,
-    helmholtz_convolve,
     inverse_transform,
     invert_inertia,
     transform,
@@ -61,7 +59,6 @@ from .weights import (
     admissibility_check,
     decay_profile,
     persistence_monitor,
-    weight_eval,
     weighted_norm,
 )
 

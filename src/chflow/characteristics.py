@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .dynamics import Trajectory
-from .offgrid import evaluate_samples
+from .dynamics import Trajectory, lagrange4_weights
+from .offgrid import evaluate, evaluate_coeffs
 from .spectral import RealField, apply_inertia
 
 
@@ -77,19 +77,6 @@ def _half_coeff_series(traj: Trajectory):
     return [grid.half_coeffs(s.u.samples) for s in traj.states]
 
 
-def _interp_coeffs(series, times, t):
-    """Cubic Lagrange interpolation of coefficient arrays in time."""
-    n = len(times)
-    j = int(np.searchsorted(times, t) - 1)
-    lo = min(max(j - 1, 0), n - 4)
-    w = np.ones(4)
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                w[a] *= (t - times[lo + b]) / (times[lo + a] - times[lo + b])
-    return sum(wi * series[lo + i] for i, wi in enumerate(w))
-
-
 def evolve_flow(traj: Trajectory, markers=None):
     """Integrate the marker ODE through the trajectory's snapshots.
 
@@ -99,8 +86,6 @@ def evolve_flow(traj: Trajectory, markers=None):
     matches the integrator's order).  Snapshots must be uniform and no
     coarser than four solver steps.  Returns one FlowMap per snapshot.
     """
-    from ._kernels import trig_eval
-
     grid = traj.grid
     times = traj.times
     stride = _uniform_spacing(times)
@@ -112,18 +97,7 @@ def evolve_flow(traj: Trajectory, markers=None):
     if markers is None:
         markers = grid.x.copy()
     markers = np.asarray(markers, dtype=float)
-    xi1 = np.pi / grid.L
     series = _half_coeff_series(traj)
-
-    def vel(coeffs, pos):
-        vals, dvals = trig_eval(
-            np.ascontiguousarray(coeffs.real),
-            np.ascontiguousarray(coeffs.imag),
-            np.ascontiguousarray(pos),
-            xi1,
-            True,
-        )
-        return vals, dvals
 
     phi = markers.copy()
     phi_x = np.ones_like(markers)
@@ -131,16 +105,20 @@ def evolve_flow(traj: Trajectory, markers=None):
     for j in range(len(times) - 1):
         h = times[j + 1] - times[j]
         c0 = series[j]
-        cm = _interp_coeffs(series, times, times[j] + 0.5 * h) if len(times) > 3 else 0.5 * (series[j] + series[j + 1])
+        if len(times) > 3:
+            idx, w = lagrange4_weights(times, times[j] + 0.5 * h)
+            cm = sum(wi * series[i] for wi, i in zip(w, idx))
+        else:
+            cm = 0.5 * (series[j] + series[j + 1])
         c1 = series[j + 1]
 
-        u1, ux1 = vel(c0, phi)
+        u1, ux1 = evaluate_coeffs(grid, c0, phi, deriv=True)
         k1p, k1x = u1, ux1 * phi_x
-        u2, ux2 = vel(cm, phi + 0.5 * h * k1p)
+        u2, ux2 = evaluate_coeffs(grid, cm, phi + 0.5 * h * k1p, deriv=True)
         k2p, k2x = u2, ux2 * (phi_x + 0.5 * h * k1x)
-        u3, ux3 = vel(cm, phi + 0.5 * h * k2p)
+        u3, ux3 = evaluate_coeffs(grid, cm, phi + 0.5 * h * k2p, deriv=True)
         k3p, k3x = u3, ux3 * (phi_x + 0.5 * h * k2x)
-        u4, ux4 = vel(c1, phi + h * k3p)
+        u4, ux4 = evaluate_coeffs(grid, c1, phi + h * k3p, deriv=True)
         k4p, k4x = u4, ux4 * (phi_x + h * k3x)
 
         phi = phi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
@@ -156,11 +134,10 @@ def check_transport_identity(flows, traj: Trajectory, b: float):
     interpolation path as the evolved side, so the deviation at t = 0 is
     exactly zero.
     """
-    grid = traj.grid
-    rho0_at = evaluate_samples(grid, traj.states[0].rho.samples, flows[0].markers)
+    rho0_at = evaluate(traj.states[0].rho, flows[0].markers)
     devs = []
     for fl, st in zip(flows, traj.states):
-        rho_at = evaluate_samples(grid, st.rho.samples, fl.phi)
+        rho_at = evaluate(st.rho, fl.phi)
         devs.append(float(np.max(np.abs(rho_at * fl.phi_x ** (b - 1.0) - rho0_at))))
     return np.array(devs)
 
@@ -205,7 +182,7 @@ def reconstruct_rho(flows, traj: Trajectory, b: float):
     prev_ux = None
     for j, fl in enumerate(flows):
         st = traj.states[j]
-        _, ux_at_phi = evaluate_samples(grid, st.u.samples, fl.phi, deriv=True)
+        _, ux_at_phi = evaluate(st.u, fl.phi, deriv=True)
         if j > 0:
             dt = times[j] - times[j - 1]
             integral = integral + 0.5 * dt * (ux_at_phi + prev_ux)
@@ -229,23 +206,22 @@ def check_m_flow_identity(flows, traj: Trajectory, params):
     """
     if not params.alpha_is_zero():
         raise ValueError("the momentum flow identity requires alpha == 0")
-    grid = traj.grid
     b = params.b
-    m_fields = [apply_inertia(s.u, params.r).samples for s in traj.states]
-    m0_at = evaluate_samples(grid, m_fields[0], flows[0].markers)
+    m_fields = [apply_inertia(s.u, params.r) for s in traj.states]
+    m0_at = evaluate(m_fields[0], flows[0].markers)
 
     devs = []
     integral = np.zeros_like(m0_at)
     prev_integrand = None
     times = traj.times
     for j, (fl, st) in enumerate(zip(flows, traj.states)):
-        rho_at, rhox_at = evaluate_samples(grid, st.rho.samples, fl.phi, deriv=True)
+        rho_at, rhox_at = evaluate(st.rho, fl.phi, deriv=True)
         integrand = rho_at * rhox_at * fl.phi_x**b
         if j > 0:
             dt = times[j] - times[j - 1]
             integral = integral + 0.5 * dt * (integrand + prev_integrand)
         prev_integrand = integrand
-        m_at = evaluate_samples(grid, m_fields[j], fl.phi)
+        m_at = evaluate(m_fields[j], fl.phi)
         lhs = m_at * fl.phi_x**b
         rhs = m0_at - params.kappa * integral
         devs.append(float(np.max(np.abs(lhs - rhs))))

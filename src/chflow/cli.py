@@ -44,7 +44,6 @@ def build_parser():
     p_run.add_argument(
         "--formulation", choices=("m", "nonlocal"), help="override RHS formulation"
     )
-    p_run.add_argument("--workers", type=int, default=None, help="worker count")
 
     p_suite = sub.add_parser("suite", help="run an experiment suite")
     p_suite.add_argument("name", help=f"one of {sorted(SUITES)}")

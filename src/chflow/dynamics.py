@@ -347,8 +347,12 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
 # ---------------------------------------------------------------------------
 
 
-def _time_interp_weights(times, t):
-    """Cubic Lagrange weights on the four snapshots bracketing t."""
+def lagrange4_weights(times, t):
+    """Cubic Lagrange weights on the four snapshots bracketing t.
+
+    Returns (idx, w); the interpolant of a series is
+    sum(w_i * series[i] for w_i, i in zip(w, idx)).
+    """
     n = len(times)
     j = int(np.searchsorted(times, t) - 1)
     lo = min(max(j - 1, 0), n - 4)
@@ -428,7 +432,7 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
             if abs(t - times[min(j, nsteps)]) < 1e-12:
                 j = min(j, nsteps)
                 return coeff_u[j], src_m[j], src_rho[j]
-            idx, w = _time_interp_weights(times, t)
+            idx, w = lagrange4_weights(times, t)
             cu = sum(wi * coeff_u[i] for wi, i in zip(w, idx))
             sm = sum(wi * src_m[i] for wi, i in zip(w, idx))
             sr = sum(wi * src_rho[i] for wi, i in zip(w, idx))

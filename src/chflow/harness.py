@@ -480,7 +480,7 @@ def _diag_persistence(ctx, out):
         repi = reports.get(math.inf)
         m_run = 0.0
         for i, t in enumerate(times):
-            m_run = max(m_run, repi.M if repi else 0.0)
+            m_run = max(m_run, repi.sup_norms[i] if repi else 0.0)
             rows.append(
                 (
                     t,
@@ -678,10 +678,6 @@ def _integrate_job(args):
     )
 
 
-def _restrict(samples, factor):
-    return samples[::factor]
-
-
 def convergence_suite(out_dir, workers=1):
     """Spatial (grid doubling) and temporal (step halving) error tables."""
     base = replace(
@@ -705,7 +701,7 @@ def convergence_suite(out_dir, workers=1):
     for n, traj in zip(ns[:-1], trajs[:-1]):
         factor = ns[-1] // n
         err = float(
-            np.max(np.abs(traj.states[-1].u.samples - _restrict(fine.states[-1].u.samples, factor)))
+            np.max(np.abs(traj.states[-1].u.samples - fine.states[-1].u.samples[::factor]))
         )
         spatial_errs.append(err)
         spatial_rows.append((n, err))

@@ -1,38 +1,60 @@
-"""Off-grid evaluation of fields by exact trigonometric interpolation."""
+"""Off-grid evaluation of fields by exact trigonometric interpolation.
+
+Every off-grid value in chflow comes from :func:`evaluate_coeffs`, which
+sums the half spectrum of a real field at arbitrary points with the dense
+kernel :func:`trig_eval`.
+"""
 
 import numpy as np
 
-from ._kernels import trig_eval
 from .spectral import RealField
 
 
-def evaluate(f: RealField, points, deriv: bool = False):
-    """Evaluate the trigonometric interpolant of f at arbitrary points.
+def trig_eval(re, im, pts, xi1, want_deriv):
+    """Evaluate sum_k c_k exp(i*k*xi1*x) (real field, half spectrum) at pts.
 
-    Exact (to round-off) on band-limited fields; periodic in 2L, so points
-    may lie outside [-L, L).  With deriv=True also returns the spectral
-    derivative of the interpolant, consistent with spectral.derivative.
+    re, im: real and imaginary parts of coefficients k = 0..n/2 in the
+    exp(i*xi*x) basis (Nyquist entry is the cosine amplitude).  Builds the
+    full points-by-modes phase matrix, so it allocates O(len(pts) * n/2)
+    scratch per call.  Returns (values, derivatives_or_None).
     """
-    c = f.grid.half_coeffs(f.samples)
-    pts = np.ascontiguousarray(points, dtype=float)
-    vals, dvals = trig_eval(
-        np.ascontiguousarray(c.real),
-        np.ascontiguousarray(c.imag),
-        pts,
-        np.pi / f.grid.L,
-        deriv,
-    )
-    return (vals, dvals) if deriv else vals
+    re = np.asarray(re, dtype=float)
+    im = np.asarray(im, dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    k = np.arange(re.size)
+    weight = np.full(re.size, 2.0)
+    weight[0] = 1.0
+    weight[-1] = 1.0
+    theta = np.outer(pts, xi1 * k)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    vals = cos_t @ (weight * re) - sin_t @ (weight * im)
+    if not want_deriv:
+        return vals, None
+    xk = xi1 * k
+    derivs = -(sin_t @ (weight * re * xk) + cos_t @ (weight * im * xk))
+    return vals, derivs
 
 
-def evaluate_samples(grid, samples, points, deriv: bool = False):
-    """Array-level variant of :func:`evaluate` for hot loops."""
-    c = grid.half_coeffs(samples)
+def evaluate_coeffs(grid, coeffs, points, deriv: bool = False):
+    """Evaluate the real field with half-spectrum coefficients on grid.
+
+    coeffs is what ``grid.half_coeffs`` returns, or a linear combination of
+    such arrays (for instance interpolated in time).  Exact (to round-off)
+    on band-limited fields; periodic in 2L, so points may lie outside
+    [-L, L).  With deriv=True also returns the spectral derivative of the
+    interpolant, consistent with spectral.derivative.
+    """
     vals, dvals = trig_eval(
-        np.ascontiguousarray(c.real),
-        np.ascontiguousarray(c.imag),
+        np.ascontiguousarray(coeffs.real),
+        np.ascontiguousarray(coeffs.imag),
         np.ascontiguousarray(points, dtype=float),
         np.pi / grid.L,
         deriv,
     )
     return (vals, dvals) if deriv else vals
+
+
+def evaluate(f: RealField, points, deriv: bool = False):
+    """Evaluate the trigonometric interpolant of f at arbitrary points."""
+    return evaluate_coeffs(f.grid, f.grid.half_coeffs(f.samples), points, deriv)

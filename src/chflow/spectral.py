@@ -174,15 +174,6 @@ def invert_inertia(m: RealField, r: float, allow_any_r: bool = False) -> RealFie
     return RealField(m.grid, m.grid.apply_multiplier(m.samples, inertia_multiplier(m.grid, -r)))
 
 
-def helmholtz_convolve(f: RealField) -> RealField:
-    """Convolution with the Green's function of 1 - d^2/dx^2.
-
-    On the line the kernel is (1/2)exp(-|x|); spectrally this is the
-    multiplier 1/(1 + xi^2), identical to invert_inertia(f, 1).
-    """
-    return invert_inertia(f, 1.0)
-
-
 def dealias(F: SpectralField) -> SpectralField:
     """Zero all modes with |xi| > (2/3)*xi_max (two-thirds rule)."""
     return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))

@@ -83,10 +83,6 @@ class StandardWeight:
         return StandardWeight(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
-def weight_eval(w: StandardWeight, x):
-    return w(x)
-
-
 @dataclass
 class AdmissibilityReport:
     admissible: bool
@@ -165,7 +161,8 @@ def weighted_norm(f: RealField, w: StandardWeight, p: float) -> float:
 class PersistenceReport:
     times: np.ndarray
     W: np.ndarray                # ||u w||_p + ||u_x w||_p + ||rho w||_p per snapshot
-    M: float                     # sup over snapshots of the unweighted sup norms
+    sup_norms: np.ndarray        # |u|_inf + |u_x|_inf + |rho|_inf per snapshot
+    M: float                     # max of sup_norms
     C_hat: float                 # fitted slope of log W against (1+M) t
     intercept: float
     residual: float              # max |log W - affine fit|
@@ -218,7 +215,7 @@ def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
     times = traj.times
     wvals = w(grid.x)
     Ws = []
-    M = 0.0
+    sup_norms = []
     for s in traj.states:
         u_x = np.fft.ifft(1j * grid.xi * np.fft.fft(s.u.samples)).real
         Ws.append(
@@ -226,18 +223,19 @@ def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
             + _masked_weighted_norm(u_x, wvals, grid.dx, p, signal_floor)
             + _masked_weighted_norm(s.rho.samples, wvals, grid.dx, p, signal_floor)
         )
-        M = max(
-            M,
+        sup_norms.append(
             float(np.max(np.abs(s.u.samples)))
             + float(np.max(np.abs(u_x)))
-            + float(np.max(np.abs(s.rho.samples))),
+            + float(np.max(np.abs(s.rho.samples)))
         )
     Ws = np.array(Ws)
+    sup_norms = np.array(sup_norms)
+    M = float(sup_norms.max())
     if not np.all(np.isfinite(Ws)):
         raise ValueError("weighted norm overflowed; persistence violated or weight too strong")
 
     if np.all(Ws == 0.0):
-        return PersistenceReport(times, Ws, M, 0.0, 0.0, 0.0, True, p, w)
+        return PersistenceReport(times, Ws, sup_norms, M, 0.0, 0.0, 0.0, True, p, w)
 
     y = np.log(Ws)
     xdata = (1.0 + M) * times
@@ -247,7 +245,7 @@ def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
     residual = float(np.max(np.abs(y - fit)))
     bound_ok = bool(np.all(y - y[0] <= slope * xdata + residual_tol))
     return PersistenceReport(
-        times, Ws, M, float(slope), float(intercept), residual, bound_ok, p, w
+        times, Ws, sup_norms, M, float(slope), float(intercept), residual, bound_ok, p, w
     )
 
 

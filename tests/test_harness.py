@@ -1,12 +1,15 @@
 """Scenario config, run orchestration, manifests, determinism, and the CLI."""
 
+import csv
 import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from chflow.cli import main
+from chflow.dynamics import integrate
 from chflow.harness import (
     PRESETS,
     ConfigurationError,
@@ -15,6 +18,7 @@ from chflow.harness import (
     run_scenario,
 )
 from chflow.schema import IDENTITY_COLUMNS, SCHEMA_VERSION, TRAJECTORY_COLUMNS
+from chflow.spectral import derivative
 
 GOOD_CONFIG = """
 [params]
@@ -184,6 +188,28 @@ class TestRunScenario:
         sc = _small_scenario(name="drift", alpha=0.4)
         manifest = run_scenario(sc, str(tmp_path))
         assert manifest["invariants"]["mflow"]["status"] == "skipped"
+
+    def test_persistence_m_running_is_a_running_max(self, tmp_path):
+        sc = _small_scenario(
+            name="persist", t_final=0.5, snapshots=11, diagnostics=("persistence",),
+            weight_battery=({"a": 0.0, "b": 0.0, "c": 1.0, "d": 0.0, "side": "both"},),
+        )
+        manifest = run_scenario(sc, str(tmp_path))
+        fname = next(f for f in manifest["outputs"] if "_persistence_" in f)
+        with open(tmp_path / fname) as fh:
+            m_running = np.array([float(row["M_running"]) for row in csv.DictReader(fh)])
+
+        _, params, ctrl, state0 = sc.build()
+        traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
+        sups = np.array([
+            np.max(np.abs(s.u.samples)) + np.max(np.abs(derivative(s.u, 1).samples))
+            + np.max(np.abs(s.rho.samples))
+            for s in traj.states
+        ])
+        assert sups.max() > 1.01 * sups[0]   # the sup norms do change
+        assert m_running[0] == pytest.approx(sups[0], rel=1e-12)
+        assert np.all(np.diff(m_running) >= 0.0)
+        assert m_running[-1] == pytest.approx(sups.max(), rel=1e-12)
 
 
 class TestCli:

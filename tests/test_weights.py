@@ -16,7 +16,6 @@ from chflow.weights import (
     companion_in_lp,
     decay_profile,
     persistence_monitor,
-    weight_eval,
     weighted_norm,
 )
 
@@ -25,7 +24,7 @@ class TestWeightFamily:
     def test_trivial_weight_is_one(self):
         w = StandardWeight()
         x = np.linspace(-50, 50, 101)
-        assert np.all(weight_eval(w, x) == 1.0)
+        assert np.all(w(x) == 1.0)
 
     def test_right_only_is_one_on_left(self):
         w = StandardWeight(a=0.9, b=1.0, side="right")
