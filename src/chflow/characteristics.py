@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .dynamics import Trajectory, lagrange4_weights
+from .dynamics import Trajectory, rk4, rk4_stages
 from .offgrid import evaluate, evaluate_coeffs
 from .spectral import RealField, apply_inertia
 
@@ -72,11 +72,6 @@ def _uniform_spacing(times):
     return float(np.mean(dts))
 
 
-def _half_coeff_series(traj: Trajectory):
-    grid = traj.grid
-    return [grid.half_coeffs(s.u.samples) for s in traj.states]
-
-
 def evolve_flow(traj: Trajectory, markers=None):
     """Integrate the marker ODE through the trajectory's snapshots.
 
@@ -97,33 +92,20 @@ def evolve_flow(traj: Trajectory, markers=None):
     if markers is None:
         markers = grid.x.copy()
     markers = np.asarray(markers, dtype=float)
-    series = _half_coeff_series(traj)
+    series = [grid.half_coeffs(s.u.samples) for s in traj.states]
 
-    phi = markers.copy()
-    phi_x = np.ones_like(markers)
-    flows = [FlowMap(times[0], markers, phi.copy(), phi_x.copy()).check()]
+    def velocity(t, y):
+        # (phi, phi_x)' = (u, u_x * phi_x) at phi, from the stage's coefficients
+        u, u_x = evaluate_coeffs(grid, next(stages), y[0], deriv=True)
+        return np.stack((u, u_x * y[1]))
+
+    y = np.stack((markers, np.ones_like(markers)))
+    flows = [FlowMap(times[0], markers, y[0], y[1]).check()]
     for j in range(len(times) - 1):
         h = times[j + 1] - times[j]
-        c0 = series[j]
-        if len(times) > 3:
-            idx, w = lagrange4_weights(times, times[j] + 0.5 * h)
-            cm = sum(wi * series[i] for wi, i in zip(w, idx))
-        else:
-            cm = 0.5 * (series[j] + series[j + 1])
-        c1 = series[j + 1]
-
-        u1, ux1 = evaluate_coeffs(grid, c0, phi, deriv=True)
-        k1p, k1x = u1, ux1 * phi_x
-        u2, ux2 = evaluate_coeffs(grid, cm, phi + 0.5 * h * k1p, deriv=True)
-        k2p, k2x = u2, ux2 * (phi_x + 0.5 * h * k1x)
-        u3, ux3 = evaluate_coeffs(grid, cm, phi + 0.5 * h * k2p, deriv=True)
-        k3p, k3x = u3, ux3 * (phi_x + 0.5 * h * k2x)
-        u4, ux4 = evaluate_coeffs(grid, c1, phi + h * k3p, deriv=True)
-        k4p, k4x = u4, ux4 * (phi_x + h * k3x)
-
-        phi = phi + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        phi_x = phi_x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        flows.append(FlowMap(times[j + 1], markers, phi, phi_x).check())
+        stages = rk4_stages(times, series, j, h)
+        y = rk4(velocity, times[j], y, h)
+        flows.append(FlowMap(times[j + 1], markers, y[0], y[1]).check())
     return flows
 
 

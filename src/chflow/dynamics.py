@@ -20,15 +20,12 @@ the artifact's checks.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import besov
-from .spectral import (
-    Grid,
-    RealField,
-    inertia_multiplier,
-)
+from .spectral import Grid, Operators, RealField, dealias, operators
 
 
 class FormulationError(ValueError):
@@ -135,37 +132,26 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# RHS evaluation (array level internally, RealField at the boundary)
+# RHS evaluation (array level on the stacked (u, rho), RealField at the
+# boundary)
 # ---------------------------------------------------------------------------
 
 
-def _fft_tools(grid: Grid, r: float, use_dealias: bool):
-    """Shared pieces of the RHS implementations: wavenumbers, the inertia
-    multiplier, and a dealiased pointwise product."""
-    ixi = 1j * grid.xi
-    dmask = grid.dealias_mask if use_dealias else 1.0
-    a_mult = inertia_multiplier(grid, r)
-
-    def prod(a, b):
-        return np.fft.ifft(dmask * np.fft.fft(a * b)).real
-
-    return ixi, a_mult, prod
+def _as_state(grid: Grid, t: float, y) -> State:
+    return State(t, RealField(grid, y[0]), RealField(grid, y[1]))
 
 
-def rhs_m_form(state: State, params: Params, use_dealias: bool = True):
-    """Momentum-form RHS; valid for any r >= 1."""
-    grid = state.grid
-    ixi, a_mult, prod = _fft_tools(grid, params.r, use_dealias)
-    u = state.u.samples
-    rho = state.rho.samples
-    alpha = params.alpha_samples(grid)
+def _m_form(ops: Operators, params: Params, t: float, y):
+    """Momentum-form RHS of the stacked (u, rho); valid for any r >= 1."""
+    u, rho = y
+    prod = ops.prod
+    alpha = params.alpha_samples(ops.grid)
 
     u_hat = np.fft.fft(u)
-    rho_hat = np.fft.fft(rho)
-    u_x = np.fft.ifft(ixi * u_hat).real
-    m = np.fft.ifft(a_mult * u_hat).real
-    m_x = np.fft.ifft(ixi * a_mult * u_hat).real
-    rho_x = np.fft.ifft(ixi * rho_hat).real
+    u_x = np.fft.ifft(ops.ixi * u_hat).real
+    m = np.fft.ifft(ops.inertia * u_hat).real
+    m_x = np.fft.ifft(ops.ixi_inertia * u_hat).real
+    rho_x = ops.dx(rho)
 
     if isinstance(alpha, np.ndarray):
         alpha_ux = prod(alpha, u_x)
@@ -173,37 +159,32 @@ def rhs_m_form(state: State, params: Params, use_dealias: bool = True):
         alpha_ux = alpha * u_x
     m_t = alpha_ux - params.b * prod(u_x, m) - prod(u, m_x) - params.kappa * prod(rho, rho_x)
     if not np.all(np.isfinite(m_t)):
-        raise BlowUpError(state.t, float(np.max(np.abs(u_x))), state)
-    du = np.fft.ifft(np.fft.fft(m_t) / a_mult).real
+        raise BlowUpError(t, float(np.max(np.abs(u_x))), _as_state(ops.grid, t, y))
+    du = np.fft.ifft(np.fft.fft(m_t) / ops.inertia).real
     drho = -prod(u, rho_x) - (params.b - 1.0) * prod(u_x, rho)
-    return RealField(grid, du), RealField(grid, drho)
+    return np.stack((du, drho))
 
 
-def nonlocal_pressure(state: State, params: Params, use_dealias: bool = True) -> RealField:
-    """P(u, rho) = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u."""
-    grid = state.grid
-    ixi, _, prod = _fft_tools(grid, 1.0, use_dealias)
-    u = state.u.samples
-    rho = state.rho.samples
-    alpha = params.alpha_samples(grid)
-    u_x = np.fft.ifft(ixi * np.fft.fft(u)).real
+def _pressure(ops: Operators, params: Params, u, u_x, rho):
+    prod = ops.prod
     p = (
         0.5 * params.b * prod(u, u)
         + 0.5 * (3.0 - params.b) * prod(u_x, u_x)
         + 0.5 * params.kappa * prod(rho, rho)
     )
+    alpha = params.alpha_samples(ops.grid)
     if isinstance(alpha, np.ndarray):
         p -= prod(alpha, u)
     else:
         p -= alpha * u
-    return RealField(grid, p)
+    return p
 
 
-def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
-    """Nonlocal (Green's function) RHS; stated for r = 1 and constant alpha.
+def _nonlocal(ops: Operators, params: Params, t: float, y):
+    """Nonlocal (Green's function) RHS of the stacked (u, rho).
 
-    The reduction of the alpha term into the pressure uses
-    alpha*u_x = d/dx(alpha*u), which needs a constant alpha.
+    Stated for r = 1 and constant alpha: the reduction of the alpha term
+    into the pressure uses alpha*u_x = d/dx(alpha*u).
     """
     if params.r != 1.0:
         raise FormulationError(
@@ -213,24 +194,43 @@ def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
         raise FormulationError(
             "the nonlocal formulation requires a constant alpha"
         )
-    grid = state.grid
-    ixi, a_mult, prod = _fft_tools(grid, 1.0, use_dealias)
-    u = state.u.samples
-    rho = state.rho.samples
-
-    u_hat = np.fft.fft(u)
-    u_x = np.fft.ifft(ixi * u_hat).real
-    rho_x = np.fft.ifft(ixi * np.fft.fft(rho)).real
-    p = nonlocal_pressure(state, params, use_dealias).samples
-    grad_gp = np.fft.ifft(ixi * np.fft.fft(p) / a_mult).real
-    du = -prod(u, u_x) - grad_gp
+    u, rho = y
+    u_x = ops.dx(u)
+    rho_x = ops.dx(rho)
+    p = _pressure(ops, params, u, u_x, rho)
+    grad_gp = np.fft.ifft(ops.ixi * np.fft.fft(p) / ops.inertia).real
+    du = -ops.prod(u, u_x) - grad_gp
     if not np.all(np.isfinite(du)):
-        raise BlowUpError(state.t, float(np.max(np.abs(u_x))), state)
-    drho = -prod(u, rho_x) - (params.b - 1.0) * prod(u_x, rho)
-    return RealField(grid, du), RealField(grid, drho)
+        raise BlowUpError(t, float(np.max(np.abs(u_x))), _as_state(ops.grid, t, y))
+    drho = -ops.prod(u, rho_x) - (params.b - 1.0) * ops.prod(u_x, rho)
+    return np.stack((du, drho))
 
 
-_RHS = {"m": rhs_m_form, "nonlocal": rhs_nonlocal}
+def _on_state(rhs, state: State, params: Params, use_dealias: bool):
+    grid = state.grid
+    y = np.stack((state.u.samples, state.rho.samples))
+    dy = rhs(operators(grid, params.r, use_dealias), params, state.t, y)
+    return RealField(grid, dy[0]), RealField(grid, dy[1])
+
+
+def rhs_m_form(state: State, params: Params, use_dealias: bool = True):
+    """Momentum-form RHS (du/dt, drho/dt); valid for any r >= 1."""
+    return _on_state(_m_form, state, params, use_dealias)
+
+
+def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
+    """Nonlocal-form RHS (du/dt, drho/dt); r = 1 and constant alpha only."""
+    return _on_state(_nonlocal, state, params, use_dealias)
+
+
+def nonlocal_pressure(state: State, params: Params, use_dealias: bool = True) -> RealField:
+    """P(u, rho) = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u."""
+    ops = operators(state.grid, params.r, use_dealias)
+    u = state.u.samples
+    return RealField(state.grid, _pressure(ops, params, u, ops.dx(u), state.rho.samples))
+
+
+_RHS = {"m": _m_form, "nonlocal": _nonlocal}
 
 
 def get_rhs(formulation: str):
@@ -247,39 +247,27 @@ def get_rhs(formulation: str):
 # ---------------------------------------------------------------------------
 
 
+def rk4(f, t, y, h):
+    """One classical four-stage Runge-Kutta step of y' = f(t, y), y an array."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def step_rk4(state: State, params: Params, dt: float, formulation: str = "m",
              use_dealias: bool = True) -> State:
     """One classical four-stage Runge-Kutta step."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rhs = get_rhs(formulation)
-    grid = state.grid
-
-    def stage(h, du, drho):
-        return State(
-            state.t + h,
-            RealField(grid, state.u.samples + h * du.samples),
-            RealField(grid, state.rho.samples + h * drho.samples),
-        )
-
-    k1u, k1r = rhs(state, params, use_dealias)
-    k2u, k2r = rhs(stage(0.5 * dt, k1u, k1r), params, use_dealias)
-    k3u, k3r = rhs(stage(0.5 * dt, k2u, k2r), params, use_dealias)
-    k4u, k4r = rhs(stage(dt, k3u, k3r), params, use_dealias)
-
-    u_new = state.u.samples + (dt / 6.0) * (
-        k1u.samples + 2.0 * k2u.samples + 2.0 * k3u.samples + k4u.samples
-    )
-    rho_new = state.rho.samples + (dt / 6.0) * (
-        k1r.samples + 2.0 * k2r.samples + 2.0 * k3r.samples + k4r.samples
-    )
-    return State(state.t + dt, RealField(grid, u_new), RealField(grid, rho_new))
+    rhs = partial(get_rhs(formulation), operators(state.grid, params.r, use_dealias), params)
+    y = rk4(rhs, state.t, np.stack((state.u.samples, state.rho.samples)), dt)
+    return _as_state(state.grid, state.t + dt, y)
 
 
-def _max_gradient(state: State) -> float:
-    grid = state.grid
-    u_x = np.fft.ifft(1j * grid.xi * np.fft.fft(state.u.samples)).real
-    return float(np.max(np.abs(u_x)))
+def _max_gradient(ops: Operators, state: State) -> float:
+    return float(np.max(np.abs(ops.dx(state.u.samples))))
 
 
 def integrate(state0: State, params: Params, ctrl: StepControl,
@@ -292,6 +280,7 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
     non-finite value appears.
     """
     grid = state0.grid
+    ops = operators(grid, params.r, ctrl.dealias)
     if output_times is None:
         output_times = np.linspace(state0.t, ctrl.t_final, 17)
     output_times = np.asarray(output_times, dtype=float)
@@ -302,11 +291,7 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
 
     state = state0
     if ctrl.dealias:
-        state = State(
-            state0.t,
-            RealField(grid, grid.dealias_samples(state0.u.samples)),
-            RealField(grid, grid.dealias_samples(state0.rho.samples)),
-        )
+        state = State(state0.t, dealias(state0.u), dealias(state0.rho))
     traj = Trajectory([], params, ctrl, formulation)
     next_out = 0
     if abs(output_times[0] - state.t) <= 1e-14:
@@ -327,8 +312,8 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
         if not np.all(np.isfinite(new_state.u.samples)) or not np.all(
             np.isfinite(new_state.rho.samples)
         ):
-            raise BlowUpError(state.t, _max_gradient(state), state, traj)
-        grad = _max_gradient(new_state)
+            raise BlowUpError(state.t, _max_gradient(ops, state), state, traj)
+        grad = _max_gradient(ops, new_state)
         if grad > ctrl.gradient_ceiling:
             raise BlowUpError(new_state.t, grad, state, traj)
 
@@ -347,12 +332,9 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
 # ---------------------------------------------------------------------------
 
 
-def lagrange4_weights(times, t):
-    """Cubic Lagrange weights on the four snapshots bracketing t.
-
-    Returns (idx, w); the interpolant of a series is
-    sum(w_i * series[i] for w_i, i in zip(w, idx)).
-    """
+def lagrange4(times, series, t):
+    """Cubic Lagrange interpolant at t of series on the four snapshots
+    bracketing t; series[i] is an array sampled at times[i]."""
     n = len(times)
     j = int(np.searchsorted(times, t) - 1)
     lo = min(max(j - 1, 0), n - 4)
@@ -362,7 +344,19 @@ def lagrange4_weights(times, t):
         for b_ in range(4):
             if a != b_:
                 w[a] *= (t - times[idx[b_]]) / (times[idx[a]] - times[idx[b_]])
-    return idx, w
+    return sum(wi * series[i] for wi, i in zip(w, idx))
+
+
+def rk4_stages(times, series, j, h):
+    """The values of series at the four stages of the rk4 step of size h
+    from times[j], in rk4's call order: series[j], the midpoint value twice
+    (cubic in time; the mean of the two ends with fewer than four
+    snapshots), series[j + 1]."""
+    if len(times) > 3:
+        mid = lagrange4(times, series, times[j] + 0.5 * h)
+    else:
+        mid = 0.5 * (series[j] + series[j + 1])
+    return iter((series[j], mid, mid, series[j + 1]))
 
 
 def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
@@ -390,16 +384,9 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     if nsteps < 3:
         raise ValueError("need at least three steps for midpoint interpolation")
     times = dt * np.arange(nsteps + 1)
-    ixi = 1j * grid.xi
-    dmask = grid.dealias_mask if ctrl.dealias else 1.0
-    a_mult = inertia_multiplier(grid, params.r)
+    ops = operators(grid, params.r, ctrl.dealias)
+    prod = ops.prod
     alpha = params.alpha_samples(grid)
-
-    def prod(a, b_):
-        return np.fft.ifft(dmask * np.fft.fft(a * b_)).real
-
-    def dx_of(arr):
-        return np.fft.ifft(ixi * np.fft.fft(arr)).real
 
     zero = RealField(grid, np.zeros(grid.n))
     iterates = [
@@ -407,60 +394,38 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     ]
 
     for k in range(K):
-        prev = iterates[-1]
-        # Frozen coefficient u_k and source terms, one entry per snapshot.
-        coeff_u = [s.u.samples for s in prev.states]
-        src_m = []
-        src_rho = []
-        for s in prev.states:
+        # Frozen coefficient u_k and the m and rho sources, stacked per snapshot.
+        frozen = []
+        for s in iterates[-1].states:
             uk = s.u.samples
             rk = s.rho.samples
-            uk_x = dx_of(uk)
-            mk = np.fft.ifft(a_mult * np.fft.fft(uk)).real
+            uk_x = ops.dx(uk)
+            mk = np.fft.ifft(ops.inertia * np.fft.fft(uk)).real
             sm = (
                 alpha * uk
                 - params.b * prod(uk_x, mk)
-                - params.kappa * prod(rk, dx_of(rk))
+                - params.kappa * prod(rk, ops.dx(rk))
             )
-            src_m.append(sm)
-            src_rho.append(-(params.b - 1.0) * prod(uk_x, rk))
+            frozen.append(np.stack((uk, sm, -(params.b - 1.0) * prod(uk_x, rk))))
 
-        def frozen_at(t):
-            if t <= times[0]:
-                return coeff_u[0], src_m[0], src_rho[0]
-            j = int(round((t - times[0]) / dt))
-            if abs(t - times[min(j, nsteps)]) < 1e-12:
-                j = min(j, nsteps)
-                return coeff_u[j], src_m[j], src_rho[j]
-            idx, w = lagrange4_weights(times, t)
-            cu = sum(wi * coeff_u[i] for wi, i in zip(w, idx))
-            sm = sum(wi * src_m[i] for wi, i in zip(w, idx))
-            sr = sum(wi * src_rho[i] for wi, i in zip(w, idx))
-            return cu, sm, sr
-
-        def rhs_lin(t, u, rho):
-            cu, sm, sr = frozen_at(t)
-            m_x = np.fft.ifft(ixi * a_mult * np.fft.fft(u)).real
+        def rhs_lin(t, y):
+            cu, sm, sr = next(stages)
+            m_x = np.fft.ifft(ops.ixi_inertia * np.fft.fft(y[0])).real
             m_t = -prod(cu, m_x) + sm
-            du = np.fft.ifft(np.fft.fft(m_t) / a_mult).real
-            drho = -prod(cu, dx_of(rho)) + sr
-            return du, drho
+            du = np.fft.ifft(np.fft.fft(m_t) / ops.inertia).real
+            drho = -prod(cu, ops.dx(y[1])) + sr
+            return np.stack((du, drho))
 
-        u = besov.lowpass(u0, k + 1).samples
-        rho = besov.lowpass(rho0, k + 1).samples
+        u = besov.lowpass(u0, k + 1)
+        rho = besov.lowpass(rho0, k + 1)
         if ctrl.dealias:
-            u = grid.dealias_samples(u)
-            rho = grid.dealias_samples(rho)
-        states = [State(0.0, RealField(grid, u), RealField(grid, rho))]
+            u, rho = dealias(u), dealias(rho)
+        y = np.stack((u.samples, rho.samples))
+        states = [_as_state(grid, 0.0, y)]
         for j in range(nsteps):
-            t = times[j]
-            k1u, k1r = rhs_lin(t, u, rho)
-            k2u, k2r = rhs_lin(t + 0.5 * dt, u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r)
-            k3u, k3r = rhs_lin(t + 0.5 * dt, u + 0.5 * dt * k2u, rho + 0.5 * dt * k2r)
-            k4u, k4r = rhs_lin(t + dt, u + dt * k3u, rho + dt * k3r)
-            u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-            rho = rho + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
-            states.append(State(times[j + 1], RealField(grid, u), RealField(grid, rho)))
+            stages = rk4_stages(times, frozen, j, dt)
+            y = rk4(rhs_lin, times[j], y, dt)
+            states.append(_as_state(grid, times[j + 1], y))
         iterates.append(Trajectory(states, params, ctrl, "linearized"))
     return iterates
 

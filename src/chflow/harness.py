@@ -31,7 +31,7 @@ from .schema import (
     SCHEMA_VERSION,
     TRAJECTORY_COLUMNS,
 )
-from .spectral import Grid, RealField, apply_inertia, invert_inertia
+from .spectral import Grid, RealField, apply_inertia, invert_inertia, operators
 
 CODE_VERSION = "0.1.0"
 
@@ -110,6 +110,15 @@ class Scenario:
         for diag in self.diagnostics:
             if diag not in DIAGNOSTICS:
                 errors.append(f"unknown diagnostic {diag!r}; choose from {sorted(DIAGNOSTICS)}")
+        flow_diags = [d for d in self.diagnostics if d in FLOW_DIAGNOSTICS]
+        if flow_diags and self.snapshots >= 2 and self.dt_max > 0:
+            stride = self.t_final / (self.snapshots - 1)
+            if stride > 4.0 * self.dt_max + 1e-12:
+                errors.append(
+                    f"control.snapshots: stride t_final/(snapshots-1) = {stride:.3g} "
+                    f"exceeds 4x dt_max = {4.0 * self.dt_max:.3g}, the most the "
+                    f"flow diagnostics {flow_diags} allow"
+                )
         return errors
 
     def build(self):
@@ -358,6 +367,16 @@ class _RunContext:
         return self._flows
 
 
+def _gate(value, tol, detail):
+    """Summary of an upper-bound diagnostic: it passes when value < tol."""
+    return {
+        "status": "pass" if value < tol else "fail",
+        "value": value,
+        "tolerance": tol,
+        "detail": detail,
+    }
+
+
 def _diag_casimir(ctx, out):
     try:
         series = [characteristics.casimir(s.rho, ctx.params.b) for s in ctx.traj.states]
@@ -368,26 +387,13 @@ def _diag_casimir(ctx, out):
     drift = max(abs(c - series[0]) for c in series) / max(base, 1e-300)
     if base == 0.0:
         drift = max(abs(c) for c in series)
-    tol = 1e-6
-    return {
-        "status": "pass" if drift < tol else "fail",
-        "value": drift,
-        "tolerance": tol,
-        "detail": "max relative drift of the conserved density integral",
-    }, []
+    return _gate(drift, 1e-6, "max relative drift of the conserved density integral"), []
 
 
 def _diag_transport(ctx, out):
     devs = characteristics.check_transport_identity(ctx.flows, ctx.traj, ctx.params.b)
     ctx.identity_rows["transport_dev"] = devs
-    tol = 1e-4
-    worst = float(np.max(devs))
-    return {
-        "status": "pass" if worst < tol else "fail",
-        "value": worst,
-        "tolerance": tol,
-        "detail": "max deviation of the density transport identity",
-    }, []
+    return _gate(float(np.max(devs)), 1e-4, "max deviation of the density transport identity"), []
 
 
 def _diag_mflow(ctx, out):
@@ -395,14 +401,8 @@ def _diag_mflow(ctx, out):
         return {"status": "skipped", "detail": "requires alpha == 0"}, []
     devs = characteristics.check_m_flow_identity(ctx.flows, ctx.traj, ctx.params)
     ctx.identity_rows["mflow_dev"] = devs
-    tol = 1e-4
-    worst = float(np.max(devs))
-    return {
-        "status": "pass" if worst < tol else "fail",
-        "value": worst,
-        "tolerance": tol,
-        "detail": "max deviation of the momentum balance along the flow",
-    }, []
+    detail = "max deviation of the momentum balance along the flow"
+    return _gate(float(np.max(devs)), 1e-4, detail), []
 
 
 def _diag_support(ctx, out):
@@ -441,13 +441,7 @@ def _diag_formulation(ctx, out):
         worst = max(worst, float(np.max(np.abs(du_a.samples - du_b.samples))) / scale)
         scale = max(np.max(np.abs(dr_a.samples)), 1e-300)
         worst = max(worst, float(np.max(np.abs(dr_a.samples - dr_b.samples))) / scale)
-    tol = 1e-10
-    return {
-        "status": "pass" if worst < tol else "fail",
-        "value": worst,
-        "tolerance": tol,
-        "detail": "relative sup difference of the two RHS formulations",
-    }, []
+    return _gate(worst, 1e-10, "relative sup difference of the two RHS formulations"), []
 
 
 def _weight_from_spec(spec):
@@ -506,10 +500,11 @@ def _diag_persistence(ctx, out):
 
 def _diag_decay(ctx, out):
     grid = ctx.grid
+    d_dx = operators(grid).dx
     rows = []
     min_a = np.inf
     for s in ctx.traj.states:
-        u_x = np.fft.ifft(1j * grid.xi * np.fft.fft(s.u.samples)).real
+        u_x = d_dx(s.u.samples)
         g = RealField(grid, np.abs(s.u.samples) + np.abs(u_x) + np.abs(s.rho.samples))
         try:
             fit = weights.decay_profile(g, window=ctx.scenario.decay_window)
@@ -566,6 +561,10 @@ DIAGNOSTICS = {
     "besov": _diag_besov,
 }
 
+# Diagnostics that evolve the flow map, which needs snapshots no coarser
+# than four solver steps.
+FLOW_DIAGNOSTICS = ("transport", "mflow", "support")
+
 
 def run_scenario(scenario: Scenario, out_dir: str) -> dict:
     """Execute a scenario, write its data files, and return the manifest."""
@@ -599,7 +598,9 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
             try:
                 summary, extra = DIAGNOSTICS[diag](ctx, out_dir)
             except Exception as exc:  # diagnostic failure should not lose the run
-                summary, extra = {"status": "error", "detail": str(exc)}, []
+                summary = {"status": "error", "error_type": type(exc).__name__,
+                           "detail": str(exc)}
+                extra = []
             invariants[diag] = summary
             files.extend(extra)
 
@@ -687,6 +688,7 @@ def convergence_suite(out_dir, workers=1):
         rho0=(("profile", "gaussian"), ("amp", 0.5), ("width", 1.0)),
         t_final=0.5,
         snapshots=2,
+        diagnostics=(),    # integrated only; the flow diagnostics need snapshots
         dt_max=2e-3,
         cfl=1.0,           # fixed dt: identical steps at every resolution
     )
@@ -694,7 +696,7 @@ def convergence_suite(out_dir, workers=1):
 
     ns = (256, 512, 1024)
     jobs = [(replace(base, n=n), out_times) for n in ns]
-    trajs = _pmap(_integrate_job, jobs, _workers_from_env(workers))
+    trajs = _pmap(_integrate_job, jobs, workers)
     fine = trajs[-1]
     spatial_rows = []
     spatial_errs = []
@@ -718,7 +720,7 @@ def convergence_suite(out_dir, workers=1):
     dts = (4e-2, 2e-2, 1e-2)
     tbase = replace(base, n=512)
     jobs = [(replace(tbase, dt_max=dt), out_times) for dt in dts + (dts[-1] / 8.0,)]
-    trajs = _pmap(_integrate_job, jobs, _workers_from_env(workers))
+    trajs = _pmap(_integrate_job, jobs, workers)
     oracle = trajs[-1]
     temporal_rows = []
     terrs = []
@@ -836,7 +838,7 @@ def persistence_suite(out_dir, workers=1):
     )
     sc2 = replace(sc, name="persistence_Lx2", L=160.0, n=8192)
     jobs = [(sc, sc.output_times()), (sc2, sc2.output_times())]
-    traj, traj2 = _pmap(_integrate_job, jobs, _workers_from_env(workers))
+    traj, traj2 = _pmap(_integrate_job, jobs, workers)
 
     rows = []
     all_ok = True

@@ -7,7 +7,7 @@ the textbook coefficients and off-grid evaluation needs no extra phase.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -174,14 +174,46 @@ def invert_inertia(m: RealField, r: float, allow_any_r: bool = False) -> RealFie
     return RealField(m.grid, m.grid.apply_multiplier(m.samples, inertia_multiplier(m.grid, -r)))
 
 
-def dealias(F: SpectralField) -> SpectralField:
+def dealias(f: RealField) -> RealField:
     """Zero all modes with |xi| > (2/3)*xi_max (two-thirds rule)."""
-    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))
-
-
-def dealias_field(f: RealField) -> RealField:
-    """Sample-space version of :func:`dealias`, for products in RHS code."""
     return RealField(f.grid, f.grid.dealias_samples(f.samples))
+
+
+@dataclass(frozen=True, eq=False)
+class Operators:
+    """The FFT multipliers the RHS code shares on one grid.
+
+    ``ixi`` is i*xi, ``inertia`` the multiplier (1 + xi^2)^r, ``ixi_inertia``
+    their product and ``mask`` the two-thirds mask (1.0 when products are
+    not dealiased).  Build it through :func:`operators`, which caches it.
+    """
+
+    grid: Grid
+    ixi: np.ndarray
+    inertia: np.ndarray
+    ixi_inertia: np.ndarray
+    mask: object
+
+    def prod(self, a, b):
+        """Pointwise product a*b, dealiased."""
+        return np.fft.ifft(self.mask * np.fft.fft(a * b)).real
+
+    def dx(self, a):
+        """Spectral d/dx of samples; unlike :func:`derivative` it keeps the
+        Nyquist mode, as the RHS always has."""
+        return np.fft.ifft(self.ixi * np.fft.fft(a)).real
+
+
+@lru_cache(maxsize=64)
+def operators(grid: Grid, r: float = 1.0, use_dealias: bool = True) -> Operators:
+    """The cached :class:`Operators` of (grid, r, use_dealias)."""
+    ixi = 1j * grid.xi
+    a_mult = inertia_multiplier(grid, r)
+    ixi_a = ixi * a_mult
+    for shared in (ixi, a_mult, ixi_a):
+        shared.flags.writeable = False
+    mask = grid.dealias_mask if use_dealias else 1.0
+    return Operators(grid, ixi, a_mult, ixi_a, mask)
 
 
 def l2_norm(f: RealField) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .spectral import RealField
+from .spectral import RealField, operators
 
 
 class UndefinedFitError(ValueError):
@@ -214,10 +214,11 @@ def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
     grid = traj.grid
     times = traj.times
     wvals = w(grid.x)
+    d_dx = operators(grid).dx
     Ws = []
     sup_norms = []
     for s in traj.states:
-        u_x = np.fft.ifft(1j * grid.xi * np.fft.fft(s.u.samples)).real
+        u_x = d_dx(s.u.samples)
         Ws.append(
             _masked_weighted_norm(s.u.samples, wvals, grid.dx, p, signal_floor)
             + _masked_weighted_norm(u_x, wvals, grid.dx, p, signal_floor)

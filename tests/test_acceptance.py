@@ -35,7 +35,7 @@ from chflow.harness import (
     stability_suite,
 )
 from chflow.profiles import band_limited_noise, gaussian
-from chflow.spectral import Grid, RealField, dealias_field
+from chflow.spectral import Grid, RealField, dealias
 
 CH_PARAMS = Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
 
@@ -82,8 +82,8 @@ def test_criterion_01_formulation_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        u = dealias_field(band_limited_noise(grid, seed=seed, kmax_frac=0.25, amp=0.6))
-        rho = dealias_field(
+        u = dealias(band_limited_noise(grid, seed=seed, kmax_frac=0.25, amp=0.6))
+        rho = dealias(
             band_limited_noise(grid, seed=seed + 500, kmax_frac=0.25, amp=0.4)
         )
         st = State(0.0, u, rho)

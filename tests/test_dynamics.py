@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chflow.besov import BesovIndex, besov_norm
 from chflow.dynamics import (
@@ -15,11 +17,12 @@ from chflow.dynamics import (
     nonlocal_pressure,
     rhs_m_form,
     rhs_nonlocal,
+    rk4,
     stability_pair,
     step_rk4,
 )
 from chflow.profiles import band_limited_noise, gaussian
-from chflow.spectral import Grid, RealField, dealias_field, derivative
+from chflow.spectral import Grid, RealField, dealias, derivative
 
 
 
@@ -33,8 +36,8 @@ def _state(grid, u=None, rho=None, t=0.0):
 
 
 def _random_state(grid, seed, amp=0.5):
-    u = dealias_field(band_limited_noise(grid, seed=seed, kmax_frac=0.2, amp=amp))
-    rho = dealias_field(band_limited_noise(grid, seed=seed + 1000, kmax_frac=0.2, amp=amp))
+    u = dealias(band_limited_noise(grid, seed=seed, kmax_frac=0.2, amp=amp))
+    rho = dealias(band_limited_noise(grid, seed=seed + 1000, kmax_frac=0.2, amp=amp))
     return State(0.0, u, rho)
 
 
@@ -72,7 +75,7 @@ class TestRhs:
     def test_variable_alpha_supported_in_m_form_only(self, grid20):
         # the nonlocal reduction folds alpha*u_x into d/dx(alpha*u), which
         # holds only for constant alpha; the m form takes a field fine
-        alpha = dealias_field(band_limited_noise(grid20, seed=77, kmax_frac=0.1, amp=0.3))
+        alpha = dealias(band_limited_noise(grid20, seed=77, kmax_frac=0.1, amp=0.3))
         params = Params(b=2.0, kappa=1.0, alpha=alpha, r=1.0)
         st = _random_state(grid20, seed=18)
         du_a, _ = rhs_m_form(st, params)
@@ -103,6 +106,30 @@ class TestRhs:
         expect = 1.5 * st.u.samples**2
         assert np.max(np.abs(p.samples - expect)) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2n=st.integers(5, 9),
+        L=st.floats(0.5, 100.0),
+        b=st.floats(-3.0, 5.0),
+        kappa=st.floats(-3.0, 3.0),
+        alpha=st.floats(-2.0, 2.0),
+        kmax_frac=st.floats(0.05, 0.66),
+        seed=st.integers(0, 2**31),
+    )
+    def test_formulations_agree_on_random_grids_and_params(
+        self, log2n, L, b, kappa, alpha, kmax_frac, seed
+    ):
+        # the formulation diagnostic's relative bound, on dealiased
+        # band-limited data over random grids and constant alpha
+        grid = Grid(L, 2**log2n)
+        u = dealias(band_limited_noise(grid, seed=seed, kmax_frac=kmax_frac, amp=0.8))
+        rho = dealias(band_limited_noise(grid, seed=seed + 1, kmax_frac=kmax_frac, amp=0.5))
+        state = State(0.0, u, rho)
+        params = Params(b=b, kappa=kappa, alpha=alpha, r=1.0)
+        for a, c in zip(rhs_m_form(state, params), rhs_nonlocal(state, params)):
+            scale = max(np.max(np.abs(a.samples)), 1e-300)
+            assert np.max(np.abs(a.samples - c.samples)) < 1e-10 * scale
+
     def test_blowup_error_carries_diagnostics(self, grid20):
         bad = np.full(grid20.n, np.nan)
         st = State(0.5, RealField(grid20, bad), RealField(grid20, np.zeros(grid20.n)))
@@ -112,6 +139,22 @@ class TestRhs:
 
 
 class TestStepRK4:
+    @pytest.mark.parametrize("lam", [-3.0, -0.5, 0.7, 2.0])
+    def test_linear_step_is_degree4_taylor_factor(self, lam):
+        y0 = np.array([[1.0, -2.5, 0.3], [4.0, 1e-3, -7.0]])
+        t0, h = 0.25, 0.1
+        stage_times = []
+
+        def f(t, y):
+            stage_times.append(t)
+            return lam * y
+
+        z = lam * h
+        factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+        y1 = rk4(f, t0, y0, h)
+        assert np.max(np.abs(y1 - factor * y0)) <= 1e-15 * np.max(np.abs(factor * y0))
+        assert stage_times == [t0, t0 + 0.5 * h, t0 + 0.5 * h, t0 + h]
+
     def test_zero_fixed_point(self, grid20):
         st = _state(grid20)
         out = step_rk4(st, CH_PARAMS, 1e-2)

@@ -10,10 +10,12 @@ import pytest
 
 from chflow.cli import main
 from chflow.dynamics import integrate
+from chflow import harness
 from chflow.harness import (
     PRESETS,
     ConfigurationError,
     Scenario,
+    convergence_suite,
     parse_config,
     run_scenario,
 )
@@ -116,6 +118,17 @@ class TestConfig:
         sc = Scenario(u0=(("profile", "wiggle"),))
         assert any("wiggle" in e for e in sc.validate())
 
+    @pytest.mark.parametrize("diag", ["transport", "mflow", "support"])
+    def test_coarse_snapshots_rejected_for_flow_diagnostics(self, diag):
+        # stride 0.05 > 4 * dt_max = 0.04: the flow map cannot be evolved
+        sc = Scenario(t_final=0.5, snapshots=11, dt_max=0.01, diagnostics=(diag,))
+        assert any("control.snapshots" in e and diag in e for e in sc.validate())
+        with pytest.raises(ConfigurationError):
+            sc.build()
+        # the same stride is fine without a flow diagnostic, or at 4 * dt_max
+        assert replace(sc, diagnostics=("casimir",)).validate() == []
+        assert replace(sc, snapshots=14).validate() == []
+
 
 def _small_scenario(**over):
     base = Scenario(
@@ -189,6 +202,19 @@ class TestRunScenario:
         manifest = run_scenario(sc, str(tmp_path))
         assert manifest["invariants"]["mflow"]["status"] == "skipped"
 
+    def test_raising_diagnostic_records_exception_type(self, tmp_path, monkeypatch):
+        def broken(ctx, out):
+            raise ZeroDivisionError("no mass to normalise")
+
+        monkeypatch.setitem(harness.DIAGNOSTICS, "casimir", broken)
+        manifest = run_scenario(_small_scenario(), str(tmp_path))
+        assert manifest["invariants"]["casimir"] == {
+            "status": "error",
+            "error_type": "ZeroDivisionError",
+            "detail": "no mass to normalise",
+        }
+        assert manifest["invariants"]["transport"]["status"] == "pass"
+
     def test_persistence_m_running_is_a_running_max(self, tmp_path):
         sc = _small_scenario(
             name="persist", t_final=0.5, snapshots=11, diagnostics=("persistence",),
@@ -210,6 +236,14 @@ class TestRunScenario:
         assert m_running[0] == pytest.approx(sups[0], rel=1e-12)
         assert np.all(np.diff(m_running) >= 0.0)
         assert m_running[-1] == pytest.approx(sups.max(), rel=1e-12)
+
+
+def test_convergence_suite_independent_of_worker_count(tmp_path):
+    reports = [convergence_suite(str(tmp_path / str(w)), workers=w) for w in (1, 2)]
+    assert reports[0] == reports[1]
+    for name in ("convergence_report.json", "convergence_spatial.csv",
+                 "convergence_temporal.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestCli:
