@@ -275,10 +275,13 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
     """Advance to ctrl.t_final with CFL-limited steps, recording snapshots.
 
     dt = min(dt_max, cfl*dx / max(1, max|u|)), clipped so every requested
-    output time is hit exactly.  Raises BlowUpError (carrying the last valid
-    state and the partial trajectory) if max|u_x| exceeds the ceiling or a
-    non-finite value appears.
+    output time is hit exactly.  Raises ValueError if the initial u or rho
+    is non-finite, and BlowUpError (carrying the last valid state and the
+    partial trajectory) if max|u_x| exceeds the ceiling or a non-finite
+    value appears.
     """
+    state0.u.validate()
+    state0.rho.validate()
     grid = state0.grid
     ops = operators(grid, params.r, ctrl.dealias)
     if output_times is None:

@@ -110,6 +110,9 @@ class Scenario:
         for diag in self.diagnostics:
             if diag not in DIAGNOSTICS:
                 errors.append(f"unknown diagnostic {diag!r}; choose from {sorted(DIAGNOSTICS)}")
+        if self.b == 1.0 and "casimir" in self.diagnostics:
+            errors.append("diagnostic 'casimir' requires b != 1: the conserved "
+                          "density |rho|^(1/(b-1)) is undefined for b = 1")
         flow_diags = [d for d in self.diagnostics if d in FLOW_DIAGNOSTICS]
         if flow_diags and self.snapshots >= 2 and self.dt_max > 0:
             stride = self.t_final / (self.snapshots - 1)
@@ -378,10 +381,8 @@ def _gate(value, tol, detail):
 
 
 def _diag_casimir(ctx, out):
-    try:
-        series = [characteristics.casimir(s.rho, ctx.params.b) for s in ctx.traj.states]
-    except ValueError as exc:
-        return {"status": "skipped", "detail": str(exc)}, []
+    # validate() rejects casimir with b = 1, where the density is undefined
+    series = [characteristics.casimir(s.rho, ctx.params.b) for s in ctx.traj.states]
     ctx.identity_rows["casimir"] = series
     base = abs(series[0])
     drift = max(abs(c - series[0]) for c in series) / max(base, 1e-300)

@@ -277,6 +277,17 @@ class TestIntegrate:
         assert exc.value.last_state is not None
         assert exc.value.partial is not None
 
+    @pytest.mark.parametrize("which", ["u", "rho"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_data_rejected(self, grid20, which, bad):
+        # bad input is a ValueError up front, not a blow-up at t = 0
+        samples = np.exp(-grid20.x**2)
+        samples[7] = bad
+        st = _state(grid20, **{which: samples})
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(st, Params(b=2.0, kappa=1.0, alpha=0.0),
+                      StepControl(t_final=0.1, dt_max=0.01))
+
     def test_overflow_reported_as_blowup(self):
         # a wildly unstable step drives the state to inf/nan; the run must
         # surface that as a blow-up, not a numpy warning or bare nan output

@@ -129,6 +129,15 @@ class TestConfig:
         assert replace(sc, diagnostics=("casimir",)).validate() == []
         assert replace(sc, snapshots=14).validate() == []
 
+    def test_casimir_rejected_for_b1(self):
+        # the conserved density |rho|^(1/(b-1)) is undefined at b = 1
+        sc = Scenario(b=1.0, diagnostics=("casimir", "transport"))
+        assert any("casimir" in e and "b != 1" in e for e in sc.validate())
+        with pytest.raises(ConfigurationError):
+            sc.build()
+        assert replace(sc, diagnostics=("transport",)).validate() == []
+        assert replace(sc, b=2.0).validate() == []
+
 
 def _small_scenario(**over):
     base = Scenario(

@@ -1,6 +1,7 @@
 """Off-grid evaluation against the dense two-sided mode sum."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,27 @@ def _dense_oracle(grid, f, pts):
     # brute-force mode sum over the full (two-sided) spectrum
     c = grid.to_coeffs(f.samples)
     return np.real(np.exp(1j * np.outer(pts, grid.xi)) @ c)
+
+
+def _dense_derivative(grid, f, pts):
+    # d/dx of the same mode sum, Nyquist term included (off the grid it does
+    # not vanish, unlike in spectral.derivative)
+    c = grid.to_coeffs(f.samples)
+    return np.real(np.exp(1j * np.outer(pts, grid.xi)) @ (1j * grid.xi * c))
+
+
+def _white_noise(grid, seed):
+    # as in the property test below: every mode excited, scale = sum |c_k|
+    f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.n))
+    return f, np.sum(np.abs(grid.to_coeffs(f.samples)))
+
+
+def _assert_matches_dense(grid, f, scale, pts, oracle_pts=None):
+    oracle_pts = pts if oracle_pts is None else oracle_pts
+    vals, dvals = evaluate(f, pts, deriv=True)
+    assert np.max(np.abs(vals - _dense_oracle(grid, f, oracle_pts))) <= 1e-12 * scale
+    d_err = np.max(np.abs(dvals - _dense_derivative(grid, f, oracle_pts)))
+    assert d_err <= 1e-12 * grid.xi_max * scale
 
 
 def test_dense_oracle():
@@ -68,3 +90,45 @@ def test_derivative_consistent_with_spectral_derivative():
     fx = derivative(f, 1)
     vals, dvals = evaluate(f, grid.x, deriv=True)
     assert np.max(np.abs(dvals - fx.samples)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2n=st.integers(4, 10),
+    L=st.floats(0.5, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+    fracs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=64),
+)
+def test_off_grid_derivatives_match_dense_sum(log2n, L, seed, fracs):
+    grid = Grid(L, 2**log2n)
+    f, scale = _white_noise(grid, seed)
+    _assert_matches_dense(grid, f, scale, L * np.array(fracs))
+
+
+@pytest.mark.parametrize("L", [0.5, 20.0, 100.0])
+def test_lifted_points_far_outside_the_box(L):
+    # flow markers drift out of [-L, L); the field is exactly 2L-periodic
+    # and fmod is exact, so the oracle at the reduced point is the reference
+    # (the mode sum at |x| = 50L itself carries phase round-off ~ eps*50*pi*k)
+    grid = Grid(L, 1024)
+    f, scale = _white_noise(grid, 11)
+    pts = np.random.default_rng(12).uniform(-50.0 * L, 50.0 * L, 300)
+    _assert_matches_dense(grid, f, scale, pts, np.fmod(pts, 2.0 * L))
+
+
+@pytest.mark.parametrize("L", [0.5, 20.0, 100.0])
+def test_points_on_the_wrap_boundary(L):
+    grid = Grid(L, 256)
+    f, scale = _white_noise(grid, 13)
+    pts = np.array([-L, L - 1e-15, L, -L + 1e-15, 0.0, -1e-300])
+    _assert_matches_dense(grid, f, scale, pts)
+
+
+def test_large_grid():
+    # at n = 4096 the phase round-off of an unreduced |x| ~ 200L exceeds the
+    # bound, so this also checks that lifted points are reduced exactly
+    grid = Grid(100.0, 4096)
+    f, scale = _white_noise(grid, 14)
+    rng = np.random.default_rng(15)
+    pts = np.concatenate((rng.uniform(-100.0, 100.0, 250), rng.uniform(-2e4, 2e4, 250)))
+    _assert_matches_dense(grid, f, scale, pts, np.fmod(pts, 2.0 * grid.L))

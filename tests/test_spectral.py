@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chflow.profiles import bump, gaussian
 from chflow.spectral import (
@@ -65,6 +67,28 @@ class TestTransform:
             back = inverse_transform(transform(f))
             scale = np.max(np.abs(f.samples))
             assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2n=st.integers(4, 10),
+        L=st.floats(0.5, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_round_trips_on_random_grids(self, log2n, L, seed, k_frac):
+        grid = Grid(L, 2**log2n)
+        f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.n))
+        F = transform(f)
+        back = inverse_transform(F)
+        assert np.max(np.abs(back.samples - f.samples)) <= 1e-12 * np.max(np.abs(f.samples))
+        again = transform(back).coeffs
+        assert np.max(np.abs(again - F.coeffs)) <= 1e-12 * np.max(np.abs(F.coeffs))
+        # a single harmonic lands on its two modes in the exp(i*xi*x) basis
+        k = 1 + int(k_frac * (grid.n // 2 - 2))
+        c = transform(RealField(grid, np.cos(np.pi * k * grid.x / L))).coeffs
+        expected = np.zeros(grid.n)
+        expected[[k, grid.n - k]] = 0.5
+        assert np.max(np.abs(c - expected)) <= 1e-12
 
     def test_hermitian_symmetry(self, grid20):
         (f,) = random_fields(grid20, 1)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chflow.dynamics import Params, State, StepControl, integrate
@@ -44,6 +46,25 @@ class TestWeightFamily:
         assert StandardWeight(a=0.0, b=0.0, c=3.0).admissible
         assert not StandardWeight(a=1.0, b=1.0).admissible
         assert not StandardWeight(a=-0.1, b=1.0).admissible
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.floats(0.0, 2.0),
+        b=st.floats(0.0, 1.0),
+        c=st.floats(-3.0, 3.0),
+        d=st.floats(-3.0, 3.0),
+        side=st.sampled_from(["both", "right"]),
+        xs=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=16),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=16, max_size=16),
+    )
+    def test_log_derivative_matches_finite_difference(self, a, b, c, d, side, xs, signs):
+        w = StandardWeight(a, b, c, d, side)
+        # away from the kink at 0, where log w is smooth on either side
+        x = np.array(xs) * np.array(signs[: len(xs)])
+        h = 1e-4 * (1.0 + np.abs(x))
+        fd = (np.log(w(x + h)) - np.log(w(x - h))) / (2.0 * h)
+        exact = w.log_derivative(x)
+        assert np.all(np.abs(fd - exact) <= 1e-6 * (1.0 + np.abs(exact)))
 
 
 class TestAdmissibilityCheck:
