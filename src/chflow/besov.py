@@ -64,8 +64,9 @@ def _smooth_lowpass(t):
 
 @lru_cache(maxsize=32)
 def _block_multipliers(grid: Grid, style: str):
-    """Per-block Fourier multipliers, cached per (grid, style)."""
-    axi = np.abs(grid.xi)
+    """Per-block Fourier multipliers on the rfft half spectrum k = 0..n/2,
+    stacked one row per block and cached per (grid, style)."""
+    axi = np.abs(grid.xi[: grid.n // 2 + 1])
     km = k_max(grid)
     mults = []
     if style == "sharp":
@@ -81,16 +82,17 @@ def _block_multipliers(grid: Grid, style: str):
             prev = nxt
     else:
         raise ValueError(f"unknown cutoff style {style!r}")
-    return tuple(mults)
+    mults = np.stack(mults)
+    mults.flags.writeable = False
+    return mults
 
 
 def lp_decompose(f: RealField, style: str = "sharp") -> DyadicDecomposition:
     """Split f into dyadic frequency blocks; blocks sum back to f."""
     grid = f.grid
     mults = _block_multipliers(grid, style)
-    blocks = tuple(
-        RealField(grid, grid.apply_multiplier(f.samples, m)) for m in mults
-    )
+    samples = np.fft.irfft(mults * np.fft.rfft(f.samples), grid.n)
+    blocks = tuple(RealField(grid, b) for b in samples)
     return DyadicDecomposition(blocks, tuple(range(-1, len(mults) - 1)), style)
 
 

@@ -21,7 +21,6 @@ evaluation adds no interpolation error beyond that for band-limited fields.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .dynamics import Trajectory, rk4, rk4_stages
 from .offgrid import evaluate, evaluate_coeffs
@@ -145,6 +144,9 @@ def reconstruct_rho(flows, traj: Trajectory, b: float):
     integral are sampled the same way, so the t = 0 reconstruction is
     exactly rho_0 on the grid.
     """
+    # Imported here: scipy.interpolate dominates the package's import time.
+    from scipy.interpolate import PchipInterpolator
+
     grid = traj.grid
     times = traj.times
     x = grid.x

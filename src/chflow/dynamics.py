@@ -14,9 +14,11 @@ drift apart.  Two RHS formulations are provided:
       P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u,
   where G is the kernel of (1 - d^2/dx^2)^(-1).
 
-Every pointwise product is dealiased (two-thirds rule), so for band-limited
-states the two formulations agree to round-off; that equivalence is one of
-the artifact's checks.
+Dealiasing (two-thirds rule) is linear, so each equation's products are
+summed pointwise and the sum is dealiased once (Orszag, J. Atmos. Sci. 28,
+1971); for band-limited states the two formulations agree to round-off, and
+that equivalence is one of the artifact's checks.  All transforms are real
+(rfft/irfft on the half spectrum).
 """
 
 from dataclasses import dataclass, replace
@@ -142,42 +144,42 @@ def _as_state(grid: Grid, t: float, y) -> State:
 
 
 def _m_form(ops: Operators, params: Params, t: float, y):
-    """Momentum-form RHS of the stacked (u, rho); valid for any r >= 1."""
+    """Momentum-form RHS of the stacked (u, rho); valid for any r >= 1.
+
+    Each equation's products are summed pointwise and dealiased once; the
+    momentum sum goes straight to u_t through mask / inertia.
+    """
     u, rho = y
-    prod = ops.prod
+    n = ops.grid.n
+    y_hat = np.fft.rfft(y)
+    u_x, m, m_x, rho_x = np.fft.irfft(ops.jet * y_hat[[0, 0, 0, 1]], n)
     alpha = params.alpha_samples(ops.grid)
 
-    u_hat = np.fft.fft(u)
-    u_x = np.fft.ifft(ops.ixi * u_hat).real
-    m = np.fft.ifft(ops.inertia * u_hat).real
-    m_x = np.fft.ifft(ops.ixi_inertia * u_hat).real
-    rho_x = ops.dx(rho)
-
+    nl_m = params.b * u_x * m + u * m_x + params.kappa * rho * rho_x
     if isinstance(alpha, np.ndarray):
-        alpha_ux = prod(alpha, u_x)
-    else:
-        alpha_ux = alpha * u_x
-    m_t = alpha_ux - params.b * prod(u_x, m) - prod(u, m_x) - params.kappa * prod(rho, rho_x)
-    if not np.all(np.isfinite(m_t)):
+        nl_m -= alpha * u_x
+    if not np.all(np.isfinite(nl_m)):
         raise BlowUpError(t, float(np.max(np.abs(u_x))), _as_state(ops.grid, t, y))
-    du = np.fft.ifft(np.fft.fft(m_t) / ops.inertia).real
-    drho = -prod(u, rho_x) - (params.b - 1.0) * prod(u_x, rho)
-    return np.stack((du, drho))
+    nl_rho = u * rho_x + (params.b - 1.0) * u_x * rho
+    dy_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, nl_rho)))
+    if not isinstance(alpha, np.ndarray) and alpha != 0.0:
+        dy_hat[0] += alpha * (ops.ixi / ops.inertia) * y_hat[0]
+    return np.fft.irfft(dy_hat, n)
 
 
-def _pressure(ops: Operators, params: Params, u, u_x, rho):
-    prod = ops.prod
-    p = (
-        0.5 * params.b * prod(u, u)
-        + 0.5 * (3.0 - params.b) * prod(u_x, u_x)
-        + 0.5 * params.kappa * prod(rho, rho)
+def _pressure_hat(ops: Operators, params: Params, u, u_x, rho, u_hat):
+    """Half spectrum of P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u,
+    its quadratic part summed and dealiased once."""
+    quad = (
+        0.5 * params.b * u * u
+        + 0.5 * (3.0 - params.b) * u_x * u_x
+        + 0.5 * params.kappa * rho * rho
     )
     alpha = params.alpha_samples(ops.grid)
     if isinstance(alpha, np.ndarray):
-        p -= prod(alpha, u)
-    else:
-        p -= alpha * u
-    return p
+        quad -= alpha * u
+        return ops.mask * np.fft.rfft(quad)
+    return ops.mask * np.fft.rfft(quad) - alpha * u_hat
 
 
 def _nonlocal(ops: Operators, params: Params, t: float, y):
@@ -195,15 +197,18 @@ def _nonlocal(ops: Operators, params: Params, t: float, y):
             "the nonlocal formulation requires a constant alpha"
         )
     u, rho = y
-    u_x = ops.dx(u)
-    rho_x = ops.dx(rho)
-    p = _pressure(ops, params, u, u_x, rho)
-    grad_gp = np.fft.ifft(ops.ixi * np.fft.fft(p) / ops.inertia).real
-    du = -ops.prod(u, u_x) - grad_gp
-    if not np.all(np.isfinite(du)):
+    n = ops.grid.n
+    y_hat = np.fft.rfft(y)
+    u_x, rho_x = np.fft.irfft(ops.ixi * y_hat, n)
+    p_hat = _pressure_hat(ops, params, u, u_x, rho, y_hat[0])
+    nl_hat = ops.mask * np.fft.rfft(
+        np.stack((u * u_x, u * rho_x + (params.b - 1.0) * u_x * rho))
+    )
+    nl_hat[0] += (ops.ixi / ops.inertia) * p_hat
+    dy = -np.fft.irfft(nl_hat, n)
+    if not np.all(np.isfinite(dy[0])):
         raise BlowUpError(t, float(np.max(np.abs(u_x))), _as_state(ops.grid, t, y))
-    drho = -ops.prod(u, rho_x) - (params.b - 1.0) * ops.prod(u_x, rho)
-    return np.stack((du, drho))
+    return dy
 
 
 def _on_state(rhs, state: State, params: Params, use_dealias: bool):
@@ -227,7 +232,10 @@ def nonlocal_pressure(state: State, params: Params, use_dealias: bool = True) ->
     """P(u, rho) = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u."""
     ops = operators(state.grid, params.r, use_dealias)
     u = state.u.samples
-    return RealField(state.grid, _pressure(ops, params, u, ops.dx(u), state.rho.samples))
+    u_hat = np.fft.rfft(u)
+    u_x = np.fft.irfft(ops.ixi * u_hat, state.grid.n)
+    p_hat = _pressure_hat(ops, params, u, u_x, state.rho.samples, u_hat)
+    return RealField(state.grid, np.fft.irfft(p_hat, state.grid.n))
 
 
 _RHS = {"m": _m_form, "nonlocal": _nonlocal}
@@ -388,36 +396,37 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
         raise ValueError("need at least three steps for midpoint interpolation")
     times = dt * np.arange(nsteps + 1)
     ops = operators(grid, params.r, ctrl.dealias)
-    prod = ops.prod
+    n = grid.n
     alpha = params.alpha_samples(grid)
 
-    zero = RealField(grid, np.zeros(grid.n))
+    zero = RealField(grid, np.zeros(n))
     iterates = [
         Trajectory([State(t, zero, zero) for t in times], params, ctrl, "linearized")
     ]
 
     for k in range(K):
-        # Frozen coefficient u_k and the m and rho sources, stacked per snapshot.
+        # Frozen coefficient u_k and the sources, stacked per snapshot; the
+        # m source is carried as its u_t share, (m source) / inertia.
         frozen = []
         for s in iterates[-1].states:
-            uk = s.u.samples
-            rk = s.rho.samples
-            uk_x = ops.dx(uk)
-            mk = np.fft.ifft(ops.inertia * np.fft.fft(uk)).real
-            sm = (
-                alpha * uk
-                - params.b * prod(uk_x, mk)
-                - params.kappa * prod(rk, ops.dx(rk))
-            )
-            frozen.append(np.stack((uk, sm, -(params.b - 1.0) * prod(uk_x, rk))))
+            uk, rk = s.u.samples, s.rho.samples
+            y_hat = np.fft.rfft(np.stack((uk, rk)))
+            uk_x, mk, rk_x = np.fft.irfft(ops.jet[[0, 1, 3]] * y_hat[[0, 0, 1]], n)
+            if isinstance(alpha, np.ndarray):
+                a_hat = np.fft.rfft(alpha * uk)
+            else:
+                a_hat = alpha * y_hat[0]
+            src_hat = -ops.solve * np.fft.rfft(np.stack((
+                params.b * uk_x * mk + params.kappa * rk * rk_x,
+                (params.b - 1.0) * uk_x * rk,
+            )))
+            src_hat[0] += a_hat / ops.inertia
+            frozen.append(np.concatenate(([uk], np.fft.irfft(src_hat, n))))
 
         def rhs_lin(t, y):
-            cu, sm, sr = next(stages)
-            m_x = np.fft.ifft(ops.ixi_inertia * np.fft.fft(y[0])).real
-            m_t = -prod(cu, m_x) + sm
-            du = np.fft.ifft(np.fft.fft(m_t) / ops.inertia).real
-            drho = -prod(cu, ops.dx(y[1])) + sr
-            return np.stack((du, drho))
+            cu_src = next(stages)
+            grads = np.fft.irfft(ops.jet[2:] * np.fft.rfft(y), n)   # m_x, rho_x
+            return cu_src[1:] - np.fft.irfft(ops.solve * np.fft.rfft(cu_src[0] * grads), n)
 
         u = besov.lowpass(u0, k + 1)
         rho = besov.lowpass(rho0, k + 1)
@@ -491,23 +500,25 @@ def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
     for eps in eps_arr:
         u0p = RealField(grid, u0.samples + eps * perturbation.samples)
         pert_run = integrate(State(0.0, u0p, rho0), params, ctrl, formulation, times)
-        dus, drs, gms = [], [], []
+        dus, drs = [], []
         for sa, sb in zip(base.states, pert_run.states):
             du = RealField(grid, sb.u.samples - sa.u.samples)
             dr = RealField(grid, sb.rho.samples - sa.rho.samples)
             dus.append(besov.besov_norm(du, idx_du))
             drs.append(besov.besov_norm(dr, idx_drho))
-            gms.append(
+        du_series.append(np.array(dus))
+        drho_series.append(np.array(drs))
+        if gamma is None:
+            # The growth integrand pairs the base run with the first
+            # perturbed run only.
+            gamma = np.array([
                 besov.besov_norm(sa.u, idx_u)
                 + besov.besov_norm(sb.u, idx_u)
                 + besov.besov_norm(sa.rho, idx_rho)
                 + besov.besov_norm(sb.rho, idx_rho)
                 + alpha_norm
-            )
-        du_series.append(np.array(dus))
-        drho_series.append(np.array(drs))
-        if gamma is None:
-            gamma = np.array(gms)
+                for sa, sb in zip(base.states, pert_run.states)
+            ])
 
     return StabilityResult(
         eps=eps_arr,

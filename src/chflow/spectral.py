@@ -67,8 +67,8 @@ class Grid:
         """Two-thirds rule: True on modes with |xi| <= (2/3)*xi_max."""
         return np.abs(self.xi) <= (2.0 / 3.0) * self.xi_max + 1e-12
 
-    # -- raw array helpers (hot-path plumbing; multipliers are diagonal so
-    #    the mode phase cancels and plain fft/ifft suffices) ----------------
+    # -- raw array helpers.  Multipliers are diagonal, so the mode phase
+    #    cancels and they act on the raw rfft half spectrum k = 0..n/2. ------
 
     def to_coeffs(self, samples):
         return self.mode_phase * np.fft.fft(samples) / self.n
@@ -77,7 +77,14 @@ class Grid:
         return np.fft.ifft(self.mode_phase * coeffs * self.n).real
 
     def apply_multiplier(self, samples, mult):
-        return np.fft.ifft(mult * np.fft.fft(samples)).real
+        """Apply a Fourier multiplier given in FFT order on the full grid.
+
+        The multiplier must be Hermitian, mult(-xi) = conj(mult(xi)), so the
+        result is real; only its k = 0..n/2 half is read.  irfft drops the
+        imaginary part of the Nyquist entry, as taking the real part of a
+        full inverse transform would.
+        """
+        return np.fft.irfft(mult[: self.n // 2 + 1] * np.fft.rfft(samples), self.n)
 
     def dealias_samples(self, samples):
         return self.apply_multiplier(samples, self.dealias_mask)
@@ -181,11 +188,17 @@ def dealias(f: RealField) -> RealField:
 
 @dataclass(frozen=True, eq=False)
 class Operators:
-    """The FFT multipliers the RHS code shares on one grid.
+    """The Fourier multipliers the RHS code shares on one grid.
 
+    Every array lives on the rfft half spectrum k = 0..n/2 of real samples:
     ``ixi`` is i*xi, ``inertia`` the multiplier (1 + xi^2)^r, ``ixi_inertia``
-    their product and ``mask`` the two-thirds mask (1.0 when products are
-    not dealiased).  Build it through :func:`operators`, which caches it.
+    their product and ``mask`` the two-thirds mask as floats (the scalar 1.0
+    when products are not dealiased).  ``jet`` stacks (ixi, inertia,
+    ixi_inertia, ixi): applied to the half spectra of (u, u, u, rho) it gives
+    (u_x, m, m_x, rho_x).  ``solve`` stacks (mask / inertia, mask): applied to
+    the half spectra of the summed momentum and density nonlinearities it
+    dealiases both and recovers u_t from m_t.  Build it through
+    :func:`operators`, which caches it.
     """
 
     grid: Grid
@@ -193,27 +206,33 @@ class Operators:
     inertia: np.ndarray
     ixi_inertia: np.ndarray
     mask: object
+    jet: np.ndarray
+    solve: np.ndarray
 
     def prod(self, a, b):
         """Pointwise product a*b, dealiased."""
-        return np.fft.ifft(self.mask * np.fft.fft(a * b)).real
+        return np.fft.irfft(self.mask * np.fft.rfft(a * b), self.grid.n)
 
     def dx(self, a):
-        """Spectral d/dx of samples; unlike :func:`derivative` it keeps the
-        Nyquist mode, as the RHS always has."""
-        return np.fft.ifft(self.ixi * np.fft.fft(a)).real
+        """Spectral d/dx of samples; irfft drops the imaginary Nyquist entry
+        of i*xi*a_hat, as :func:`derivative` zeroes it."""
+        return np.fft.irfft(self.ixi * np.fft.rfft(a), self.grid.n)
 
 
 @lru_cache(maxsize=64)
 def operators(grid: Grid, r: float = 1.0, use_dealias: bool = True) -> Operators:
     """The cached :class:`Operators` of (grid, r, use_dealias)."""
-    ixi = 1j * grid.xi
-    a_mult = inertia_multiplier(grid, r)
+    half = slice(0, grid.n // 2 + 1)
+    ixi = 1j * grid.xi[half]
+    a_mult = inertia_multiplier(grid, r)[half]
     ixi_a = ixi * a_mult
-    for shared in (ixi, a_mult, ixi_a):
-        shared.flags.writeable = False
-    mask = grid.dealias_mask if use_dealias else 1.0
-    return Operators(grid, ixi, a_mult, ixi_a, mask)
+    mask = grid.dealias_mask[half].astype(float) if use_dealias else 1.0
+    jet = np.stack((ixi, a_mult, ixi_a, ixi))
+    solve = np.stack((mask / a_mult, mask * np.ones_like(a_mult)))
+    shared = (ixi, a_mult, ixi_a, jet, solve) + ((mask,) if use_dealias else ())
+    for arr in shared:
+        arr.flags.writeable = False
+    return Operators(grid, ixi, a_mult, ixi_a, mask, jet, solve)
 
 
 def l2_norm(f: RealField) -> float:

@@ -130,6 +130,66 @@ class TestRhs:
             scale = max(np.max(np.abs(a.samples)), 1e-300)
             assert np.max(np.abs(a.samples - c.samples)) < 1e-10 * scale
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2n=st.integers(4, 10),
+        L=st.floats(0.5, 100.0),
+        r=st.floats(1.0, 3.0),
+        use_dealias=st.booleans(),
+        b=st.floats(-3.0, 5.0),
+        kappa=st.floats(-3.0, 3.0),
+        alpha=st.floats(-2.0, 2.0),
+        field_alpha=st.booleans(),
+        kmax_frac=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_m_form_matches_per_product_formula(
+        self, log2n, L, r, use_dealias, b, kappa, alpha, field_alpha, kmax_frac, seed
+    ):
+        # the RHS sums each equation's products and dealiases once; here each
+        # product is dealiased on its own, through the full complex FFT
+        grid = Grid(L, 2**log2n)
+        u = band_limited_noise(grid, seed=seed, kmax_frac=kmax_frac, amp=0.8).samples
+        rho = band_limited_noise(grid, seed=seed + 1, kmax_frac=kmax_frac, amp=0.5).samples
+        if field_alpha:
+            a = band_limited_noise(grid, seed=seed + 2, kmax_frac=kmax_frac, amp=alpha)
+            params = Params(b=b, kappa=kappa, alpha=a, r=r)
+        else:
+            params = Params(b=b, kappa=kappa, alpha=alpha, r=r)
+
+        mask = grid.dealias_mask if use_dealias else 1.0
+        inertia = (1.0 + grid.xi**2) ** r
+
+        def op(mult, f):
+            return np.fft.ifft(mult * np.fft.fft(f)).real
+
+        def prod(f, g):
+            return op(mask, f * g)
+
+        u_x, rho_x = op(1j * grid.xi, u), op(1j * grid.xi, rho)
+        m, m_x = op(inertia, u), op(1j * grid.xi * inertia, u)
+        alpha_ux = prod(a.samples, u_x) if field_alpha else alpha * u_x
+        m_terms = (alpha_ux, -b * prod(u_x, m), -prod(u, m_x), -kappa * prod(rho, rho_x))
+        rho_terms = (-prod(u, rho_x), -(b - 1.0) * prod(u_x, rho))
+        du_ref = op(1.0 / inertia, sum(m_terms))
+        drho_ref = sum(rho_terms)
+
+        du, drho = rhs_m_form(_state(grid, u, rho), params, use_dealias)
+        for got, ref, terms in ((du, du_ref, m_terms), (drho, drho_ref, rho_terms)):
+            scale = sum(np.linalg.norm(t) for t in terms)
+            assert np.linalg.norm(got.samples - ref) <= 1e-12 * max(scale, 1e-300)
+
+    @pytest.mark.parametrize("field_alpha", [False, True])
+    @pytest.mark.parametrize("bad", ["u", "rho"])
+    def test_m_form_raises_blowup_on_nan(self, grid20, bad, field_alpha):
+        y = {"u": np.zeros(grid20.n), "rho": np.zeros(grid20.n)}
+        y[bad][7] = np.nan
+        alpha = RealField(grid20, np.ones(grid20.n)) if field_alpha else 0.5
+        st_ = _state(grid20, y["u"], y["rho"], t=0.25)
+        with pytest.raises(BlowUpError) as exc:
+            rhs_m_form(st_, Params(b=2.0, kappa=0.0, alpha=alpha))
+        assert exc.value.t == 0.25
+
     def test_blowup_error_carries_diagnostics(self, grid20):
         bad = np.full(grid20.n, np.nan)
         st = State(0.5, RealField(grid20, bad), RealField(grid20, np.zeros(grid20.n)))
@@ -416,3 +476,22 @@ class TestStability:
         res = stability_pair(u0, rho0, pert, [1e-2, 5e-3], CH_PARAMS, ctrl)
         ratio = res.sup_du[0] / res.sup_du[1]
         assert ratio == pytest.approx(2.0, rel=0.2)
+
+    def test_gamma_pairs_base_with_first_perturbed_run(self, grid20):
+        u0 = gaussian(grid20, 0.5, 2.0)
+        rho0 = gaussian(grid20, 0.3, 1.5)
+        pert = RealField(grid20, np.cos(np.pi * grid20.x / grid20.L))
+        ctrl = StepControl(cfl=1.0, dt_max=5e-3, t_final=0.05)
+        params = Params(b=2.0, kappa=1.0, alpha=0.25, r=1.0)
+        res = stability_pair(u0, rho0, pert, [1e-2, 5e-3, 1e-3], params, ctrl, s=3.0)
+
+        base = integrate(State(0.0, u0, rho0), params, ctrl, output_times=res.times)
+        u0p = RealField(grid20, u0.samples + 1e-2 * pert.samples)
+        first = integrate(State(0.0, u0p, rho0), params, ctrl, output_times=res.times)
+        idx_u, idx_rho = BesovIndex(3.0), BesovIndex(2.0)
+        expect = [
+            besov_norm(sa.u, idx_u) + besov_norm(sb.u, idx_u)
+            + besov_norm(sa.rho, idx_rho) + besov_norm(sb.rho, idx_rho) + 0.25
+            for sa, sb in zip(base.states, first.states)
+        ]
+        assert np.array_equal(res.gamma, expect)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chflow.besov import _smooth_lowpass
 from chflow.profiles import bump, gaussian
 from chflow.spectral import (
     Grid,
@@ -15,9 +16,11 @@ from chflow.spectral import (
     coeff_l2_norm,
     dealias,
     derivative,
+    inertia_multiplier,
     inverse_transform,
     invert_inertia,
     l2_norm,
+    operators,
     transform,
 )
 
@@ -282,3 +285,59 @@ class TestDealias:
             if keep[pos]:
                 oracle[pos] = prod2[k]
         assert np.max(np.abs(prod - oracle)) < 1e-12
+
+
+def _full_fft_multiplier(mult, samples):
+    """Reference: a multiplier applied through the full complex FFT."""
+    return np.fft.ifft(mult * np.fft.fft(samples)).real
+
+
+def _assert_close(got, ref, scale):
+    assert np.linalg.norm(got - ref) <= 1e-12 * max(scale, 1e-300)
+
+
+_RANDOM_GRIDS = dict(
+    log2n=st.integers(4, 10),
+    L=st.floats(0.5, 100.0),
+    r=st.floats(1.0, 3.0),
+    use_dealias=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestHalfSpectrum:
+    """The rfft operators against a full complex-FFT reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_RANDOM_GRIDS)
+    def test_operators_match_full_fft(self, log2n, L, r, use_dealias, seed):
+        grid = Grid(L, 2**log2n)
+        a, b = np.random.default_rng(seed).standard_normal((2, grid.n))
+        ops = operators(grid, r, use_dealias)
+        mask = grid.dealias_mask if use_dealias else 1.0
+        _assert_close(ops.prod(a, b), _full_fft_multiplier(mask, a * b),
+                      np.linalg.norm(a * b))
+        _assert_close(ops.dx(a), _full_fft_multiplier(1j * grid.xi, a),
+                      grid.xi_max * np.linalg.norm(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_RANDOM_GRIDS, j=st.integers(-2, 12))
+    def test_apply_multiplier_matches_full_fft(self, log2n, L, r, use_dealias, seed, j):
+        grid = Grid(L, 2**log2n)
+        f = np.random.default_rng(seed).standard_normal(grid.n)
+        mults = [
+            inertia_multiplier(grid, r),
+            inertia_multiplier(grid, -r),
+            (np.abs(grid.xi) < 2.0**j).astype(float),
+            _smooth_lowpass(grid.xi / 2.0**j),
+            grid.dealias_mask if use_dealias else np.ones(grid.n),
+        ] + [(1j * grid.xi) ** order for order in (1, 2, 3)]
+        for mult in mults:
+            _assert_close(grid.apply_multiplier(f, mult), _full_fft_multiplier(mult, f),
+                          np.max(np.abs(mult)) * np.linalg.norm(f))
+
+    def test_operator_arrays_are_read_only(self, grid20):
+        ops = operators(grid20, 1.5, True)
+        for arr in (ops.ixi, ops.inertia, ops.ixi_inertia, ops.mask, ops.jet, ops.solve):
+            assert arr.shape[-1] == grid20.n // 2 + 1
+            assert not arr.flags.writeable
