@@ -377,7 +377,7 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     Iterate 0 is the zero pair.  Iterate k+1 solves, with coefficients and
     sources frozen from iterate k,
 
-        m_t = -u_k m_x + alpha u_k - b u_{k,x} m_k - kappa rho_k rho_{k,x},
+        m_t = -u_k m_x + alpha u_{k,x} - b u_{k,x} m_k - kappa rho_k rho_{k,x},
         rho_t = -u_k rho_x - (b-1) u_{k,x} rho_k,
 
     from low-passed data (modes |xi| < 2^{k+1} kept).  All iterates share a
@@ -412,15 +412,13 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
             uk, rk = s.u.samples, s.rho.samples
             y_hat = np.fft.rfft(np.stack((uk, rk)))
             uk_x, mk, rk_x = np.fft.irfft(ops.jet[[0, 1, 3]] * y_hat[[0, 0, 1]], n)
+            # the alpha u_{k,x} source enters as in _m_form
+            nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
             if isinstance(alpha, np.ndarray):
-                a_hat = np.fft.rfft(alpha * uk)
-            else:
-                a_hat = alpha * y_hat[0]
-            src_hat = -ops.solve * np.fft.rfft(np.stack((
-                params.b * uk_x * mk + params.kappa * rk * rk_x,
-                (params.b - 1.0) * uk_x * rk,
-            )))
-            src_hat[0] += a_hat / ops.inertia
+                nl_m -= alpha * uk_x
+            src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk)))
+            if not isinstance(alpha, np.ndarray) and alpha != 0.0:
+                src_hat[0] += alpha * (ops.ixi / ops.inertia) * y_hat[0]
             frozen.append(np.concatenate(([uk], np.fft.irfft(src_hat, n))))
 
         def rhs_lin(t, y):

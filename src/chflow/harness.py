@@ -11,6 +11,7 @@ Scenarios are deterministic: with a fixed build, re-running one reproduces
 the numeric outputs byte for byte (manifest wall time excluded).
 """
 
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .schema import (
     SCHEMA_VERSION,
     TRAJECTORY_COLUMNS,
 )
-from .spectral import Grid, RealField, apply_inertia, invert_inertia, operators
+from .spectral import Grid, RealField, invert_inertia, operators
 
 CODE_VERSION = "0.1.0"
 
@@ -299,13 +300,14 @@ def parse_config(path, base: Scenario = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write the text chunks to a temp file beside path, then rename it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -313,20 +315,34 @@ def _atomic_write(path, text):
         raise
 
 
-def write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _format_column(col):
+    """Text cells of one CSV column.
+
+    A float64 array is formatted in one pass, each value as the shortest
+    repr that parses back to the same float64.  Any other column goes cell by
+    cell: a str passes through, None becomes "nan", anything else is
+    repr(float(v)) (never repr of a numpy scalar, which numpy 2 decorates).
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return list(map(repr, col.tolist()))
+    return [v if isinstance(v, str) else "nan" if v is None else repr(float(v))
+            for v in col]
 
 
-def _format_cell(v):
-    if isinstance(v, str):
-        return v
-    if v is None:
-        return "nan"
-    f = float(v)
-    return repr(f)
+def write_csv(path, header, blocks):
+    """Write a CSV streamed block by block.
+
+    Each block is a sequence of equal-length columns, one per header name,
+    formatted by _format_column; the file is written one block at a time.
+    """
+    def chunks():
+        yield ",".join(header) + "\n"
+        for block in blocks:
+            lines = list(map(",".join, zip(*map(_format_column, block), strict=True)))
+            if lines:
+                yield "\n".join(lines) + "\n"
+
+    _atomic_write(path, chunks())
 
 
 def _json_default(obj):
@@ -342,9 +358,8 @@ def _json_default(obj):
 
 
 def write_json(path, obj):
-    _atomic_write(
-        path, json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    _atomic_write(path, (text, "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -469,25 +484,18 @@ def _diag_persistence(ctx, out):
             worst_resid = max(worst_resid, rep.residual)
             all_ok = all_ok and rep.bound_ok
         times = ctx.traj.times
-        rows = []
-        rep1 = reports.get(1.0)
-        rep2 = reports.get(2.0)
+        nan_col = np.full(len(times), np.nan)
         repi = reports.get(math.inf)
-        m_run = 0.0
-        for i, t in enumerate(times):
-            m_run = max(m_run, repi.sup_norms[i] if repi else 0.0)
-            rows.append(
-                (
-                    t,
-                    rep1.W[i] if rep1 else np.nan,
-                    rep2.W[i] if rep2 else np.nan,
-                    repi.W[i] if repi else np.nan,
-                    m_run,
-                    max(r.residual for r in reports.values()),
-                )
-            )
+        sups = repi.sup_norms if repi else np.zeros(len(times))
+        m_running = list(itertools.accumulate(sups, max, initial=0.0))[1:]
+        columns = (
+            times,
+            *(reports[p].W if p in reports else nan_col for p in (1.0, 2.0, math.inf)),
+            m_running,
+            [max(r.residual for r in reports.values())] * len(times),
+        )
         name = f"{ctx.scenario.name}_persistence_{_weight_tag(spec)}.csv"
-        write_csv(os.path.join(out, name), PERSISTENCE_COLUMNS, rows)
+        write_csv(os.path.join(out, name), PERSISTENCE_COLUMNS, [columns])
         files.append(name)
     tol = math.log(1.05)
     status = "pass" if (all_ok and worst_resid < tol) else "fail"
@@ -502,22 +510,20 @@ def _diag_persistence(ctx, out):
 def _diag_decay(ctx, out):
     grid = ctx.grid
     d_dx = operators(grid).dx
-    rows = []
+    # columns a_hat, c_hat, window_lo, window_hi, residual; NaN where no fit
+    fits = np.full((5, len(ctx.traj.states)), np.nan)
     min_a = np.inf
-    for s in ctx.traj.states:
+    for i, s in enumerate(ctx.traj.states):
         u_x = d_dx(s.u.samples)
         g = RealField(grid, np.abs(s.u.samples) + np.abs(u_x) + np.abs(s.rho.samples))
         try:
             fit = weights.decay_profile(g, window=ctx.scenario.decay_window)
         except weights.UndefinedFitError:
-            rows.append((s.t, np.nan, np.nan, np.nan, np.nan, np.nan))
             continue
         min_a = min(min_a, fit.a_hat)
-        rows.append(
-            (s.t, fit.a_hat, fit.c_hat, fit.window[0], fit.window[1], fit.residual_exp)
-        )
+        fits[:, i] = (fit.a_hat, fit.c_hat, fit.window[0], fit.window[1], fit.residual_exp)
     name = f"{ctx.scenario.name}_decay.csv"
-    write_csv(os.path.join(out, name), DECAY_COLUMNS, rows)
+    write_csv(os.path.join(out, name), DECAY_COLUMNS, [(ctx.traj.times, *fits)])
     return {
         "status": "pass" if min_a >= 0.9 else "fail",
         "value": float(min_a),
@@ -529,7 +535,7 @@ def _diag_decay(ctx, out):
 def _diag_besov(ctx, out):
     u_final = ctx.traj.states[-1].u
     s = 2.0
-    rows = []
+    columns = ([], [], [], [])     # style, k, block_norm, weighted_term
     norms = {}
     for style in ("sharp", "smooth"):
         dec = besov.lp_decompose(u_final, style)
@@ -538,10 +544,11 @@ def _diag_besov(ctx, out):
             bn = besov.lp_norm(block, 2.0)
             term = 2.0 ** (k * s) * bn
             total += term**2
-            rows.append((style, k, bn, term))
+            for col, v in zip(columns, (style, k, bn, term)):
+                col.append(v)
         norms[style] = math.sqrt(total)
     name = f"{ctx.scenario.name}_besov_u.csv"
-    write_csv(os.path.join(out, name), BESOV_COLUMNS, rows)
+    write_csv(os.path.join(out, name), BESOV_COLUMNS, [columns])
     disc = abs(norms["sharp"] - norms["smooth"]) / max(norms["sharp"], 1e-300)
     return {
         "status": "pass",
@@ -625,33 +632,24 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
 
 
 def _write_trajectory_csv(path, traj, params):
-    rows = []
-    x = traj.grid.x
-    for s in traj.states:
-        m = apply_inertia(s.u, params.r).samples
-        for j in range(traj.grid.n):
-            rows.append((s.t, x[j], s.u.samples[j], s.rho.samples[j], m[j]))
-    write_csv(path, TRAJECTORY_COLUMNS, rows)
+    """One block per snapshot; x is formatted once, t once per snapshot."""
+    grid = traj.grid
+    u = np.stack([s.u.samples for s in traj.states])
+    rho = np.stack([s.rho.samples for s in traj.states])
+    m = np.fft.irfft(operators(grid, params.r).inertia * np.fft.rfft(u), grid.n)
+    x_text = _format_column(grid.x)
+    t_text = _format_column(traj.times)
+    blocks = (
+        ([t_text[i]] * grid.n, x_text, u[i], rho[i], m[i]) for i in range(len(t_text))
+    )
+    write_csv(path, TRAJECTORY_COLUMNS, blocks)
 
 
 def _write_identity_csv(path, traj, columns):
     times = traj.times
-    nan_col = [np.nan] * len(times)
-    rows = []
-    for i, t in enumerate(times):
-        rows.append(
-            (
-                t,
-                columns.get("transport_dev", nan_col)[i],
-                columns.get("mflow_dev", nan_col)[i],
-                columns.get("casimir", nan_col)[i],
-                columns.get("supp_left", nan_col)[i],
-                columns.get("supp_right", nan_col)[i],
-                columns.get("flow_left", nan_col)[i],
-                columns.get("flow_right", nan_col)[i],
-            )
-        )
-    write_csv(path, IDENTITY_COLUMNS, rows)
+    nan_col = np.full(len(times), np.nan)
+    block = (times, *(columns.get(name, nan_col) for name in IDENTITY_COLUMNS[1:]))
+    write_csv(path, IDENTITY_COLUMNS, [block])
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +697,6 @@ def convergence_suite(out_dir, workers=1):
     jobs = [(replace(base, n=n), out_times) for n in ns]
     trajs = _pmap(_integrate_job, jobs, workers)
     fine = trajs[-1]
-    spatial_rows = []
     spatial_errs = []
     for n, traj in zip(ns[:-1], trajs[:-1]):
         factor = ns[-1] // n
@@ -707,7 +704,6 @@ def convergence_suite(out_dir, workers=1):
             np.max(np.abs(traj.states[-1].u.samples - fine.states[-1].u.samples[::factor]))
         )
         spatial_errs.append(err)
-        spatial_rows.append((n, err))
 
     drops = [
         spatial_errs[i] / max(spatial_errs[i + 1], 1e-300)
@@ -723,12 +719,10 @@ def convergence_suite(out_dir, workers=1):
     jobs = [(replace(tbase, dt_max=dt), out_times) for dt in dts + (dts[-1] / 8.0,)]
     trajs = _pmap(_integrate_job, jobs, workers)
     oracle = trajs[-1]
-    temporal_rows = []
     terrs = []
     for dt, traj in zip(dts, trajs[:-1]):
         err = float(np.max(np.abs(traj.states[-1].u.samples - oracle.states[-1].u.samples)))
         terrs.append(err)
-        temporal_rows.append((dt, err))
     orders = [math.log2(terrs[i] / terrs[i + 1]) for i in range(len(terrs) - 1)]
     temporal_ok = all(abs(o - 4.0) <= 0.3 for o in orders)
 
@@ -741,8 +735,10 @@ def convergence_suite(out_dir, workers=1):
         "pass": bool(spatial_ok and temporal_ok),
     }
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "convergence_spatial.csv"), ("n", "sup_error"), spatial_rows)
-    write_csv(os.path.join(out_dir, "convergence_temporal.csv"), ("dt", "sup_error"), temporal_rows)
+    write_csv(os.path.join(out_dir, "convergence_spatial.csv"), ("n", "sup_error"),
+              [(ns[:-1], spatial_errs)])
+    write_csv(os.path.join(out_dir, "convergence_temporal.csv"), ("dt", "sup_error"),
+              [(dts, terrs)])
     write_json(os.path.join(out_dir, "convergence_report.json"), report)
     return report
 
@@ -807,9 +803,9 @@ def stability_suite(out_dir, workers=1, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
                     validated = validated and ok
         details.append({"sup_du": res.sup_du.tolist()})
 
-    rows = [(e, d, r_) for e, d, r_ in zip(fit_res.eps, fit_res.sup_du, fit_res.sup_drho)]
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "stability_table.csv"), ("eps", "sup_du", "sup_drho"), rows)
+    write_csv(os.path.join(out_dir, "stability_table.csv"), ("eps", "sup_du", "sup_drho"),
+              [(fit_res.eps, fit_res.sup_du, fit_res.sup_drho)])
     report = {
         "suite": "stability",
         "eps": list(map(float, fit_res.eps)),
@@ -841,7 +837,8 @@ def persistence_suite(out_dir, workers=1):
     jobs = [(sc, sc.output_times()), (sc2, sc2.output_times())]
     traj, traj2 = _pmap(_integrate_job, jobs, workers)
 
-    rows = []
+    # weight, p, C_hat, fit_residual, L_doubling_shift, status
+    columns = ([], [], [], [], [], [])
     all_ok = True
     worst_resid = 0.0
     worst_lshift = 0.0
@@ -859,15 +856,15 @@ def persistence_suite(out_dir, workers=1):
             all_ok = all_ok and ok
             worst_resid = max(worst_resid, rep.residual)
             worst_lshift = max(worst_lshift, shift)
-            rows.append(
-                (_weight_tag(spec), "inf" if math.isinf(p) else p,
-                 rep.C_hat, rep.residual, shift, "pass" if ok else "fail")
-            )
+            row = (_weight_tag(spec), "inf" if math.isinf(p) else p,
+                   rep.C_hat, rep.residual, shift, "pass" if ok else "fail")
+            for col, v in zip(columns, row):
+                col.append(v)
     os.makedirs(out_dir, exist_ok=True)
     write_csv(
         os.path.join(out_dir, "persistence_battery.csv"),
         ("weight", "p", "C_hat", "fit_residual", "L_doubling_shift", "status"),
-        rows,
+        [columns],
     )
     report = {
         "suite": "persistence",
@@ -903,9 +900,9 @@ def friedrichs_suite(out_dir, workers=1, K=6, s=3.0):
         errs.append(sup)
     ratios = [errs[k] / errs[k - 1] for k in range(1, len(errs))]
     ok = all(r < 0.8 for r in ratios[1:])  # ratios between iterates 2..K
-    rows = [(k + 1, errs[k]) for k in range(len(errs))]
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "friedrichs_errors.csv"), ("k", "error"), rows)
+    write_csv(os.path.join(out_dir, "friedrichs_errors.csv"), ("k", "error"),
+              [(range(1, K + 1), errs)])
     report = {
         "suite": "friedrichs",
         "errors": errs,

@@ -6,7 +6,8 @@ with a SCHEMA_VERSION bump.  Every manifest embeds the version.
 
 SCHEMA_VERSION = 1
 
-# One row per (snapshot, grid point).
+# One row per (snapshot, grid point), snapshot-major; written one snapshot
+# block at a time, each value the shortest round-trip repr of a float64.
 TRAJECTORY_COLUMNS = ("t", "x", "u", "rho", "m")
 
 # One row per snapshot; NaN where a diagnostic was not enabled.

@@ -457,6 +457,31 @@ class TestFriedrichs:
         assert errs[1] < 0.8 * errs[0]
         assert errs[2] < 0.8 * errs[1]
 
+    @pytest.mark.parametrize("kind", ["constant", "field"])
+    def test_iterates_converge_with_alpha(self, grid20, kind):
+        # The frozen m source is alpha*u_{k,x}, as in the m equation.  With
+        # alpha*u_k in its place the sup error stalls near 1e-2.
+        if kind == "constant":
+            alpha = 0.5
+        else:
+            alpha = RealField(grid20, 0.5 + 0.3 * np.cos(2 * np.pi * grid20.x / grid20.L))
+        params = Params(b=2.0, kappa=1.0, alpha=alpha, r=1.0)
+        u0 = gaussian(grid20, 0.6, 1.5)
+        rho0 = gaussian(grid20, 0.4, 1.5)
+        ctrl = StepControl(cfl=1.0, dt_max=1e-3, t_final=0.05)
+        iterates = friedrichs_iterate(u0, rho0, params, K=6, ctrl=ctrl)
+        direct = integrate(
+            State(0.0, u0, rho0), params, ctrl, output_times=iterates[1].times
+        )
+        errs = [
+            max(np.max(np.abs(a.u.samples - b.u.samples))
+                for a, b in zip(it.states, direct.states))
+            for it in iterates[1:]
+        ]
+        for prev, nxt in zip(errs, errs[1:]):
+            assert nxt <= 0.8 * prev
+        assert errs[-1] <= 1e-9
+
 
 class TestStability:
     def test_zero_perturbation_gives_zero_difference(self, grid20):

@@ -17,10 +17,11 @@ from chflow.harness import (
     Scenario,
     convergence_suite,
     parse_config,
+    persistence_suite,
     run_scenario,
 )
 from chflow.schema import IDENTITY_COLUMNS, SCHEMA_VERSION, TRAJECTORY_COLUMNS
-from chflow.spectral import derivative
+from chflow.spectral import apply_inertia, derivative
 
 GOOD_CONFIG = """
 [params]
@@ -253,6 +254,109 @@ def test_convergence_suite_independent_of_worker_count(tmp_path):
     for name in ("convergence_report.json", "convergence_spatial.csv",
                  "convergence_temporal.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_persistence_suite_independent_of_worker_count(tmp_path):
+    reports = [persistence_suite(str(tmp_path / str(w)), workers=w) for w in (1, 2)]
+    assert reports[0] == reports[1]
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == ["persistence_battery.csv", "persistence_report.json"]
+    assert sorted(os.listdir(tmp_path / "2")) == names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def _reference_cell(v):
+    """The cell rule the CSV writer keeps: str as is, None as nan, else repr(float)."""
+    if isinstance(v, str):
+        return v
+    if v is None:
+        return "nan"
+    return repr(float(v))
+
+
+def _reference_csv(header, rows):
+    """Row-by-row reference text of a CSV file, as a list of its lines."""
+    lines = [",".join(header)]
+    lines += [",".join(_reference_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").splitlines(keepends=True)
+
+
+def _lines(path):
+    with open(path, newline="") as fh:
+        return fh.readlines()
+
+
+class TestCsvWriter:
+    def test_cells_follow_the_reference_rules(self, tmp_path):
+        blocks = [
+            (["sharp", "smooth"], [1, None], np.array([0.1, np.nan]),
+             [np.float64(0.005), "inf"], np.array([2, 3])),
+            ([str(3)], [np.nan], np.array([1e-300]), [2.0], [np.int64(7)]),
+            ([], [], np.array([]), [], []),
+        ]
+        header = ("a", "b", "c", "d", "e")
+        path = tmp_path / "cells.csv"
+        harness.write_csv(str(path), header, blocks)
+        rows = [row for block in blocks for row in zip(*block)]
+        assert _lines(path) == _reference_csv(header, rows)
+        assert _lines(path)[1] == "sharp,1.0,0.1,0.005,2.0\n"
+
+    def test_scenario_files_match_the_row_reference(self, tmp_path, monkeypatch):
+        # every table a run writes, against the row-by-row reference of the
+        # columns it handed to write_csv; the trajectory against rows rebuilt
+        # from an independent integration with m taken one snapshot at a time
+        written = {}
+        real_write_csv = harness.write_csv
+
+        def recording_write_csv(path, header, blocks):
+            blocks = [tuple(block) for block in blocks]
+            written[os.path.basename(path)] = (header, blocks)
+            real_write_csv(path, header, blocks)
+
+        monkeypatch.setattr(harness, "write_csv", recording_write_csv)
+        sc = _small_scenario(
+            name="golden",
+            diagnostics=("casimir", "transport", "mflow", "formulation",
+                         "persistence", "decay", "besov"),
+            weight_battery=harness.DEFAULT_WEIGHT_BATTERY[:2],
+            norm_ps=(2.0, float("inf")),     # W_1 is a NaN column
+        )
+        manifest = run_scenario(sc, str(tmp_path))
+        csvs = [f for f in manifest["outputs"] if f.endswith(".csv")]
+        assert sorted(csvs) == sorted(written)
+        assert len(csvs) == 6
+        for name, (header, blocks) in written.items():
+            rows = [row for block in blocks for row in zip(*block)]
+            assert _lines(tmp_path / name) == _reference_csv(header, rows), name
+        besov_styles = {row[0] for row in csv.reader(open(tmp_path / "golden_besov_u.csv"))}
+        assert besov_styles == {"style", "sharp", "smooth"}
+
+        _, params, ctrl, state0 = sc.build()
+        traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
+        assert isinstance(traj.states[1].t, np.float64)
+        x = traj.grid.x
+        rows = []
+        for s in traj.states:
+            m = apply_inertia(s.u, params.r).samples
+            rows += [(s.t, x[j], s.u.samples[j], s.rho.samples[j], m[j])
+                     for j in range(traj.grid.n)]
+        lines = _lines(tmp_path / "golden_trajectory.csv")
+        assert lines == _reference_csv(TRAJECTORY_COLUMNS, rows)
+        assert not any("np.float64" in line for line in lines)
+
+    def test_failure_midway_leaves_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("old contents\n")
+
+        def blocks():
+            yield (np.array([1.0, 2.0]),)
+            raise RuntimeError("source failed midway")
+
+        with pytest.raises(RuntimeError, match="midway"):
+            harness.write_csv(str(path), ("v",), blocks())
+        assert path.read_text() == "old contents\n"
+        assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp_")] == []
 
 
 class TestCli:
