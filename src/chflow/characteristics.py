@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, rk4, rk4_stages
-from .offgrid import evaluate, evaluate_coeffs
-from .spectral import RealField, apply_inertia
+from .offgrid import evaluate_coeffs
+from .spectral import RealField
 
 
 class FlowDegeneracyError(RuntimeError):
@@ -92,7 +92,7 @@ def evolve_flow(traj: Trajectory, markers=None):
     if markers is None:
         markers = grid.x.copy()
     markers = np.asarray(markers, dtype=float)
-    series = [grid.half_coeffs(s.u.samples) for s in traj.states]
+    series = grid.half_coeffs(traj.u)
 
     def velocity(t, y):
         # (phi, phi_x)' = (u, u_x * phi_x) at phi, from the stage's coefficients
@@ -116,10 +116,12 @@ def check_transport_identity(flows, traj: Trajectory, b: float):
     interpolation path as the evolved side, so the deviation at t = 0 is
     exactly zero.
     """
-    rho0_at = evaluate(traj.states[0].rho, flows[0].markers)
+    grid = traj.grid
+    rho_coeffs = grid.half_coeffs(traj.rho)
+    rho0_at = evaluate_coeffs(grid, rho_coeffs[0], flows[0].markers)
     devs = []
-    for fl, st in zip(flows, traj.states):
-        rho_at = evaluate(st.rho, fl.phi)
+    for fl, coeffs in zip(flows, rho_coeffs):
+        rho_at = evaluate_coeffs(grid, coeffs, fl.phi)
         devs.append(float(np.max(np.abs(rho_at * fl.phi_x ** (b - 1.0) - rho0_at))))
     return np.array(devs)
 
@@ -151,7 +153,8 @@ def reconstruct_rho(flows, traj: Trajectory, b: float):
     times = traj.times
     x = grid.x
     period = 2.0 * grid.L
-    rho0 = traj.states[0].rho.samples
+    rho0 = traj.rho[0]
+    u_coeffs = grid.half_coeffs(traj.u)
     markers = flows[0].markers
 
     def periodic_interp(xs, ys, shift_y):
@@ -166,8 +169,7 @@ def reconstruct_rho(flows, traj: Trajectory, b: float):
     integral = np.zeros_like(markers)   # int u_x(s, phi(s, marker)) ds
     prev_ux = None
     for j, fl in enumerate(flows):
-        st = traj.states[j]
-        _, ux_at_phi = evaluate(st.u, fl.phi, deriv=True)
+        _, ux_at_phi = evaluate_coeffs(grid, u_coeffs[j], fl.phi, deriv=True)
         if j > 0:
             dt = times[j] - times[j - 1]
             integral = integral + 0.5 * dt * (ux_at_phi + prev_ux)
@@ -192,21 +194,23 @@ def check_m_flow_identity(flows, traj: Trajectory, params):
     if not params.alpha_is_zero():
         raise ValueError("the momentum flow identity requires alpha == 0")
     b = params.b
-    m_fields = [apply_inertia(s.u, params.r) for s in traj.states]
-    m0_at = evaluate(m_fields[0], flows[0].markers)
+    grid = traj.grid
+    m_coeffs = grid.half_coeffs(traj.m)
+    rho_coeffs = grid.half_coeffs(traj.rho)
+    m0_at = evaluate_coeffs(grid, m_coeffs[0], flows[0].markers)
 
     devs = []
     integral = np.zeros_like(m0_at)
     prev_integrand = None
     times = traj.times
-    for j, (fl, st) in enumerate(zip(flows, traj.states)):
-        rho_at, rhox_at = evaluate(st.rho, fl.phi, deriv=True)
+    for j, fl in enumerate(flows):
+        rho_at, rhox_at = evaluate_coeffs(grid, rho_coeffs[j], fl.phi, deriv=True)
         integrand = rho_at * rhox_at * fl.phi_x**b
         if j > 0:
             dt = times[j] - times[j - 1]
             integral = integral + 0.5 * dt * (integrand + prev_integrand)
         prev_integrand = integrand
-        m_at = evaluate(m_fields[j], fl.phi)
+        m_at = evaluate_coeffs(grid, m_coeffs[j], fl.phi)
         lhs = m_at * fl.phi_x**b
         rhs = m0_at - params.kappa * integral
         devs.append(float(np.max(np.abs(lhs - rhs))))
@@ -260,56 +264,38 @@ def check_support_containment(flows, traj: Trajectory, params,
     rho_0, since the coupling source lives on the support of rho.
     """
     grid = traj.grid
-    dx = grid.dx
-    slack = 2.0 * dx
+    slack = 2.0 * grid.dx
     markers = flows[0].markers
 
-    rho0 = traj.states[0].rho
-    m_fields = [apply_inertia(s.u, params.r) for s in traj.states]
-    check_m = params.alpha_is_zero()
+    def contained(rows, eps, i_lo, i_hi):
+        sups = [track_support(RealField(grid, f), eps) for f in rows]
+        ivls = [(fl.phi[i_lo] - slack, fl.phi[i_hi] + slack) for fl in flows]
+        ok = [s is None or (s.beta >= lo and s.gamma <= hi) for s, (lo, hi) in zip(sups, ivls)]
+        return sups, ivls, np.array(ok)
 
-    sup_rho0 = track_support(rho0, eps_rel * np.max(np.abs(rho0.samples)))
+    rho = traj.rho
+    eps_rho = eps_rel * np.max(np.abs(rho[0]))
+    sup_rho0 = track_support(RealField(grid, rho[0]), eps_rho)
     if sup_rho0 is None:
         raise ValueError("rho_0 has empty support; nothing to contain")
-    i_beta_r = _marker_index(markers, sup_rho0.beta)
-    i_gamma_r = _marker_index(markers, sup_rho0.gamma)
+    rho_sup, ivl_rho, rho_ok = contained(
+        rho, eps_rho, _marker_index(markers, sup_rho0.beta), _marker_index(markers, sup_rho0.gamma)
+    )
 
+    check_m = params.alpha_is_zero()
+    m_sup, ivl_m, m_ok = [None] * len(flows), [None] * len(flows), np.ones(len(flows), bool)
     if check_m:
-        sup_m0 = track_support(m_fields[0], eps_rel * np.max(np.abs(m_fields[0].samples)))
-        beta_m = min(sup_m0.beta, sup_rho0.beta)
-        gamma_m = max(sup_m0.gamma, sup_rho0.gamma)
-        i_beta_m = _marker_index(markers, beta_m)
-        i_gamma_m = _marker_index(markers, gamma_m)
-
-    times = traj.times
-    rho_ok, m_ok = [], []
-    rho_sup, m_sup, ivl_rho, ivl_m = [], [], [], []
-    for j, (fl, st) in enumerate(zip(flows, traj.states)):
-        sr = track_support(st.rho, eps_rel * np.max(np.abs(traj.states[0].rho.samples)))
-        lo = fl.phi[i_beta_r] - slack
-        hi = fl.phi[i_gamma_r] + slack
-        ivl_rho.append((lo, hi))
-        rho_sup.append(sr)
-        rho_ok.append(sr is None or (sr.beta >= lo and sr.gamma <= hi))
-
-        if check_m:
-            sm = track_support(
-                m_fields[j], eps_rel * np.max(np.abs(m_fields[0].samples))
-            )
-            lo_m = fl.phi[i_beta_m] - slack
-            hi_m = fl.phi[i_gamma_m] + slack
-            ivl_m.append((lo_m, hi_m))
-            m_sup.append(sm)
-            m_ok.append(sm is None or (sm.beta >= lo_m and sm.gamma <= hi_m))
-        else:
-            ivl_m.append(None)
-            m_sup.append(None)
-            m_ok.append(True)
+        m = traj.m
+        eps_m = eps_rel * np.max(np.abs(m[0]))
+        sup_m0 = track_support(RealField(grid, m[0]), eps_m)
+        i_beta_m = _marker_index(markers, min(sup_m0.beta, sup_rho0.beta))
+        i_gamma_m = _marker_index(markers, max(sup_m0.gamma, sup_rho0.gamma))
+        m_sup, ivl_m, m_ok = contained(m, eps_m, i_beta_m, i_gamma_m)
 
     return ContainmentReport(
-        times=times,
-        rho_ok=np.array(rho_ok),
-        m_ok=np.array(m_ok),
+        times=traj.times,
+        rho_ok=rho_ok,
+        m_ok=m_ok,
         rho_support=rho_sup,
         m_support=m_sup,
         flow_interval_rho=ivl_rho,

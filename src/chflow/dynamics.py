@@ -37,11 +37,12 @@ class FormulationError(ValueError):
 class BlowUpError(RuntimeError):
     """Gradient ceiling exceeded or non-finite values appeared.
 
-    Carries the last valid state and the partial trajectory so wavebreaking
-    runs can be inspected rather than discarded.
+    Raised by integrate, it carries the last valid state and the partial
+    trajectory so wavebreaking runs can be inspected rather than discarded;
+    raised by an RHS evaluation on its own, it carries neither.
     """
 
-    def __init__(self, t, max_gradient, last_state, partial=None):
+    def __init__(self, t, max_gradient, last_state=None, partial=None):
         super().__init__(
             f"blow-up detected at t={t:.6g} (max |u_x| = {max_gradient:.3e})"
         )
@@ -114,9 +115,16 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a run plus the settings that produced them."""
+    """Snapshots of a run plus the settings that produced them.
 
-    states: list
+    ``y[i]`` is the stacked (u, rho) at ``times[i]``: ``times`` has shape
+    (T,) and ``y`` shape (T, 2, n).  Both are read-only; ``u`` and ``rho``
+    are views of ``y``, and ``m`` is computed from ``u`` on each access.
+    """
+
+    grid: Grid
+    times: np.ndarray
+    y: np.ndarray
     params: Params
     ctrl: StepControl
     formulation: str = "m"
@@ -124,23 +132,40 @@ class Trajectory:
     min_dt: float = np.inf
     steps: int = 0
 
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
+    def __post_init__(self):
+        # views, so the caller's arrays keep their own flags
+        self.times = np.asarray(self.times, dtype=float).view()
+        self.y = np.asarray(self.y, dtype=float).view()
+        if self.y.shape != (len(self.times), 2, self.grid.n):
+            raise ValueError(f"y has shape {self.y.shape}, not (len(times), 2, n)")
+        self.times.flags.writeable = False
+        self.y.flags.writeable = False
 
     @property
-    def times(self):
-        return np.array([s.t for s in self.states])
+    def u(self):
+        return self.y[:, 0]
+
+    @property
+    def rho(self):
+        return self.y[:, 1]
+
+    @property
+    def m(self):
+        """Momentum (1 - d^2/dx^2)^r u of every snapshot, shape (T, n)."""
+        inertia = operators(self.grid, self.params.r).inertia
+        return np.fft.irfft(inertia * np.fft.rfft(self.u), self.grid.n)
+
+    @property
+    def states(self):
+        """The snapshots as States (read-only views of the rows)."""
+        return tuple(State(t, RealField(self.grid, u), RealField(self.grid, rho))
+                     for t, u, rho in zip(self.times, self.u, self.rho))
 
 
 # ---------------------------------------------------------------------------
 # RHS evaluation (array level on the stacked (u, rho), RealField at the
 # boundary)
 # ---------------------------------------------------------------------------
-
-
-def _as_state(grid: Grid, t: float, y) -> State:
-    return State(t, RealField(grid, y[0]), RealField(grid, y[1]))
 
 
 def _m_form(ops: Operators, params: Params, t: float, y):
@@ -159,7 +184,7 @@ def _m_form(ops: Operators, params: Params, t: float, y):
     if isinstance(alpha, np.ndarray):
         nl_m -= alpha * u_x
     if not np.all(np.isfinite(nl_m)):
-        raise BlowUpError(t, float(np.max(np.abs(u_x))), _as_state(ops.grid, t, y))
+        raise BlowUpError(t, float(np.max(np.abs(u_x))))
     nl_rho = u * rho_x + (params.b - 1.0) * u_x * rho
     dy_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, nl_rho)))
     if not isinstance(alpha, np.ndarray) and alpha != 0.0:
@@ -207,7 +232,7 @@ def _nonlocal(ops: Operators, params: Params, t: float, y):
     nl_hat[0] += (ops.ixi / ops.inertia) * p_hat
     dy = -np.fft.irfft(nl_hat, n)
     if not np.all(np.isfinite(dy[0])):
-        raise BlowUpError(t, float(np.max(np.abs(u_x))), _as_state(ops.grid, t, y))
+        raise BlowUpError(t, float(np.max(np.abs(u_x))))
     return dy
 
 
@@ -226,16 +251,6 @@ def rhs_m_form(state: State, params: Params, use_dealias: bool = True):
 def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
     """Nonlocal-form RHS (du/dt, drho/dt); r = 1 and constant alpha only."""
     return _on_state(_nonlocal, state, params, use_dealias)
-
-
-def nonlocal_pressure(state: State, params: Params, use_dealias: bool = True) -> RealField:
-    """P(u, rho) = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u."""
-    ops = operators(state.grid, params.r, use_dealias)
-    u = state.u.samples
-    u_hat = np.fft.rfft(u)
-    u_x = np.fft.irfft(ops.ixi * u_hat, state.grid.n)
-    p_hat = _pressure_hat(ops, params, u, u_x, state.rho.samples, u_hat)
-    return RealField(state.grid, np.fft.irfft(p_hat, state.grid.n))
 
 
 _RHS = {"m": _m_form, "nonlocal": _nonlocal}
@@ -271,7 +286,7 @@ def step_rk4(state: State, params: Params, dt: float, formulation: str = "m",
         raise ValueError("dt must be positive")
     rhs = partial(get_rhs(formulation), operators(state.grid, params.r, use_dealias), params)
     y = rk4(rhs, state.t, np.stack((state.u.samples, state.rho.samples)), dt)
-    return _as_state(state.grid, state.t + dt, y)
+    return State(state.t + dt, RealField(state.grid, y[0]), RealField(state.grid, y[1]))
 
 
 def _max_gradient(ops: Operators, state: State) -> float:
@@ -284,9 +299,10 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
 
     dt = min(dt_max, cfl*dx / max(1, max|u|)), clipped so every requested
     output time is hit exactly.  Raises ValueError if the initial u or rho
-    is non-finite, and BlowUpError (carrying the last valid state and the
-    partial trajectory) if max|u_x| exceeds the ceiling or a non-finite
-    value appears.
+    is non-finite, and BlowUpError if max|u_x| exceeds the ceiling or a
+    non-finite value appears, in a step's result or inside the RHS; the
+    error carries the last valid state and the partial trajectory of the
+    snapshots recorded before it.
     """
     state0.u.validate()
     state0.rho.validate()
@@ -303,11 +319,22 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
     state = state0
     if ctrl.dealias:
         state = State(state0.t, dealias(state0.u), dealias(state0.rho))
-    traj = Trajectory([], params, ctrl, formulation)
+    times = np.empty(len(output_times))
+    ys = np.empty((len(output_times), 2, grid.n))
+    steps, max_dt, min_dt = 0, 0.0, np.inf
     next_out = 0
+
+    def record(state):
+        nonlocal next_out
+        times[next_out], ys[next_out] = state.t, (state.u.samples, state.rho.samples)
+        next_out += 1
+
+    def recorded():
+        return Trajectory(grid, times[:next_out], ys[:next_out], params, ctrl,
+                          formulation, max_dt, min_dt, steps)
+
     if abs(output_times[0] - state.t) <= 1e-14:
-        traj.states.append(state)
-        next_out = 1
+        record(state)
 
     while next_out < len(output_times):
         umax = float(np.max(np.abs(state.u.samples)))
@@ -316,26 +343,28 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
         hit_output = state.t + dt >= t_target - 1e-13
         if hit_output:
             dt = t_target - state.t
-        new_state = step_rk4(state, params, dt, formulation, ctrl.dealias)
+        try:
+            new_state = step_rk4(state, params, dt, formulation, ctrl.dealias)
+        except BlowUpError as exc:
+            raise BlowUpError(exc.t, exc.max_gradient, state, recorded()) from exc
         if hit_output:
             new_state = replace(new_state, t=t_target)
 
         if not np.all(np.isfinite(new_state.u.samples)) or not np.all(
             np.isfinite(new_state.rho.samples)
         ):
-            raise BlowUpError(state.t, _max_gradient(ops, state), state, traj)
+            raise BlowUpError(state.t, _max_gradient(ops, state), state, recorded())
         grad = _max_gradient(ops, new_state)
         if grad > ctrl.gradient_ceiling:
-            raise BlowUpError(new_state.t, grad, state, traj)
+            raise BlowUpError(new_state.t, grad, state, recorded())
 
-        traj.steps += 1
-        traj.max_dt = max(traj.max_dt, dt)
-        traj.min_dt = min(traj.min_dt, dt)
+        steps += 1
+        max_dt = max(max_dt, dt)
+        min_dt = min(min_dt, dt)
         state = new_state
         if hit_output:
-            traj.states.append(state)
-            next_out += 1
-    return traj
+            record(state)
+    return recorded()
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +428,17 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     n = grid.n
     alpha = params.alpha_samples(grid)
 
-    zero = RealField(grid, np.zeros(n))
     iterates = [
-        Trajectory([State(t, zero, zero) for t in times], params, ctrl, "linearized")
+        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
     ]
+    # Frozen coefficient u_k and the sources, one row per snapshot; the m
+    # source is carried as its u_t share, (m source) / inertia.
+    frozen = np.empty((nsteps + 1, 3, n))
 
     for k in range(K):
-        # Frozen coefficient u_k and the sources, stacked per snapshot; the
-        # m source is carried as its u_t share, (m source) / inertia.
-        frozen = []
-        for s in iterates[-1].states:
-            uk, rk = s.u.samples, s.rho.samples
-            y_hat = np.fft.rfft(np.stack((uk, rk)))
+        for yk, row in zip(iterates[-1].y, frozen):
+            uk, rk = yk
+            y_hat = np.fft.rfft(yk)
             uk_x, mk, rk_x = np.fft.irfft(ops.jet[[0, 1, 3]] * y_hat[[0, 0, 1]], n)
             # the alpha u_{k,x} source enters as in _m_form
             nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
@@ -419,7 +447,8 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
             src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk)))
             if not isinstance(alpha, np.ndarray) and alpha != 0.0:
                 src_hat[0] += alpha * (ops.ixi / ops.inertia) * y_hat[0]
-            frozen.append(np.concatenate(([uk], np.fft.irfft(src_hat, n))))
+            row[0] = uk
+            row[1:] = np.fft.irfft(src_hat, n)
 
         def rhs_lin(t, y):
             cu_src = next(stages)
@@ -430,13 +459,12 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
         rho = besov.lowpass(rho0, k + 1)
         if ctrl.dealias:
             u, rho = dealias(u), dealias(rho)
-        y = np.stack((u.samples, rho.samples))
-        states = [_as_state(grid, 0.0, y)]
+        ys = np.empty((nsteps + 1, 2, n))
+        ys[0] = u.samples, rho.samples
         for j in range(nsteps):
             stages = rk4_stages(times, frozen, j, dt)
-            y = rk4(rhs_lin, times[j], y, dt)
-            states.append(_as_state(grid, times[j + 1], y))
-        iterates.append(Trajectory(states, params, ctrl, "linearized"))
+            ys[j + 1] = rk4(rhs_lin, times[j], ys[j], dt)
+        iterates.append(Trajectory(grid, times, ys, params, ctrl, "linearized"))
     return iterates
 
 
@@ -460,12 +488,8 @@ class StabilityResult:
 
     def gamma_integral(self):
         """Cumulative integral of the growth integrand (trapezoid)."""
-        out = np.zeros_like(self.times)
-        for i in range(1, len(self.times)):
-            out[i] = out[i - 1] + 0.5 * (self.gamma[i] + self.gamma[i - 1]) * (
-                self.times[i] - self.times[i - 1]
-            )
-        return out
+        steps = 0.5 * (self.gamma[1:] + self.gamma[:-1]) * np.diff(self.times)
+        return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
@@ -492,31 +516,23 @@ def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
     else:
         alpha_norm = abs(float(params.alpha))
 
+    def norms(rows, idx):
+        return np.array([besov.besov_norm(RealField(grid, f), idx) for f in rows])
+
     eps_arr = np.asarray(list(eps_list), dtype=float)
     du_series, drho_series = [], []
     gamma = None
     for eps in eps_arr:
         u0p = RealField(grid, u0.samples + eps * perturbation.samples)
         pert_run = integrate(State(0.0, u0p, rho0), params, ctrl, formulation, times)
-        dus, drs = [], []
-        for sa, sb in zip(base.states, pert_run.states):
-            du = RealField(grid, sb.u.samples - sa.u.samples)
-            dr = RealField(grid, sb.rho.samples - sa.rho.samples)
-            dus.append(besov.besov_norm(du, idx_du))
-            drs.append(besov.besov_norm(dr, idx_drho))
-        du_series.append(np.array(dus))
-        drho_series.append(np.array(drs))
+        du_series.append(norms(pert_run.u - base.u, idx_du))
+        drho_series.append(norms(pert_run.rho - base.rho, idx_drho))
         if gamma is None:
             # The growth integrand pairs the base run with the first
             # perturbed run only.
-            gamma = np.array([
-                besov.besov_norm(sa.u, idx_u)
-                + besov.besov_norm(sb.u, idx_u)
-                + besov.besov_norm(sa.rho, idx_rho)
-                + besov.besov_norm(sb.rho, idx_rho)
-                + alpha_norm
-                for sa, sb in zip(base.states, pert_run.states)
-            ])
+            gamma = (norms(base.u, idx_u) + norms(pert_run.u, idx_u)
+                     + norms(base.rho, idx_rho) + norms(pert_run.rho, idx_rho)
+                     + alpha_norm)
 
     return StabilityResult(
         eps=eps_arr,

@@ -397,7 +397,8 @@ def _gate(value, tol, detail):
 
 def _diag_casimir(ctx, out):
     # validate() rejects casimir with b = 1, where the density is undefined
-    series = [characteristics.casimir(s.rho, ctx.params.b) for s in ctx.traj.states]
+    series = [characteristics.casimir(RealField(ctx.grid, rho), ctx.params.b)
+              for rho in ctx.traj.rho]
     ctx.identity_rows["casimir"] = series
     base = abs(series[0])
     drift = max(abs(c - series[0]) for c in series) / max(base, 1e-300)
@@ -447,16 +448,15 @@ def _diag_support(ctx, out):
 def _diag_formulation(ctx, out):
     if ctx.params.r != 1.0:
         return {"status": "skipped", "detail": "requires r == 1"}, []
+    traj = ctx.traj
+    ops = operators(ctx.grid, ctx.params.r)
+    rhs_m, rhs_nonlocal = dynamics.get_rhs("m"), dynamics.get_rhs("nonlocal")
     worst = 0.0
-    idx = np.linspace(0, len(ctx.traj.states) - 1, 5).astype(int)
-    for i in idx:
-        st = ctx.traj.states[i]
-        du_a, dr_a = dynamics.rhs_m_form(st, ctx.params)
-        du_b, dr_b = dynamics.rhs_nonlocal(st, ctx.params)
-        scale = max(np.max(np.abs(du_a.samples)), 1e-300)
-        worst = max(worst, float(np.max(np.abs(du_a.samples - du_b.samples))) / scale)
-        scale = max(np.max(np.abs(dr_a.samples)), 1e-300)
-        worst = max(worst, float(np.max(np.abs(dr_a.samples - dr_b.samples))) / scale)
+    for i in np.linspace(0, len(traj.times) - 1, 5).astype(int):
+        t, y = traj.times[i], traj.y[i]
+        for a, b in zip(rhs_m(ops, ctx.params, t, y), rhs_nonlocal(ops, ctx.params, t, y)):
+            scale = max(np.max(np.abs(a)), 1e-300)
+            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
     return _gate(worst, 1e-10, "relative sup difference of the two RHS formulations"), []
 
 
@@ -508,14 +508,13 @@ def _diag_persistence(ctx, out):
 
 
 def _diag_decay(ctx, out):
-    grid = ctx.grid
-    d_dx = operators(grid).dx
+    grid, traj = ctx.grid, ctx.traj
     # columns a_hat, c_hat, window_lo, window_hi, residual; NaN where no fit
-    fits = np.full((5, len(ctx.traj.states)), np.nan)
+    fits = np.full((5, len(traj.times)), np.nan)
     min_a = np.inf
-    for i, s in enumerate(ctx.traj.states):
-        u_x = d_dx(s.u.samples)
-        g = RealField(grid, np.abs(s.u.samples) + np.abs(u_x) + np.abs(s.rho.samples))
+    rows = zip(traj.u, operators(grid).dx(traj.u), traj.rho)
+    for i, (u, u_x, rho) in enumerate(rows):
+        g = RealField(grid, np.abs(u) + np.abs(u_x) + np.abs(rho))
         try:
             fit = weights.decay_profile(g, window=ctx.scenario.decay_window)
         except weights.UndefinedFitError:
@@ -533,7 +532,7 @@ def _diag_decay(ctx, out):
 
 
 def _diag_besov(ctx, out):
-    u_final = ctx.traj.states[-1].u
+    u_final = RealField(ctx.grid, ctx.traj.u[-1])
     s = 2.0
     columns = ([], [], [], [])     # style, k, block_norm, weighted_term
     norms = {}
@@ -589,13 +588,13 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
     except dynamics.BlowUpError as exc:
         outcome = "blowup"
         blowup = {"t": exc.t, "max_gradient": exc.max_gradient}
-        traj = exc.partial if exc.partial and exc.partial.states else None
+        traj = exc.partial if exc.partial is not None and len(exc.partial.times) else None
 
     files = []
     invariants = {}
     if traj is not None:
         name = f"{scenario.name}_trajectory.csv"
-        _write_trajectory_csv(os.path.join(out_dir, name), traj, params)
+        _write_trajectory_csv(os.path.join(out_dir, name), traj)
         files.append(name)
 
         ctx = _RunContext(scenario, grid, params, traj)
@@ -631,12 +630,10 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
     return manifest
 
 
-def _write_trajectory_csv(path, traj, params):
+def _write_trajectory_csv(path, traj):
     """One block per snapshot; x is formatted once, t once per snapshot."""
     grid = traj.grid
-    u = np.stack([s.u.samples for s in traj.states])
-    rho = np.stack([s.rho.samples for s in traj.states])
-    m = np.fft.irfft(operators(grid, params.r).inertia * np.fft.rfft(u), grid.n)
+    u, rho, m = traj.u, traj.rho, traj.m
     x_text = _format_column(grid.x)
     t_text = _format_column(traj.times)
     blocks = (
@@ -700,9 +697,7 @@ def convergence_suite(out_dir, workers=1):
     spatial_errs = []
     for n, traj in zip(ns[:-1], trajs[:-1]):
         factor = ns[-1] // n
-        err = float(
-            np.max(np.abs(traj.states[-1].u.samples - fine.states[-1].u.samples[::factor]))
-        )
+        err = float(np.max(np.abs(traj.u[-1] - fine.u[-1, ::factor])))
         spatial_errs.append(err)
 
     drops = [
@@ -721,7 +716,7 @@ def convergence_suite(out_dir, workers=1):
     oracle = trajs[-1]
     terrs = []
     for dt, traj in zip(dts, trajs[:-1]):
-        err = float(np.max(np.abs(traj.states[-1].u.samples - oracle.states[-1].u.samples)))
+        err = float(np.max(np.abs(traj.u[-1] - oracle.u[-1])))
         terrs.append(err)
     orders = [math.log2(terrs[i] / terrs[i + 1]) for i in range(len(terrs) - 1)]
     temporal_ok = all(abs(o - 4.0) <= 0.3 for o in orders)
@@ -792,7 +787,6 @@ def stability_suite(out_dir, workers=1, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
     c_hat *= margin
 
     validated = True
-    details = []
     for res in results[1:]:
         gi = res.gamma_integral()
         for series in res.du_series:
@@ -801,7 +795,6 @@ def stability_suite(out_dir, workers=1, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
                     bound = math.exp(c_hat * gi[i])
                     ok = series[i] / series[0] <= bound
                     validated = validated and ok
-        details.append({"sup_du": res.sup_du.tolist()})
 
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "stability_table.csv"), ("eps", "sup_du", "sup_drho"),
@@ -894,9 +887,8 @@ def friedrichs_suite(out_dir, workers=1, K=6, s=3.0):
     errs = []
     for k in range(1, K + 1):
         sup = 0.0
-        for sa, sb in zip(iterates[k].states, direct.states):
-            diff = RealField(grid, sa.u.samples - sb.u.samples)
-            sup = max(sup, besov.besov_norm(diff, idx))
+        for diff in iterates[k].u - direct.u:
+            sup = max(sup, besov.besov_norm(RealField(grid, diff), idx))
         errs.append(sup)
     ratios = [errs[k] / errs[k - 1] for k in range(1, len(errs))]
     ok = all(r < 0.8 for r in ratios[1:])  # ratios between iterates 2..K

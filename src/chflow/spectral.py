@@ -209,10 +209,6 @@ class Operators:
     jet: np.ndarray
     solve: np.ndarray
 
-    def prod(self, a, b):
-        """Pointwise product a*b, dealiased."""
-        return np.fft.irfft(self.mask * np.fft.rfft(a * b), self.grid.n)
-
     def dx(self, a):
         """Spectral d/dx of samples; irfft drops the imaginary Nyquist entry
         of i*xi*a_hat, as :func:`derivative` zeroes it."""

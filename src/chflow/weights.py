@@ -92,6 +92,11 @@ class AdmissibilityReport:
     messages: list
 
 
+def _trapezoid(y, x):
+    """Trapezoid rule, term for term as numpy's (numpy < 2 has no trapezoid)."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
 def admissibility_check(w: StandardWeight, L: float = 40.0, n: int = 4096) -> AdmissibilityReport:
     """Numerical admissibility report on [-L, L].
 
@@ -115,7 +120,7 @@ def admissibility_check(w: StandardWeight, L: float = 40.0, n: int = 4096) -> Ad
     for half in (L, 2 * L, 4 * L):
         xs = np.linspace(-half, half, int(n * half / L) + 1)
         integrand = v(xs) * np.exp(-np.abs(xs))
-        integrals[half] = float(np.trapezoid(integrand, xs))
+        integrals[half] = _trapezoid(integrand, xs)
     inc1 = integrals[2 * L] - integrals[L]
     inc2 = integrals[4 * L] - integrals[2 * L]
     scale = max(integrals[L], 1e-300)
@@ -139,7 +144,7 @@ def companion_in_lp(w: StandardWeight, p: float, L: float = 40.0, n: int = 4096)
         if np.isinf(p):
             vals[half] = float(np.max(g))
         else:
-            vals[half] = float(np.trapezoid(g**p, xs))
+            vals[half] = _trapezoid(g**p, xs)
     if np.isinf(p):
         return vals[4 * L] <= vals[L] * (1.0 + 1e-9)
     inc1 = vals[2 * L] - vals[L]
@@ -214,20 +219,18 @@ def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
     grid = traj.grid
     times = traj.times
     wvals = w(grid.x)
-    d_dx = operators(grid).dx
     Ws = []
     sup_norms = []
-    for s in traj.states:
-        u_x = d_dx(s.u.samples)
+    for u, u_x, rho in zip(traj.u, operators(grid).dx(traj.u), traj.rho):
         Ws.append(
-            _masked_weighted_norm(s.u.samples, wvals, grid.dx, p, signal_floor)
+            _masked_weighted_norm(u, wvals, grid.dx, p, signal_floor)
             + _masked_weighted_norm(u_x, wvals, grid.dx, p, signal_floor)
-            + _masked_weighted_norm(s.rho.samples, wvals, grid.dx, p, signal_floor)
+            + _masked_weighted_norm(rho, wvals, grid.dx, p, signal_floor)
         )
         sup_norms.append(
-            float(np.max(np.abs(s.u.samples)))
+            float(np.max(np.abs(u)))
             + float(np.max(np.abs(u_x)))
-            + float(np.max(np.abs(s.rho.samples)))
+            + float(np.max(np.abs(rho)))
         )
     Ws = np.array(Ws)
     sup_norms = np.array(sup_norms)

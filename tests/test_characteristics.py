@@ -30,11 +30,9 @@ CH_PARAMS = Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
 
 
 def _const_trajectory(grid, c, times, params=CH_PARAMS):
-    states = [
-        State(t, RealField(grid, np.full(grid.n, c)), RealField(grid, np.zeros(grid.n)))
-        for t in times
-    ]
-    return Trajectory(list(states), params, StepControl(t_final=times[-1]))
+    y = np.zeros((len(times), 2, grid.n))
+    y[:, 0] = c
+    return Trajectory(grid, times, y, params, StepControl(t_final=times[-1]))
 
 
 def _run(grid, u0, rho0, t_final, dt, params=CH_PARAMS, nsnap=None):
@@ -171,8 +169,9 @@ class TestReconstructRho:
     def test_frozen_zero_velocity(self, grid20):
         times = np.linspace(0.0, 1.0, 9)
         rho = gaussian(grid20, 0.4, 1.5)
-        states = [State(t, RealField(grid20, np.zeros(grid20.n)), rho) for t in times]
-        traj = Trajectory(states, CH_PARAMS, StepControl(t_final=1.0))
+        y = np.zeros((len(times), 2, grid20.n))
+        y[:, 1] = rho.samples
+        traj = Trajectory(grid20, times, y, CH_PARAMS, StepControl(t_final=1.0))
         flows = evolve_flow(traj)
         rec = reconstruct_rho(flows, traj, b=2.0)
         for r in rec:

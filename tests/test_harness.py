@@ -200,6 +200,23 @@ class TestRunScenario:
         assert manifest["blowup"]["max_gradient"] > 0.5
         assert (tmp_path / "steep_manifest.json").exists()
 
+    def test_blowup_inside_rhs_keeps_the_trajectory(self, tmp_path):
+        # the RHS overflows before the gradient ceiling can fire; the
+        # snapshots recorded so far are still written and checked
+        sc = _small_scenario(
+            name="burst", L=np.pi, n=64, cfl=1.0, dt_max=0.5, t_final=5.0,
+            dealias=False, gradient_ceiling=np.inf, snapshots=501,
+            u0=(("profile", "mode"), ("k", 4), ("amp", 50.0)),
+            rho0=(("profile", "zero"),), diagnostics=("casimir",),
+        )
+        with np.errstate(all="ignore"):
+            manifest = run_scenario(sc, str(tmp_path))
+        assert manifest["outcome"] == "blowup"
+        assert "burst_trajectory.csv" in manifest["outputs"]
+        assert manifest["invariants"]["casimir"]["status"] == "pass"
+        rows = (tmp_path / "burst_trajectory.csv").read_text().splitlines()
+        assert len(rows) > 1 + sc.n
+
     def test_r2_scenario_skips_formulation(self, tmp_path):
         sc = _small_scenario(name="high", r=2.0, dt_max=2e-3, snapshots=26)
         manifest = run_scenario(sc, str(tmp_path))

@@ -312,11 +312,8 @@ class TestHalfSpectrum:
     @given(**_RANDOM_GRIDS)
     def test_operators_match_full_fft(self, log2n, L, r, use_dealias, seed):
         grid = Grid(L, 2**log2n)
-        a, b = np.random.default_rng(seed).standard_normal((2, grid.n))
+        a = np.random.default_rng(seed).standard_normal(grid.n)
         ops = operators(grid, r, use_dealias)
-        mask = grid.dealias_mask if use_dealias else 1.0
-        _assert_close(ops.prod(a, b), _full_fft_multiplier(mask, a * b),
-                      np.linalg.norm(a * b))
         _assert_close(ops.dx(a), _full_fft_multiplier(1j * grid.xi, a),
                       grid.xi_max * np.linalg.norm(a))
 
