@@ -13,7 +13,7 @@ continuous dependence in dyadic (Besov-type) norms, and weighted-norm
 persistence and tail decay.
 """
 
-from .besov import BesovIndex, besov_norm, lp_decompose, lp_norm, sobolev_norm
+from .besov import BesovIndex, besov_norm, besov_norms, lp_decompose, lp_norm, sobolev_norm
 from .characteristics import (
     FlowDegeneracyError,
     FlowMap,
@@ -30,11 +30,13 @@ from .dynamics import (
     BlowUpError,
     FormulationError,
     Params,
+    Stack,
     State,
     StepControl,
     Trajectory,
     friedrichs_iterate,
     integrate,
+    integrate_ensemble,
     rhs_m_form,
     rhs_nonlocal,
     stability_pair,

@@ -87,13 +87,17 @@ def _block_multipliers(grid: Grid, style: str):
     return mults
 
 
+def _blocks(grid: Grid, samples, style: str):
+    """Dyadic blocks of every row of samples (shape (..., n)): shape (..., K, n)."""
+    mults = _block_multipliers(grid, style)
+    return np.fft.irfft(mults * np.fft.rfft(samples)[..., None, :], grid.n)
+
+
 def lp_decompose(f: RealField, style: str = "sharp") -> DyadicDecomposition:
     """Split f into dyadic frequency blocks; blocks sum back to f."""
-    grid = f.grid
-    mults = _block_multipliers(grid, style)
-    samples = np.fft.irfft(mults * np.fft.rfft(f.samples), grid.n)
-    blocks = tuple(RealField(grid, b) for b in samples)
-    return DyadicDecomposition(blocks, tuple(range(-1, len(mults) - 1)), style)
+    blocks = _blocks(f.grid, f.samples, style)
+    return DyadicDecomposition(tuple(RealField(f.grid, b) for b in blocks),
+                               tuple(range(-1, len(blocks) - 1)), style)
 
 
 def lowpass(f: RealField, j: int, style: str = "sharp") -> RealField:
@@ -114,14 +118,24 @@ def lp_norm(f: RealField, p: float) -> float:
     return float((f.grid.dx * np.sum(a**p)) ** (1.0 / p))
 
 
-def besov_norm(f: RealField, idx: BesovIndex, style: str = "sharp") -> float:
-    dec = lp_decompose(f, style)
-    terms = np.array(
-        [2.0 ** (k * idx.s) * lp_norm(b, idx.p) for k, b in zip(dec.k_values, dec.blocks)]
-    )
+def besov_norms(grid: Grid, samples, idx: BesovIndex, style: str = "sharp"):
+    """Besov norm of every row of samples (shape (..., n)), shape (...);
+    each equals :func:`besov_norm` of its row bit for bit."""
+    a = np.abs(_blocks(grid, samples, style))
+    if np.isinf(idx.p):
+        block_norms = a.max(axis=-1, initial=0.0)
+    else:
+        block_norms = (grid.dx * np.sum(a**idx.p, axis=-1)) ** (1.0 / idx.p)
+    weights = np.array([2.0 ** (k * idx.s) for k in range(-1, a.shape[-2] - 1)])
+    terms = weights * block_norms
     if np.isinf(idx.q):
-        return float(terms.max(initial=0.0))
-    return float(np.sum(terms**idx.q) ** (1.0 / idx.q))
+        return terms.max(axis=-1, initial=0.0)
+    return np.sum(terms**idx.q, axis=-1) ** (1.0 / idx.q)
+
+
+def besov_norm(f: RealField, idx: BesovIndex, style: str = "sharp") -> float:
+    """Besov norm of one field: the one-row case of :func:`besov_norms`."""
+    return float(besov_norms(f.grid, f.samples[None], idx, style)[0])
 
 
 def sobolev_norm(f: RealField, s: float) -> float:

@@ -21,7 +21,7 @@ that equivalence is one of the artifact's checks.  All transforms are real
 (rfft/irfft on the half spectrum).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -37,19 +37,24 @@ class FormulationError(ValueError):
 class BlowUpError(RuntimeError):
     """Gradient ceiling exceeded or non-finite values appeared.
 
-    Raised by integrate, it carries the last valid state and the partial
-    trajectory so wavebreaking runs can be inspected rather than discarded;
-    raised by an RHS evaluation on its own, it carries neither.
+    ``member`` is the index of the failing member in an ensemble or a
+    stacked RHS evaluation (None for the RHS of a single state).  Raised by
+    integrate or integrate_ensemble, the error carries that member's last
+    valid state and partial trajectory so wavebreaking runs can be inspected
+    rather than discarded; raised by an RHS evaluation on its own, it
+    carries neither.
     """
 
-    def __init__(self, t, max_gradient, last_state=None, partial=None):
+    def __init__(self, t, max_gradient, last_state=None, partial=None, member=None):
+        where = "" if member is None else f" in member {member}"
         super().__init__(
-            f"blow-up detected at t={t:.6g} (max |u_x| = {max_gradient:.3e})"
+            f"blow-up detected at t={t:.6g}{where} (max |u_x| = {max_gradient:.3e})"
         )
         self.t = t
         self.max_gradient = max_gradient
         self.last_state = last_state
         self.partial = partial
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,16 @@ class State:
     @property
     def grid(self) -> Grid:
         return self.u.grid
+
+
+@dataclass(frozen=True)
+class Stack:
+    """B states on one grid as one array: ``y[i]`` is the stacked (u, rho)
+    of member i at time ``t[i]``; t has shape (B, 1, 1) and y (B, 2, n)."""
+
+    grid: Grid
+    t: np.ndarray
+    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,32 +178,49 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# RHS evaluation (array level on the stacked (u, rho), RealField at the
-# boundary)
+# RHS evaluation (array level on the stacked (u, rho) y of shape (2, n), or
+# a stack (B, 2, n) of B members; RealField at the boundary)
 # ---------------------------------------------------------------------------
 
 
-def _m_form(ops: Operators, params: Params, t: float, y):
+def _check_finite(t, u_x, values):
+    """Raise BlowUpError unless values are all finite; with a member axis
+    (values of shape (B, n)) the error names the first failing member."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    if values.ndim == 1:
+        raise BlowUpError(t, float(np.max(np.abs(u_x))))
+    i = int(np.argmin(finite.all(axis=-1)))
+    t_i = t if np.ndim(t) == 0 else float(np.ravel(t)[i])
+    raise BlowUpError(t_i, float(np.max(np.abs(u_x[i]))), member=i)
+
+
+# the rows of y whose half spectra ops.jet multiplies: (u, u, u, rho)
+_JET_ROWS = np.array([0, 0, 0, 1])
+
+
+def _m_form(ops: Operators, params: Params, t, y):
     """Momentum-form RHS of the stacked (u, rho); valid for any r >= 1.
 
     Each equation's products are summed pointwise and dealiased once; the
     momentum sum goes straight to u_t through mask / inertia.
     """
-    u, rho = y
+    u, rho = y[..., 0, :], y[..., 1, :]
     n = ops.grid.n
     y_hat = np.fft.rfft(y)
-    u_x, m, m_x, rho_x = np.fft.irfft(ops.jet * y_hat[[0, 0, 0, 1]], n)
+    jet = np.fft.irfft(ops.jet * y_hat.take(_JET_ROWS, axis=-2), n)
+    u_x, m, m_x, rho_x = (jet[..., i, :] for i in range(4))
     alpha = params.alpha_samples(ops.grid)
 
     nl_m = params.b * u_x * m + u * m_x + params.kappa * rho * rho_x
     if isinstance(alpha, np.ndarray):
         nl_m -= alpha * u_x
-    if not np.all(np.isfinite(nl_m)):
-        raise BlowUpError(t, float(np.max(np.abs(u_x))))
+    _check_finite(t, u_x, nl_m)
     nl_rho = u * rho_x + (params.b - 1.0) * u_x * rho
-    dy_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, nl_rho)))
+    dy_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, nl_rho), axis=-2))
     if not isinstance(alpha, np.ndarray) and alpha != 0.0:
-        dy_hat[0] += alpha * (ops.ixi / ops.inertia) * y_hat[0]
+        dy_hat[..., 0, :] += alpha * (ops.ixi / ops.inertia) * y_hat[..., 0, :]
     return np.fft.irfft(dy_hat, n)
 
 
@@ -207,7 +239,7 @@ def _pressure_hat(ops: Operators, params: Params, u, u_x, rho, u_hat):
     return ops.mask * np.fft.rfft(quad) - alpha * u_hat
 
 
-def _nonlocal(ops: Operators, params: Params, t: float, y):
+def _nonlocal(ops: Operators, params: Params, t, y):
     """Nonlocal (Green's function) RHS of the stacked (u, rho).
 
     Stated for r = 1 and constant alpha: the reduction of the alpha term
@@ -221,18 +253,18 @@ def _nonlocal(ops: Operators, params: Params, t: float, y):
         raise FormulationError(
             "the nonlocal formulation requires a constant alpha"
         )
-    u, rho = y
+    u, rho = y[..., 0, :], y[..., 1, :]
     n = ops.grid.n
     y_hat = np.fft.rfft(y)
-    u_x, rho_x = np.fft.irfft(ops.ixi * y_hat, n)
-    p_hat = _pressure_hat(ops, params, u, u_x, rho, y_hat[0])
+    grads = np.fft.irfft(ops.ixi * y_hat, n)
+    u_x, rho_x = grads[..., 0, :], grads[..., 1, :]
+    p_hat = _pressure_hat(ops, params, u, u_x, rho, y_hat[..., 0, :])
     nl_hat = ops.mask * np.fft.rfft(
-        np.stack((u * u_x, u * rho_x + (params.b - 1.0) * u_x * rho))
+        np.stack((u * u_x, u * rho_x + (params.b - 1.0) * u_x * rho), axis=-2)
     )
-    nl_hat[0] += (ops.ixi / ops.inertia) * p_hat
+    nl_hat[..., 0, :] += (ops.ixi / ops.inertia) * p_hat
     dy = -np.fft.irfft(nl_hat, n)
-    if not np.all(np.isfinite(dy[0])):
-        raise BlowUpError(t, float(np.max(np.abs(u_x))))
+    _check_finite(t, u_x, dy[..., 0, :])
     return dy
 
 
@@ -272,99 +304,133 @@ def get_rhs(formulation: str):
 
 def rk4(f, t, y, h):
     """One classical four-stage Runge-Kutta step of y' = f(t, y), y an array."""
+    half = 0.5 * h
     k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
+    k2 = f(t + half, y + half * k1)
+    k3 = f(t + half, y + half * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_rk4(state: State, params: Params, dt: float, formulation: str = "m",
-             use_dealias: bool = True) -> State:
-    """One classical four-stage Runge-Kutta step."""
-    if dt <= 0:
+def step_rk4(state, params: Params, dt, formulation: str = "m",
+             use_dealias: bool = True):
+    """One classical four-stage Runge-Kutta step of a State, or of every
+    member of a Stack at once (dt then has shape (B, 1, 1), one per member)."""
+    if (np.asarray(dt) <= 0).any():
         raise ValueError("dt must be positive")
     rhs = partial(get_rhs(formulation), operators(state.grid, params.r, use_dealias), params)
+    if isinstance(state, Stack):
+        return Stack(state.grid, state.t + dt, rk4(rhs, state.t, state.y, dt))
     y = rk4(rhs, state.t, np.stack((state.u.samples, state.rho.samples)), dt)
     return State(state.t + dt, RealField(state.grid, y[0]), RealField(state.grid, y[1]))
 
 
-def _max_gradient(ops: Operators, state: State) -> float:
-    return float(np.max(np.abs(ops.dx(state.u.samples))))
+def _max_gradient(ops: Operators, u):
+    """max |u_x| of each row of u."""
+    return np.abs(ops.dx(u)).max(axis=-1)
 
 
-def integrate(state0: State, params: Params, ctrl: StepControl,
-              formulation: str = "m", output_times=None) -> Trajectory:
-    """Advance to ctrl.t_final with CFL-limited steps, recording snapshots.
+def integrate_ensemble(states0, params: Params, ctrl: StepControl,
+                       formulation: str = "m", output_times=None) -> list:
+    """Advance every state of states0 to ctrl.t_final, recording snapshots;
+    returns one Trajectory per state.
 
-    dt = min(dt_max, cfl*dx / max(1, max|u|)), clipped so every requested
-    output time is hit exactly.  Raises ValueError if the initial u or rho
-    is non-finite, and BlowUpError if max|u_x| exceeds the ceiling or a
-    non-finite value appears, in a step's result or inside the RHS; the
-    error carries the last valid state and the partial trajectory of the
-    snapshots recorded before it.
+    The members share a grid and a start time and are advanced as one
+    (B, 2, n) stack, one step_rk4 call per step.  Each member takes its own
+    step dt = min(dt_max, cfl*dx / max(1, max|u|)), clipped so every
+    requested output time is hit exactly, and leaves the stack once its last
+    output is recorded; member i's Trajectory therefore equals
+    integrate(states0[i], ...) bit for bit.  Raises ValueError if an initial
+    u or rho is non-finite, and BlowUpError if a member's max|u_x| exceeds
+    the ceiling or a non-finite value appears, in a step's result or inside
+    the RHS; the error names the first member that failed in the step and
+    carries its last valid state and the partial trajectory of the
+    snapshots it recorded before it.
     """
-    state0.u.validate()
-    state0.rho.validate()
-    grid = state0.grid
+    states0 = list(states0)
+    if not states0:
+        raise ValueError("an ensemble needs at least one state")
+    for st in states0:
+        st.u.validate()
+        st.rho.validate()
+    grid, t0 = states0[0].grid, states0[0].t
+    if any(st.grid != grid or st.t != t0 for st in states0):
+        raise ValueError("ensemble members must share a grid and a start time")
     ops = operators(grid, params.r, ctrl.dealias)
     if output_times is None:
-        output_times = np.linspace(state0.t, ctrl.t_final, 17)
+        output_times = np.linspace(t0, ctrl.t_final, 17)
     output_times = np.asarray(output_times, dtype=float)
     if output_times.ndim != 1 or np.any(np.diff(output_times) <= 0):
         raise ValueError("output times must be strictly increasing")
     if abs(output_times[-1] - ctrl.t_final) > 1e-12:
         raise ValueError("last output time must equal t_final")
 
-    state = state0
+    y = np.stack([(st.u.samples, st.rho.samples) for st in states0])
     if ctrl.dealias:
-        state = State(state0.t, dealias(state0.u), dealias(state0.rho))
-    times = np.empty(len(output_times))
-    ys = np.empty((len(output_times), 2, grid.n))
-    steps, max_dt, min_dt = 0, 0.0, np.inf
-    next_out = 0
+        y = grid.dealias_samples(y)
+    B, T = len(states0), len(output_times)
+    times = np.empty((B, T))
+    ys = np.empty((B, T, 2, grid.n))
+    # per member: snapshots recorded, steps taken, step size range
+    count, steps = [0] * B, [0] * B
+    max_dt, min_dt = [0.0] * B, [np.inf] * B
 
-    def record(state):
-        nonlocal next_out
-        times[next_out], ys[next_out] = state.t, (state.u.samples, state.rho.samples)
-        next_out += 1
+    def recorded(i):
+        return Trajectory(grid, times[i, :count[i]], ys[i, :count[i]], params, ctrl,
+                          formulation, max_dt[i], min_dt[i], steps[i])
 
-    def recorded():
-        return Trajectory(grid, times[:next_out], ys[:next_out], params, ctrl,
-                          formulation, max_dt, min_dt, steps)
+    def blowup(row, t_fail, grad):
+        i = members[row]
+        last = State(t[row], RealField(grid, y[row, 0]), RealField(grid, y[row, 1]))
+        return BlowUpError(t_fail, float(grad), last, recorded(i), member=i)
 
-    if abs(output_times[0] - state.t) <= 1e-14:
-        record(state)
+    if abs(output_times[0] - t0) <= 1e-14:
+        times[:, 0], ys[:, 0], count = t0, y, [1] * B
+    # stack row k holds member members[k] at time t[k]
+    members = [i for i in range(B) if count[i] < T]
+    t = [t0] * len(members)
 
-    while next_out < len(output_times):
-        umax = float(np.max(np.abs(state.u.samples)))
-        dt = min(ctrl.dt_max, ctrl.cfl * grid.dx / max(1.0, umax))
-        t_target = output_times[next_out]
-        hit_output = state.t + dt >= t_target - 1e-13
-        if hit_output:
-            dt = t_target - state.t
+    while members:
+        u_max = np.abs(y[:, 0]).max(axis=-1)
+        dt, t_new, hit = [], [], []
+        for row, i in enumerate(members):
+            h = min(ctrl.dt_max, ctrl.cfl * grid.dx / max(1.0, float(u_max[row])))
+            t_target = output_times[count[i]]
+            hit.append(t[row] + h >= t_target - 1e-13)
+            dt.append(t_target - t[row] if hit[row] else h)
+            t_new.append(t_target if hit[row] else t[row] + dt[row])
         try:
-            new_state = step_rk4(state, params, dt, formulation, ctrl.dealias)
+            y_new = step_rk4(Stack(grid, np.array(t)[:, None, None], y), params,
+                             np.array(dt)[:, None, None], formulation, ctrl.dealias).y
         except BlowUpError as exc:
-            raise BlowUpError(exc.t, exc.max_gradient, state, recorded()) from exc
-        if hit_output:
-            new_state = replace(new_state, t=t_target)
+            raise blowup(exc.member, exc.t, exc.max_gradient) from exc
 
-        if not np.all(np.isfinite(new_state.u.samples)) or not np.all(
-            np.isfinite(new_state.rho.samples)
-        ):
-            raise BlowUpError(state.t, _max_gradient(ops, state), state, recorded())
-        grad = _max_gradient(ops, new_state)
-        if grad > ctrl.gradient_ceiling:
-            raise BlowUpError(new_state.t, grad, state, recorded())
+        finite = np.isfinite(y_new)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=(1, 2))))
+            raise blowup(row, t[row], _max_gradient(ops, y[row, 0]))
+        grad = _max_gradient(ops, y_new[:, 0])
+        for row, i in enumerate(members):
+            if grad[row] > ctrl.gradient_ceiling:
+                raise blowup(row, t_new[row], grad[row])
+            steps[i] += 1
+            max_dt[i], min_dt[i] = max(max_dt[i], dt[row]), min(min_dt[i], dt[row])
+            if hit[row]:
+                times[i, count[i]], ys[i, count[i]] = t_new[row], y_new[row]
+                count[i] += 1
 
-        steps += 1
-        max_dt = max(max_dt, dt)
-        min_dt = min(min_dt, dt)
-        state = new_state
-        if hit_output:
-            record(state)
-    return recorded()
+        # a member whose last output is recorded leaves the stack
+        rows = [row for row, i in enumerate(members) if count[i] < T]
+        members, t = [members[row] for row in rows], [t_new[row] for row in rows]
+        y = y_new if len(rows) == len(y_new) else y_new[rows]
+    return [recorded(i) for i in range(B)]
+
+
+def integrate(state0: State, params: Params, ctrl: StepControl,
+              formulation: str = "m", output_times=None) -> Trajectory:
+    """Advance one state to ctrl.t_final: the one-member case of
+    :func:`integrate_ensemble`, whose step rule and blow-up report it shares."""
+    return integrate_ensemble([state0], params, ctrl, formulation, output_times)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +563,21 @@ def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
                    formulation: str = "m", output_times=None) -> StabilityResult:
     """Run (u0, rho0) against (u0 + eps*pert, rho0) for each eps.
 
-    Differences are measured in the p = q = 2 dyadic norms at regularity
-    s-1 for u and s-2r for rho; the growth integrand per snapshot is the sum
-    of the solution norms at regularity s (u) and s-2r+1 (rho) plus the
-    size of alpha.
+    The base run and every perturbed run are advanced as one ensemble
+    (:func:`integrate_ensemble`), each with its own steps, so every run
+    equals its own integrate call bit for bit.  Differences are measured in
+    the p = q = 2 dyadic norms at regularity s-1 for u and s-2r for rho,
+    each time series in one batched :func:`besov.besov_norms` call; the
+    growth integrand per snapshot is the sum of the solution norms at
+    regularity s (u) and s-2r+1 (rho) plus the size of alpha.
     """
     grid = u0.grid
-    base = integrate(State(0.0, u0, rho0), params, ctrl, formulation, output_times)
-    times = base.times
+    eps_arr = np.asarray(list(eps_list), dtype=float)
+    starts = [State(0.0, u0, rho0)] + [
+        State(0.0, RealField(grid, u0.samples + eps * perturbation.samples), rho0)
+        for eps in eps_arr
+    ]
+    base, *runs = integrate_ensemble(starts, params, ctrl, formulation, output_times)
     r = params.r
     idx_du = besov.BesovIndex(s - 1.0)
     idx_drho = besov.BesovIndex(s - 2.0 * r)
@@ -517,28 +590,23 @@ def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
         alpha_norm = abs(float(params.alpha))
 
     def norms(rows, idx):
-        return np.array([besov.besov_norm(RealField(grid, f), idx) for f in rows])
+        return besov.besov_norms(grid, rows, idx)
 
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    du_series, drho_series = [], []
+    du_series = [norms(run.u - base.u, idx_du) for run in runs]
+    drho_series = [norms(run.rho - base.rho, idx_drho) for run in runs]
+    # The growth integrand pairs the base run with the first perturbed run
+    # only.
     gamma = None
-    for eps in eps_arr:
-        u0p = RealField(grid, u0.samples + eps * perturbation.samples)
-        pert_run = integrate(State(0.0, u0p, rho0), params, ctrl, formulation, times)
-        du_series.append(norms(pert_run.u - base.u, idx_du))
-        drho_series.append(norms(pert_run.rho - base.rho, idx_drho))
-        if gamma is None:
-            # The growth integrand pairs the base run with the first
-            # perturbed run only.
-            gamma = (norms(base.u, idx_u) + norms(pert_run.u, idx_u)
-                     + norms(base.rho, idx_rho) + norms(pert_run.rho, idx_rho)
-                     + alpha_norm)
+    if runs:
+        gamma = (norms(base.u, idx_u) + norms(runs[0].u, idx_u)
+                 + norms(base.rho, idx_rho) + norms(runs[0].rho, idx_rho)
+                 + alpha_norm)
 
     return StabilityResult(
         eps=eps_arr,
         sup_du=np.array([s_.max() for s_ in du_series]),
         sup_drho=np.array([s_.max() for s_ in drho_series]),
-        times=times,
+        times=base.times,
         du_series=du_series,
         drho_series=drho_series,
         gamma=gamma,

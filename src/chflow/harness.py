@@ -345,20 +345,24 @@ def write_csv(path, header, blocks):
     _atomic_write(path, chunks())
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+def _jsonable(obj):
+    """obj in plain JSON types; strict JSON has no token for a non-finite
+    float, so one becomes the string "inf", "-inf" or "nan"."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
 
 
 def write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(path, (text, "\n"))
 
 

@@ -31,6 +31,9 @@ DECAY_COLUMNS = ("t", "a_hat", "c_hat", "window_lo", "window_hi", "residual")
 # One row per dyadic block of u(t_final), both cutoff styles.
 BESOV_COLUMNS = ("style", "k", "block_norm", "weighted_term")
 
+# Manifests and suite reports are strict JSON: a non-finite float (a norm
+# exponent p = inf, a non-finite max_gradient of a blow-up) is written as
+# the string "inf", "-inf" or "nan", as the CSV files write p = inf.
 MANIFEST_KEYS = (
     "schema_version",
     "code_version",

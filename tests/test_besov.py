@@ -8,6 +8,7 @@ import pytest
 from chflow.besov import (
     BesovIndex,
     besov_norm,
+    besov_norms,
     k_max,
     lowpass,
     lp_decompose,
@@ -113,6 +114,22 @@ class TestBesovNorm:
             2.0 ** (k * s) * lp_norm(b, 2.0) for k, b in zip(dec.k_values, dec.blocks)
         )
         assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("style", ["sharp", "smooth"])
+    @pytest.mark.parametrize("p, q", [(2.0, 2.0), (1.0, 3.0), (math.inf, 2.0), (2.0, math.inf)])
+    def test_batched_rows_equal_the_per_block_formula(self, grid20, style, p, q):
+        fields = random_fields(grid20, 6, kmax_frac=0.4)
+        rows = np.stack([f.samples for f in fields]).reshape(2, 3, grid20.n)
+        idx = BesovIndex(1.5, p, q)
+        norms = besov_norms(grid20, rows, idx, style)
+        assert norms.shape == (2, 3)
+        for f, got in zip(fields, norms.ravel()):
+            dec = lp_decompose(f, style)
+            terms = np.array([2.0 ** (k * idx.s) * lp_norm(b, p)
+                              for k, b in zip(dec.k_values, dec.blocks)])
+            ref = terms.max() if math.isinf(q) else np.sum(terms**q) ** (1.0 / q)
+            assert got == besov_norm(f, idx, style)
+            assert got == pytest.approx(ref, rel=4e-16)
 
     def test_absolute_homogeneity(self, grid20):
         f = random_fields(grid20, 1)[0]

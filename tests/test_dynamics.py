@@ -13,8 +13,11 @@ from chflow.dynamics import (
     State,
     StepControl,
     Trajectory,
+    _m_form,
+    _nonlocal,
     friedrichs_iterate,
     integrate,
+    integrate_ensemble,
     rhs_m_form,
     rhs_nonlocal,
     rk4,
@@ -22,7 +25,7 @@ from chflow.dynamics import (
     step_rk4,
 )
 from chflow.profiles import band_limited_noise, gaussian
-from chflow.spectral import Grid, RealField, apply_inertia, dealias
+from chflow.spectral import Grid, RealField, apply_inertia, dealias, operators
 
 
 
@@ -171,6 +174,39 @@ class TestRhs:
         with pytest.raises(BlowUpError) as exc:
             rhs_m_form(st_, Params(b=2.0, kappa=0.0, alpha=alpha))
         assert exc.value.t == 0.25
+
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    @pytest.mark.parametrize("rhs, alpha", [
+        (_m_form, 0.0), (_m_form, 0.7), (_m_form, "field"), (_nonlocal, 0.0), (_nonlocal, -0.4),
+    ])
+    def test_stacked_rhs_equals_row_by_row(self, grid20, rhs, alpha, use_dealias):
+        if alpha == "field":
+            alpha = RealField(grid20, 0.5 + 0.3 * np.cos(np.pi * grid20.x / grid20.L))
+        params = Params(b=2.5, kappa=0.8, alpha=alpha, r=1.0)
+        ops = operators(grid20, params.r, use_dealias)
+        ys = np.stack([np.stack((s.u.samples, s.rho.samples))
+                       for s in (_random_state(grid20, seed, amp) for seed, amp in
+                                 ((1, 0.3), (2, 1.7), (3, 0.9), (4, 2.4)))])
+        t = np.array([0.0, 0.1, 0.2, 0.3])[:, None, None]
+        stacked = rhs(ops, params, t, ys)
+        assert stacked.shape == ys.shape
+        for i, y in enumerate(ys):
+            assert np.array_equal(stacked[i], rhs(ops, params, t[i, 0, 0], y))
+
+    @pytest.mark.parametrize("rhs", [_m_form, _nonlocal])
+    @pytest.mark.parametrize("bad_row", [(1, 0), (2, 1)])
+    def test_stacked_rhs_names_the_member_with_a_nan(self, grid20, rhs, bad_row):
+        ops = operators(grid20, 1.0, True)
+        ys = np.stack([np.stack((s.u.samples, s.rho.samples))
+                       for s in (_random_state(grid20, seed) for seed in range(3))])
+        member, row = bad_row
+        ys[member, row, 11] = np.nan
+        t = np.array([0.0, 0.25, 0.5])[:, None, None]
+        with pytest.raises(BlowUpError) as exc:
+            rhs(ops, CH_PARAMS, t, ys)
+        assert exc.value.member == member
+        assert exc.value.t == t[member, 0, 0]
+        assert f"in member {member}" in str(exc.value)
 
     def test_blowup_error_carries_diagnostics(self, grid20):
         bad = np.full(grid20.n, np.nan)
@@ -416,6 +452,92 @@ class TestIntegrate:
         ctrl = StepControl(cfl=1.0, dt_max=dt, t_final=T)
         traj = integrate(_state(g, u=u0), params, ctrl, output_times=[0.0, T])
         assert np.max(np.abs(traj.states[-1].u.samples - u)) < 1e-8
+
+
+def _ensemble_ctrl(grid, dealias_on=True):
+    # dt_max never binds: every step is a CFL step, and members with
+    # max|u| above 1 take smaller ones; a member with max|u| <= 1 takes 8
+    cfl = 0.5
+    return StepControl(cfl=cfl, dt_max=1.0, t_final=8 * cfl * grid.dx, dealias=dealias_on)
+
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.y, b.y)
+    assert (a.steps, a.min_dt, a.max_dt) == (b.steps, b.min_dt, b.max_dt)
+
+
+class TestEnsemble:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log2n=st.integers(5, 9),
+        amps=st.lists(st.floats(0.2, 2.5), min_size=1, max_size=5),
+        formulation=st.sampled_from(["m", "nonlocal"]),
+        dealias_on=st.booleans(),
+        alpha_kind=st.sampled_from(["zero", "constant", "field"]),
+        n_out=st.integers(2, 5),
+    )
+    def test_members_equal_serial_runs(self, log2n, amps, formulation, dealias_on,
+                                       alpha_kind, n_out):
+        grid = Grid(8.0, 2**log2n)
+        if alpha_kind == "field" and formulation == "m":
+            alpha = RealField(grid, 0.4 + 0.2 * np.cos(np.pi * grid.x / grid.L))
+        else:
+            alpha = 0.0 if alpha_kind == "zero" else 0.4
+        params = Params(b=2.0, kappa=1.0, alpha=alpha, r=1.0)
+        ctrl = _ensemble_ctrl(grid, dealias_on)
+        times = np.linspace(0.0, ctrl.t_final, n_out)
+        states = [State(0.0, gaussian(grid, a, 1.5, 0.5 * i), gaussian(grid, 0.3, 1.2))
+                  for i, a in enumerate(amps)]
+        runs = integrate_ensemble(states, params, ctrl, formulation, times)
+        assert len(runs) == len(states)
+        for st_, run in zip(states, runs):
+            _assert_same_run(run, integrate(st_, params, ctrl, formulation, times))
+
+    def test_members_finish_at_different_step_counts(self):
+        grid = Grid(8.0, 128)
+        ctrl = _ensemble_ctrl(grid)
+        states = [State(0.0, gaussian(grid, a, 1.5), gaussian(grid, 0.3, 1.2))
+                  for a in (0.5, 1.6, 2.5)]
+        times = [0.0, ctrl.t_final]
+        runs = integrate_ensemble(states, CH_PARAMS, ctrl, output_times=times)
+        assert runs[0].steps == 8 < runs[1].steps < runs[2].steps
+        for st_, run in zip(states, runs):
+            _assert_same_run(run, integrate(st_, CH_PARAMS, ctrl, output_times=times))
+
+    def test_members_must_share_grid_and_start(self, grid20):
+        ctrl = StepControl(t_final=0.1)
+        other = _state(Grid(10.0, 256))
+        with pytest.raises(ValueError, match="share"):
+            integrate_ensemble([_state(grid20), other], CH_PARAMS, ctrl)
+        with pytest.raises(ValueError, match="share"):
+            integrate_ensemble([_state(grid20), _state(grid20, t=0.05)], CH_PARAMS, ctrl)
+
+    def test_blowup_names_the_member_and_keeps_its_partial_run(self):
+        # the burst data of the harness blow-up test (mode k = 4, amp 50)
+        # between two healthy members
+        g = Grid(np.pi, 64)
+        ctrl = StepControl(cfl=1.0, dt_max=0.5, t_final=5.0, dealias=False,
+                           gradient_ceiling=np.inf)
+        params = Params(b=2.0, kappa=0.0, alpha=0.0)
+        times = np.linspace(0.0, 5.0, 501)
+        burst = _state(g, u=50.0 * np.cos(4 * g.x))
+        states = [_state(g, u=0.3 * np.sin(g.x)), burst, _state(g, u=0.2 * np.cos(2 * g.x))]
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as ens:
+                integrate_ensemble(states, params, ctrl, output_times=times)
+            with pytest.raises(BlowUpError) as alone:
+                integrate(burst, params, ctrl, output_times=times)
+        err, ref = ens.value, alone.value
+        assert err.member == 1 and "in member 1" in str(err)
+        assert type(err.__cause__) is type(ref.__cause__)
+        assert err.t == ref.t
+        assert np.array_equal(err.max_gradient, ref.max_gradient, equal_nan=True)
+        _assert_same_run(err.partial, ref.partial)
+        assert len(err.partial.times) > 1 and np.all(np.isfinite(err.partial.y))
+        assert err.last_state.t == ref.last_state.t
+        assert np.array_equal(err.last_state.u.samples, ref.last_state.u.samples)
+        assert np.array_equal(err.last_state.rho.samples, ref.last_state.rho.samples)
 
 
 class TestTrajectoryStorage:

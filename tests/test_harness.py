@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -150,6 +151,22 @@ def _small_scenario(**over):
     return replace(base, **over)
 
 
+def _burst_scenario():
+    return _small_scenario(
+        name="burst", L=np.pi, n=64, cfl=1.0, dt_max=0.5, t_final=5.0,
+        dealias=False, gradient_ceiling=np.inf, snapshots=501,
+        u0=(("profile", "mode"), ("k", 4), ("amp", 50.0)),
+        rho0=(("profile", "zero"),), diagnostics=("casimir",),
+    )
+
+
+def _strict_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestRunScenario:
     def test_manifest_complete(self, tmp_path):
         sc = _small_scenario()
@@ -203,12 +220,7 @@ class TestRunScenario:
     def test_blowup_inside_rhs_keeps_the_trajectory(self, tmp_path):
         # the RHS overflows before the gradient ceiling can fire; the
         # snapshots recorded so far are still written and checked
-        sc = _small_scenario(
-            name="burst", L=np.pi, n=64, cfl=1.0, dt_max=0.5, t_final=5.0,
-            dealias=False, gradient_ceiling=np.inf, snapshots=501,
-            u0=(("profile", "mode"), ("k", 4), ("amp", 50.0)),
-            rho0=(("profile", "zero"),), diagnostics=("casimir",),
-        )
+        sc = _burst_scenario()
         with np.errstate(all="ignore"):
             manifest = run_scenario(sc, str(tmp_path))
         assert manifest["outcome"] == "blowup"
@@ -413,6 +425,40 @@ class TestCli:
     def test_suite_runs(self, tmp_path, capsys):
         assert main(["suite", "friedrichs", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "friedrichs_report.json").exists()
+
+
+class TestStrictJson:
+    def test_write_json_encodes_non_finite_floats(self, tmp_path):
+        path = tmp_path / "values.json"
+        harness.write_json(str(path), {
+            "a": [1.5, math.inf, -math.inf],
+            "b": np.array([np.nan, 2.0]),
+            "c": (np.float64(np.inf), np.bool_(True), np.int64(3), np.float64(0.25)),
+        })
+        assert _strict_json(path) == {
+            "a": [1.5, "inf", "-inf"], "b": ["nan", 2.0], "c": ["inf", True, 3, 0.25],
+        }
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_manifests_are_strict_json(self, name, tmp_path):
+        sc = PRESETS[name]
+        manifest = run_scenario(sc, str(tmp_path))
+        parsed = _strict_json(tmp_path / f"{sc.name}_manifest.json")
+        assert parsed["scenario"]["norm_ps"] == [
+            "inf" if math.isinf(p) else p for p in sc.norm_ps
+        ]
+        # the returned manifest keeps the floats
+        assert manifest["scenario"]["norm_ps"] == sc.norm_ps
+
+    def test_blowup_manifest_is_strict_json(self, tmp_path):
+        with np.errstate(all="ignore"):
+            manifest = run_scenario(_burst_scenario(), str(tmp_path))
+        grad = manifest["blowup"]["max_gradient"]
+        assert not math.isfinite(grad)
+        parsed = _strict_json(tmp_path / "burst_manifest.json")
+        assert parsed["blowup"] == {
+            "t": manifest["blowup"]["t"], "max_gradient": "nan" if math.isnan(grad) else "inf",
+        }
 
 
 class TestPresets:
