@@ -48,13 +48,10 @@ from .spectral import (
     Grid,
     GridMismatchError,
     RealField,
-    SpectralField,
     apply_inertia,
     dealias,
     derivative,
-    inverse_transform,
     invert_inertia,
-    transform,
 )
 from .weights import (
     StandardWeight,

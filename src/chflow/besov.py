@@ -66,7 +66,7 @@ def _smooth_lowpass(t):
 def _block_multipliers(grid: Grid, style: str):
     """Per-block Fourier multipliers on the rfft half spectrum k = 0..n/2,
     stacked one row per block and cached per (grid, style)."""
-    axi = np.abs(grid.xi[: grid.n // 2 + 1])
+    axi = grid.xi
     km = k_max(grid)
     mults = []
     if style == "sharp":
@@ -104,7 +104,7 @@ def lowpass(f: RealField, j: int, style: str = "sharp") -> RealField:
     """Cumulative low-pass S_j f = sum of blocks k < j."""
     grid = f.grid
     if style == "sharp":
-        mult = (np.abs(grid.xi) < 2.0**j).astype(float)
+        mult = (grid.xi < 2.0**j).astype(float)
     else:
         mult = _smooth_lowpass(grid.xi / 2.0**j)
     return RealField(grid, grid.apply_multiplier(f.samples, mult))
@@ -139,8 +139,13 @@ def besov_norm(f: RealField, idx: BesovIndex, style: str = "sharp") -> float:
 
 
 def sobolev_norm(f: RealField, s: float) -> float:
-    """Multiplier norm sqrt(2L * sum (1 + xi^2)^s |c_k|^2)."""
+    """Multiplier norm sqrt(2L * sum (1 + xi^2)^s |c_k|^2) over all modes k.
+
+    The sum runs over the half spectrum with each interior mode counted
+    twice, once for itself and once for its conjugate c_{-k}.
+    """
     grid = f.grid
-    c = grid.to_coeffs(f.samples)
-    weights = np.exp(s * np.log1p(grid.xi**2))
+    c = grid.half_coeffs(f.samples)
+    weights = 2.0 * np.exp(s * np.log1p(grid.xi**2))
+    weights[[0, -1]] *= 0.5
     return float(np.sqrt(2.0 * grid.L * np.sum(weights * np.abs(c) ** 2)))

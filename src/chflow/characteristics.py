@@ -261,7 +261,9 @@ def check_support_containment(flows, traj: Trajectory, params,
     The reference intervals are [phi(t, beta) - 2dx, phi(t, gamma) + 2dx]
     where [beta, gamma] bounds the initial support: the rho check uses the
     support of rho_0; the m check uses the hull of the supports of m_0 and
-    rho_0, since the coupling source lives on the support of rho.
+    rho_0, since the coupling source lives on the support of rho.  When
+    m_0 vanishes, m is born from that source alone: its interval is rho_0's
+    and its threshold is relative to the largest |m| of the run.
     """
     grid = traj.grid
     slack = 2.0 * grid.dx
@@ -288,6 +290,9 @@ def check_support_containment(flows, traj: Trajectory, params,
         m = traj.m
         eps_m = eps_rel * np.max(np.abs(m[0]))
         sup_m0 = track_support(RealField(grid, m[0]), eps_m)
+        if sup_m0 is None:
+            eps_m = eps_rel * np.max(np.abs(m))
+            sup_m0 = sup_rho0
         i_beta_m = _marker_index(markers, min(sup_m0.beta, sup_rho0.beta))
         i_gamma_m = _marker_index(markers, max(sup_m0.gamma, sup_rho0.gamma))
         m_sup, ivl_m, m_ok = contained(m, eps_m, i_beta_m, i_gamma_m)

@@ -167,8 +167,7 @@ class Trajectory:
     @property
     def m(self):
         """Momentum (1 - d^2/dx^2)^r u of every snapshot, shape (T, n)."""
-        inertia = operators(self.grid, self.params.r).inertia
-        return np.fft.irfft(inertia * np.fft.rfft(self.u), self.grid.n)
+        return self.grid.apply_multiplier(self.u, operators(self.grid, self.params.r).inertia)
 
     @property
     def states(self):

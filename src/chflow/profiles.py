@@ -46,13 +46,12 @@ def band_limited_noise(grid: Grid, seed: int, kmax_frac: float = 0.25,
     """
     rng = np.random.default_rng(seed)
     kcut = max(2, int(kmax_frac * grid.n // 2))
-    c = np.zeros(grid.n, dtype=complex)
+    c = np.zeros_like(grid.xi, dtype=complex)
     for k in range(1, kcut + 1):
         z = rng.standard_normal() + 1j * rng.standard_normal()
         c[k] = z * (1.0 + (np.pi * k / grid.L) ** 2) ** (-decay / 2.0)
-        c[-k] = np.conj(c[k])
     c[0] = rng.standard_normal() * 0.1
-    samples = grid.to_samples(c)
+    samples = np.fft.irfft(grid.half_phase * c * grid.n, grid.n)
     peak = np.max(np.abs(samples))
     if peak > 0:
         samples = samples * (amp / peak)

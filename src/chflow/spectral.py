@@ -1,9 +1,13 @@
-"""Periodic pseudo-spectral grid, field containers, and multiplier operators.
+"""Periodic pseudo-spectral grid, real fields and Fourier multipliers.
 
 Everything here acts on a uniform grid for [-L, L) with wavenumbers
-xi_k = pi*k/L.  Spectral coefficients are stored in the absolute basis
-exp(i*xi_k*x) (not the index basis of the raw FFT), so single harmonics have
-the textbook coefficients and off-grid evaluation needs no extra phase.
+xi_k = pi*k/L.  chflow has one Fourier layout, the rfft half spectrum of
+real samples: coefficients c_k, k = 0..n/2, of
+f(x) = sum_k c_k exp(i*xi_k*x), the negative modes being the conjugates
+c_{-k} = conj(c_k).  Coefficients are stored in this absolute basis (not
+the index basis of the raw FFT), so single harmonics have the textbook
+coefficients and off-grid evaluation needs no extra phase.  Every operator
+is a diagonal multiplier on the same k = 0..n/2 array.
 """
 
 from dataclasses import dataclass
@@ -38,53 +42,33 @@ class Grid:
         return -self.L + self.dx * np.arange(self.n)
 
     @cached_property
-    def k_index(self):
-        """Integer mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(int)
-
-    @cached_property
     def xi(self):
-        """Wavenumbers pi*k/L in FFT order."""
-        return np.pi * self.k_index / self.L
+        """Wavenumbers pi*k/L of the half spectrum k = 0..n/2."""
+        return np.pi * np.arange(self.n // 2 + 1) / self.L
 
     @property
     def xi_max(self):
         return np.pi * (self.n // 2) / self.L
 
     @cached_property
-    def mode_phase(self):
-        """(-1)^k per mode; converts FFT-index coefficients to exp(i*xi*x)."""
-        return np.where(self.k_index % 2 == 0, 1.0, -1.0)
-
-    @cached_property
     def half_phase(self):
-        """(-1)^k for the rfft half spectrum k = 0..n/2."""
-        k = np.arange(self.n // 2 + 1)
-        return np.where(k % 2 == 0, 1.0, -1.0)
+        """(-1)^k for k = 0..n/2: the FFT index basis to exp(i*xi*x)."""
+        return np.where(np.arange(self.n // 2 + 1) % 2 == 0, 1.0, -1.0)
 
     @cached_property
     def dealias_mask(self):
-        """Two-thirds rule: True on modes with |xi| <= (2/3)*xi_max."""
-        return np.abs(self.xi) <= (2.0 / 3.0) * self.xi_max + 1e-12
-
-    # -- raw array helpers.  Multipliers are diagonal, so the mode phase
-    #    cancels and they act on the raw rfft half spectrum k = 0..n/2. ------
-
-    def to_coeffs(self, samples):
-        return self.mode_phase * np.fft.fft(samples) / self.n
-
-    def to_samples(self, coeffs):
-        return np.fft.ifft(self.mode_phase * coeffs * self.n).real
+        """Two-thirds rule: True on modes with xi <= (2/3)*xi_max."""
+        return self.xi <= (2.0 / 3.0) * self.xi_max + 1e-12
 
     def apply_multiplier(self, samples, mult):
-        """Apply a Fourier multiplier given in FFT order on the full grid.
+        """irfft(mult * rfft(samples)) for a multiplier on k = 0..n/2.
 
-        The multiplier must be Hermitian, mult(-xi) = conj(mult(xi)), so the
-        result is real; only its k = 0..n/2 half is read.  irfft drops the
-        imaginary part of the Nyquist entry, as taking the real part of a
-        full inverse transform would.
+        Acts on the last axis, so samples may stack rows.  The multiplier
+        of a real operator is Hermitian, mult(-xi) = conj(mult(xi)), so the
+        half spectrum determines it; irfft drops the imaginary part of the
+        Nyquist entry, which keeps odd derivatives real.
         """
-        return np.fft.irfft(mult[: self.n // 2 + 1] * np.fft.rfft(samples), self.n)
+        return np.fft.irfft(mult * np.fft.rfft(samples), self.n)
 
     def dealias_samples(self, samples):
         return self.apply_multiplier(samples, self.dealias_mask)
@@ -114,47 +98,13 @@ class RealField:
         return self
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a field, in FFT mode order, basis exp(i*xi*x)."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.shape != (self.grid.n,):
-            raise GridMismatchError(
-                f"coefficient count {self.coeffs.shape} does not match grid n={self.grid.n}"
-            )
-
-
-def transform(f: RealField) -> SpectralField:
-    """Forward transform to exp(i*xi*x)-basis coefficients."""
-    return SpectralField(f.grid, f.grid.to_coeffs(f.samples))
-
-
-def inverse_transform(F: SpectralField) -> RealField:
-    """Inverse of :func:`transform`; round-trips to ~1e-15 relative."""
-    return RealField(F.grid, F.grid.to_samples(F.coeffs))
-
-
 def derivative(f: RealField, order: int = 1) -> RealField:
-    """Spectral derivative d^order/dx^order.
-
-    The multiplier is (i*xi)^order; the Nyquist mode is zeroed for odd
-    orders so the result stays real.
-    """
+    """Spectral derivative d^order/dx^order, multiplier (i*xi)^order."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     if order == 0:
         return f
-    grid = f.grid
-    mult = (1j * grid.xi) ** order
-    if order % 2:
-        mult = mult.copy()
-        mult[grid.n // 2] = 0.0
-    return RealField(grid, grid.apply_multiplier(f.samples, mult))
+    return RealField(f.grid, f.grid.apply_multiplier(f.samples, (1j * f.grid.xi) ** order))
 
 
 def inertia_multiplier(grid: Grid, r: float):
@@ -162,22 +112,20 @@ def inertia_multiplier(grid: Grid, r: float):
     return np.exp(r * np.log1p(grid.xi**2))
 
 
-def _check_inertia_exponent(r, allow_any_r):
-    if r < 1.0 and not allow_any_r:
-        raise ValueError(
-            f"inertia exponent r={r} is below 1; pass allow_any_r=True to explore"
-        )
+def _check_inertia_exponent(r):
+    if r < 1.0:
+        raise ValueError(f"inertia exponent r={r} is below 1")
 
 
-def apply_inertia(f: RealField, r: float, allow_any_r: bool = False) -> RealField:
+def apply_inertia(f: RealField, r: float) -> RealField:
     """Momentum from velocity: multiplier (1 + xi^2)^r."""
-    _check_inertia_exponent(r, allow_any_r)
-    return RealField(f.grid, f.grid.apply_multiplier(f.samples, inertia_multiplier(f.grid, r)))
+    _check_inertia_exponent(r)
+    return RealField(f.grid, f.grid.apply_multiplier(f.samples, operators(f.grid, r).inertia))
 
 
-def invert_inertia(m: RealField, r: float, allow_any_r: bool = False) -> RealField:
+def invert_inertia(m: RealField, r: float) -> RealField:
     """Velocity from momentum: multiplier (1 + xi^2)^(-r).  Smooths by 2r."""
-    _check_inertia_exponent(r, allow_any_r)
+    _check_inertia_exponent(r)
     return RealField(m.grid, m.grid.apply_multiplier(m.samples, inertia_multiplier(m.grid, -r)))
 
 
@@ -210,32 +158,20 @@ class Operators:
     solve: np.ndarray
 
     def dx(self, a):
-        """Spectral d/dx of samples; irfft drops the imaginary Nyquist entry
-        of i*xi*a_hat, as :func:`derivative` zeroes it."""
-        return np.fft.irfft(self.ixi * np.fft.rfft(a), self.grid.n)
+        """Spectral d/dx of samples, as :func:`derivative`."""
+        return self.grid.apply_multiplier(a, self.ixi)
 
 
 @lru_cache(maxsize=64)
 def operators(grid: Grid, r: float = 1.0, use_dealias: bool = True) -> Operators:
     """The cached :class:`Operators` of (grid, r, use_dealias)."""
-    half = slice(0, grid.n // 2 + 1)
-    ixi = 1j * grid.xi[half]
-    a_mult = inertia_multiplier(grid, r)[half]
+    ixi = 1j * grid.xi
+    a_mult = inertia_multiplier(grid, r)
     ixi_a = ixi * a_mult
-    mask = grid.dealias_mask[half].astype(float) if use_dealias else 1.0
+    mask = grid.dealias_mask.astype(float) if use_dealias else 1.0
     jet = np.stack((ixi, a_mult, ixi_a, ixi))
     solve = np.stack((mask / a_mult, mask * np.ones_like(a_mult)))
     shared = (ixi, a_mult, ixi_a, jet, solve) + ((mask,) if use_dealias else ())
     for arr in shared:
         arr.flags.writeable = False
     return Operators(grid, ixi, a_mult, ixi_a, mask, jet, solve)
-
-
-def l2_norm(f: RealField) -> float:
-    """L2 norm by grid quadrature, sqrt(dx * sum f^2)."""
-    return float(np.sqrt(f.grid.dx * np.sum(f.samples**2)))
-
-
-def coeff_l2_norm(F: SpectralField) -> float:
-    """L2 norm from coefficients, sqrt(2L * sum |c|^2); Parseval partner."""
-    return float(np.sqrt(2.0 * F.grid.L * np.sum(np.abs(F.coeffs) ** 2)))

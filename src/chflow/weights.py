@@ -19,6 +19,12 @@ import numpy as np
 from .dynamics import Trajectory
 from .spectral import RealField, operators
 
+# persistence_monitor: the tolerance of its growth bound on log W (5%
+# multiplicative), and the floor, relative to each field's peak, below which
+# samples leave the weighted norms (see _masked_weighted_norm)
+RESIDUAL_TOL = math.log(1.05)
+SIGNAL_FLOOR = 1e-12
+
 
 class UndefinedFitError(ValueError):
     """The requested fit window contains no usable (nonzero) samples."""
@@ -61,14 +67,6 @@ class StandardWeight:
         else:
             power = np.zeros_like(ax)
         return power + self.c / (1.0 + ax) + self.d / ((np.e + ax) * np.log(np.e + ax))
-
-    def log_derivative(self, x):
-        """d/dx log w; odd in x, zero at the (even) family's center."""
-        x = np.asarray(x, dtype=float)
-        out = np.sign(x) * self._slope_term(np.abs(x))
-        if self.side == "right":
-            out = np.where(x <= 0.0, 0.0, out)
-        return out
 
     def log_derivative_magnitude(self, x):
         """|w'|/w with one-sided limits at x = 0 (the a.e. essential bound)."""
@@ -176,38 +174,35 @@ class PersistenceReport:
     weight: StandardWeight
 
 
-def _masked_weighted_norm(samples, wvals, dx, p, floor_rel):
+def _masked_weighted_norm(samples, wvals, dx, p):
     """Weighted L^p norm over the samples that sit above the noise floor.
 
     Spectral solutions carry an absolute round-off floor of about
     1e-16 * max|f|; an exponential weight amplifies that floor by exp(a*L),
     which would dominate the norm with pure noise on wide domains.  Samples
-    with |f| <= floor_rel * max|f| are therefore excluded: the monitored
+    with |f| <= SIGNAL_FLOOR * max|f| are therefore excluded: the monitored
     quantity is the weighted norm of the representable part of the field.
     """
     a = np.abs(samples)
     peak = a.max(initial=0.0)
-    g = np.where(a > floor_rel * peak, a, 0.0) * wvals
+    g = np.where(a > SIGNAL_FLOOR * peak, a, 0.0) * wvals
     if np.isinf(p):
         return float(g.max(initial=0.0))
     return float((dx * np.sum(g**p)) ** (1.0 / p))
 
 
 def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
-                        relaxed_admissibility: bool = False,
-                        residual_tol: float = math.log(1.05),
-                        signal_floor: float = 1e-12) -> PersistenceReport:
+                        relaxed_admissibility: bool = False) -> PersistenceReport:
     """Track the weighted size of (u, u_x, rho) along a run and fit its growth.
 
     Inadmissible weights are rejected unless relaxed_admissibility is set and the
-    p-dependent companion condition holds.  Samples below signal_floor
+    p-dependent companion condition holds.  Samples below SIGNAL_FLOOR
     relative to each field's peak are excluded from the weighted norms (see
-    _masked_weighted_norm); with the default floor this leaves genuinely
-    decaying tails intact while keeping exponential weights from blowing up
-    the round-off field.  The fitted slope C_hat is the least-squares slope
-    of log W against (1+M)t; bound_ok states whether the measured growth
-    stays under that affine bound within residual_tol (a 5% multiplicative
-    tolerance by default).
+    _masked_weighted_norm); this floor leaves genuinely decaying tails
+    intact while keeping exponential weights from blowing up the round-off
+    field.  The fitted slope C_hat is the least-squares slope of log W
+    against (1+M)t; bound_ok states whether the measured growth stays under
+    that affine bound within RESIDUAL_TOL (a 5% multiplicative tolerance).
     """
     if not w.admissible:
         if not (relaxed_admissibility and companion_in_lp(w, p, traj.grid.L)):
@@ -223,9 +218,9 @@ def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
     sup_norms = []
     for u, u_x, rho in zip(traj.u, operators(grid).dx(traj.u), traj.rho):
         Ws.append(
-            _masked_weighted_norm(u, wvals, grid.dx, p, signal_floor)
-            + _masked_weighted_norm(u_x, wvals, grid.dx, p, signal_floor)
-            + _masked_weighted_norm(rho, wvals, grid.dx, p, signal_floor)
+            _masked_weighted_norm(u, wvals, grid.dx, p)
+            + _masked_weighted_norm(u_x, wvals, grid.dx, p)
+            + _masked_weighted_norm(rho, wvals, grid.dx, p)
         )
         sup_norms.append(
             float(np.max(np.abs(u)))
@@ -247,7 +242,7 @@ def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
     fit = slope * xdata + intercept
     residual = float(np.max(np.abs(y - fit)))
-    bound_ok = bool(np.all(y - y[0] <= slope * xdata + residual_tol))
+    bound_ok = bool(np.all(y - y[0] <= slope * xdata + RESIDUAL_TOL))
     return PersistenceReport(
         times, Ws, sup_norms, M, float(slope), float(intercept), residual, bound_ok, p, w
     )

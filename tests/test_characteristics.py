@@ -251,6 +251,19 @@ class TestSupport:
         assert report.checked_m
         assert report.all_contained
 
+    def test_containment_from_rest(self):
+        # u_0 = 0 gives m_0 = 0: m is born from the coupling on the support
+        # of rho, so rho_0's support is the reference interval of both
+        g = Grid(20.0, 256)
+        traj = _run(g, RealField(g, np.zeros(g.n)), bump(g, 0.5, 2.0), 0.2, 5e-3)
+        flows = evolve_flow(traj)
+        report = check_support_containment(flows, traj, CH_PARAMS)
+        assert report.checked_m
+        assert report.m_support[0] is None
+        assert all(s is not None for s in report.m_support[1:])
+        assert report.flow_interval_m == report.flow_interval_rho
+        assert report.all_contained
+
     def test_empty_rho_rejected(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.3, 2.0),
                     RealField(grid20, np.zeros(grid20.n)), 0.05, 5e-3)

@@ -27,6 +27,7 @@ from chflow.dynamics import (
 from chflow.profiles import band_limited_noise, gaussian
 from chflow.spectral import Grid, RealField, apply_inertia, dealias, operators
 
+from conftest import full_xi
 
 
 def _state(grid, u=None, rho=None, t=0.0):
@@ -142,8 +143,9 @@ class TestRhs:
         else:
             params = Params(b=b, kappa=kappa, alpha=alpha, r=r)
 
-        mask = grid.dealias_mask if use_dealias else 1.0
-        inertia = (1.0 + grid.xi**2) ** r
+        xi = full_xi(grid)
+        mask = np.abs(xi) <= (2.0 / 3.0) * grid.xi_max + 1e-12 if use_dealias else 1.0
+        inertia = (1.0 + xi**2) ** r
 
         def op(mult, f):
             return np.fft.ifft(mult * np.fft.fft(f)).real
@@ -151,8 +153,8 @@ class TestRhs:
         def prod(f, g):
             return op(mask, f * g)
 
-        u_x, rho_x = op(1j * grid.xi, u), op(1j * grid.xi, rho)
-        m, m_x = op(inertia, u), op(1j * grid.xi * inertia, u)
+        u_x, rho_x = op(1j * xi, u), op(1j * xi, rho)
+        m, m_x = op(inertia, u), op(1j * xi * inertia, u)
         alpha_ux = prod(a.samples, u_x) if field_alpha else alpha * u_x
         m_terms = (alpha_ux, -b * prod(u_x, m), -prod(u, m_x), -kappa * prod(rho, rho_x))
         rho_terms = (-prod(u, rho_x), -(b - 1.0) * prod(u_x, rho))
@@ -419,8 +421,8 @@ class TestIntegrate:
         dt, T = 2e-3, 0.3
         u0 = gaussian(g, 0.5, 2.0).samples
 
-        xi = g.xi
-        mask = g.dealias_mask
+        xi = full_xi(g)
+        mask = np.abs(xi) <= (2.0 / 3.0) * g.xi_max + 1e-12
         helm = 1.0 + xi**2
 
         def dealias_prod(a, c):

@@ -9,24 +9,27 @@ from chflow.offgrid import evaluate
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, RealField, derivative
 
+from conftest import full_coeffs, full_xi
+
 
 def _dense_oracle(grid, f, pts):
     # brute-force mode sum over the full (two-sided) spectrum
-    c = grid.to_coeffs(f.samples)
-    return np.real(np.exp(1j * np.outer(pts, grid.xi)) @ c)
+    c = full_coeffs(grid, f.samples)
+    return np.real(np.exp(1j * np.outer(pts, full_xi(grid))) @ c)
 
 
 def _dense_derivative(grid, f, pts):
     # d/dx of the same mode sum, Nyquist term included (off the grid it does
     # not vanish, unlike in spectral.derivative)
-    c = grid.to_coeffs(f.samples)
-    return np.real(np.exp(1j * np.outer(pts, grid.xi)) @ (1j * grid.xi * c))
+    c = full_coeffs(grid, f.samples)
+    xi = full_xi(grid)
+    return np.real(np.exp(1j * np.outer(pts, xi)) @ (1j * xi * c))
 
 
 def _white_noise(grid, seed):
     # as in the property test below: every mode excited, scale = sum |c_k|
     f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.n))
-    return f, np.sum(np.abs(grid.to_coeffs(f.samples)))
+    return f, np.sum(np.abs(full_coeffs(grid, f.samples)))
 
 
 def _assert_matches_dense(grid, f, scale, pts, oracle_pts=None):
@@ -57,7 +60,7 @@ def test_matches_dense_oracle_and_spectral_derivative(log2n, L, seed, fracs):
     # white noise excites every mode, the Nyquist cosine included
     f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.n))
     # sum |c_k| bounds |f| everywhere; round-off in the phases scales with it
-    scale = np.sum(np.abs(grid.to_coeffs(f.samples)))
+    scale = np.sum(np.abs(full_coeffs(grid, f.samples)))
 
     pts = L * np.array(fracs)
     vals = evaluate(f, pts)

@@ -1,30 +1,36 @@
-"""Transforms, multiplier operators, and their exactness properties."""
+"""The half-spectrum transform, multiplier operators, and their exactness
+properties, with the full complex FFT as the reference."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chflow.besov import _smooth_lowpass
-from chflow.profiles import bump, gaussian
+from chflow.besov import _block_multipliers, _smooth_lowpass, lowpass, lp_norm, sobolev_norm
+from chflow.profiles import band_limited_noise, bump, gaussian
 from chflow.spectral import (
     Grid,
     GridMismatchError,
     RealField,
-    SpectralField,
     apply_inertia,
-    coeff_l2_norm,
     dealias,
     derivative,
-    inertia_multiplier,
-    inverse_transform,
     invert_inertia,
-    l2_norm,
     operators,
-    transform,
 )
 
-from conftest import random_fields
+from conftest import full_coeffs, full_multiplier, full_samples, full_xi, random_fields
+
+
+def _mode_sum(grid, c, pts):
+    """Real field with half-spectrum coefficients c at pts, by the dense sum
+    over k = -n/2..n/2: interior modes twice (with their conjugates), k = 0
+    and the Nyquist mode once."""
+    twice = np.full(c.size, 2.0)
+    twice[[0, -1]] = 1.0
+    return np.real(np.exp(1j * np.outer(pts, grid.xi)) @ (twice * c))
 
 
 class TestGrid:
@@ -48,28 +54,30 @@ class TestGrid:
         g = Grid(1.0, 32)
         with pytest.raises(GridMismatchError):
             RealField(g, np.zeros(16))
-        with pytest.raises(GridMismatchError):
-            SpectralField(g, np.zeros(16, dtype=complex))
 
 
 class TestTransform:
+    """Grid.half_coeffs, the one forward transform, against the full FFT."""
+
     def test_zero_field_has_zero_coeffs(self, grid_pi):
-        F = transform(RealField(grid_pi, np.zeros(grid_pi.n)))
-        assert np.all(F.coeffs == 0.0)
+        assert np.all(grid_pi.half_coeffs(np.zeros(grid_pi.n)) == 0.0)
 
     def test_single_cosine_has_two_coeffs(self, grid_pi):
-        f = RealField(grid_pi, np.cos(np.pi * grid_pi.x / grid_pi.L))
-        c = transform(f).coeffs
-        nonzero = np.nonzero(np.abs(c) > 1e-13)[0]
-        assert set(nonzero) == {1, grid_pi.n - 1}
+        # cos(xi_1 x) = (exp(i xi_1 x) + exp(-i xi_1 x)) / 2: the full spectrum
+        # holds c_1 = c_-1 = 1/2, the half spectrum c_1 alone
+        samples = np.cos(np.pi * grid_pi.x / grid_pi.L)
+        full = full_coeffs(grid_pi, samples)
+        assert set(np.nonzero(np.abs(full) > 1e-13)[0]) == {1, grid_pi.n - 1}
+        assert full[-1] == pytest.approx(0.5, abs=1e-14)
+        c = grid_pi.half_coeffs(samples)
+        assert set(np.nonzero(np.abs(c) > 1e-13)[0]) == {1}
         assert c[1] == pytest.approx(0.5, abs=1e-14)
-        assert c[-1] == pytest.approx(0.5, abs=1e-14)
 
     def test_round_trip_on_random_fields(self, grid20):
         for f in random_fields(grid20, 5):
-            back = inverse_transform(transform(f))
+            back = _mode_sum(grid20, grid20.half_coeffs(f.samples), grid20.x)
             scale = np.max(np.abs(f.samples))
-            assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * scale
+            assert np.max(np.abs(back - f.samples)) < 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -80,28 +88,37 @@ class TestTransform:
     )
     def test_round_trips_on_random_grids(self, log2n, L, seed, k_frac):
         grid = Grid(L, 2**log2n)
-        f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.n))
-        F = transform(f)
-        back = inverse_transform(F)
-        assert np.max(np.abs(back.samples - f.samples)) <= 1e-12 * np.max(np.abs(f.samples))
-        again = transform(back).coeffs
-        assert np.max(np.abs(again - F.coeffs)) <= 1e-12 * np.max(np.abs(F.coeffs))
-        # a single harmonic lands on its two modes in the exp(i*xi*x) basis
+        f = np.random.default_rng(seed).standard_normal(grid.n)
+        c = grid.half_coeffs(f)
+        scale = np.sum(np.abs(c))
+        assert np.max(np.abs(c - full_coeffs(grid, f)[: c.size])) <= 1e-12 * scale
+        back = _mode_sum(grid, c, grid.x)
+        assert np.max(np.abs(back - f)) <= 1e-12 * scale
+        again = grid.half_coeffs(back)
+        assert np.max(np.abs(again - c)) <= 1e-12 * scale
+        # a single harmonic lands on its one mode in the exp(i*xi*x) basis
         k = 1 + int(k_frac * (grid.n // 2 - 2))
-        c = transform(RealField(grid, np.cos(np.pi * k * grid.x / L))).coeffs
-        expected = np.zeros(grid.n)
-        expected[[k, grid.n - k]] = 0.5
+        c = grid.half_coeffs(np.cos(np.pi * k * grid.x / L))
+        expected = np.zeros(c.size)
+        expected[k] = 0.5
         assert np.max(np.abs(c - expected)) <= 1e-12
 
     def test_hermitian_symmetry(self, grid20):
+        # the full spectrum of a real field is Hermitian, c_-k = conj(c_k),
+        # so the half spectrum k = 0..n/2 carries all of it
         (f,) = random_fields(grid20, 1)
-        c = transform(f).coeffs
-        assert np.allclose(c[1:], np.conj(c[1:][::-1]), atol=1e-15)
+        full = full_coeffs(grid20, f.samples)
+        assert np.allclose(full[1:], np.conj(full[1:][::-1]), atol=1e-15)
+        half = grid20.half_coeffs(f.samples)
+        assert half.shape == (grid20.n // 2 + 1,)
+        assert np.allclose(half, full[: half.size], atol=1e-15)
 
     def test_parseval(self, grid20):
         for f in random_fields(grid20, 3):
-            assert coeff_l2_norm(transform(f)) == pytest.approx(
-                l2_norm(f), rel=1e-12
+            c = grid20.half_coeffs(f.samples)
+            power = 2.0 * np.sum(np.abs(c) ** 2) - abs(c[0]) ** 2 - abs(c[-1]) ** 2
+            assert math.sqrt(2.0 * grid20.L * power) == pytest.approx(
+                lp_norm(f, 2.0), rel=1e-12
             )
 
 
@@ -171,7 +188,8 @@ class TestInertia:
         f = RealField(grid_pi, np.zeros(grid_pi.n))
         with pytest.raises(ValueError):
             apply_inertia(f, 0.5)
-        apply_inertia(f, 0.5, allow_any_r=True)
+        with pytest.raises(ValueError):
+            invert_inertia(f, 0.5)
 
     def test_linearity(self, grid20):
         f, g = random_fields(grid20, 2)
@@ -244,14 +262,14 @@ class TestHelmholtz:
 class TestDealias:
     def test_band_limited_field_unchanged(self, grid20):
         f = random_fields(grid20, 1, kmax_frac=0.3)[0]
-        F = transform(f)
-        assert np.allclose(transform(dealias(inverse_transform(F))).coeffs, F.coeffs)
+        c = grid20.half_coeffs(f.samples)
+        assert np.allclose(grid20.half_coeffs(dealias(f).samples), c)
 
     def test_nyquist_mode_removed(self, grid_pi):
         c = np.zeros(grid_pi.n, dtype=complex)
         c[grid_pi.n // 2] = 1.0
-        out = transform(dealias(inverse_transform(SpectralField(grid_pi, c))))
-        assert np.all(out.coeffs == 0.0)
+        out = dealias(RealField(grid_pi, full_samples(grid_pi, c)))
+        assert np.all(full_coeffs(grid_pi, out.samples) == 0.0)
 
     def test_product_matches_double_resolution_oracle(self):
         # multiply on a 2n grid (exact for the retained band), then compare
@@ -270,15 +288,15 @@ class TestDealias:
             return c
 
         ca, cb = make(g), make(g)
-        fa, fb = g.to_samples(ca), g.to_samples(cb)
+        fa, fb = full_samples(g, ca), full_samples(g, cb)
         ca2 = np.zeros(g2.n, dtype=complex)
         cb2 = np.zeros(g2.n, dtype=complex)
         ca2[:kcut + 1], ca2[-kcut:] = ca[:kcut + 1], ca[-kcut:]
         cb2[:kcut + 1], cb2[-kcut:] = cb[:kcut + 1], cb[-kcut:]
-        prod2 = g2.to_coeffs(g2.to_samples(ca2) * g2.to_samples(cb2))
+        prod2 = full_coeffs(g2, full_samples(g2, ca2) * full_samples(g2, cb2))
 
-        prod = transform(dealias(RealField(g, fa * fb))).coeffs
-        keep = np.abs(g.xi) <= (2.0 / 3.0) * g.xi_max
+        prod = full_coeffs(g, dealias(RealField(g, fa * fb)).samples)
+        keep = np.abs(full_xi(g)) <= (2.0 / 3.0) * g.xi_max
         oracle = np.zeros(g.n, dtype=complex)
         idx = np.fft.fftfreq(g.n, 1.0 / g.n).astype(int)
         for pos, k in enumerate(idx):
@@ -287,13 +305,22 @@ class TestDealias:
         assert np.max(np.abs(prod - oracle)) < 1e-12
 
 
-def _full_fft_multiplier(mult, samples):
-    """Reference: a multiplier applied through the full complex FFT."""
-    return np.fft.ifft(mult * np.fft.fft(samples)).real
-
-
 def _assert_close(got, ref, scale):
     assert np.linalg.norm(got - ref) <= 1e-12 * max(scale, 1e-300)
+
+
+def _full_band_limited_noise(grid, seed, kmax_frac):
+    """band_limited_noise built on the full spectrum, c_-k = conj(c_k)."""
+    rng = np.random.default_rng(seed)
+    kcut = max(2, int(kmax_frac * grid.n // 2))
+    c = np.zeros(grid.n, dtype=complex)
+    for k in range(1, kcut + 1):
+        z = rng.standard_normal() + 1j * rng.standard_normal()
+        c[k] = z * (1.0 + (np.pi * k / grid.L) ** 2) ** -1.0
+        c[-k] = np.conj(c[k])
+    c[0] = rng.standard_normal() * 0.1
+    samples = full_samples(grid, c)
+    return samples / np.max(np.abs(samples))
 
 
 _RANDOM_GRIDS = dict(
@@ -314,27 +341,63 @@ class TestHalfSpectrum:
         grid = Grid(L, 2**log2n)
         a = np.random.default_rng(seed).standard_normal(grid.n)
         ops = operators(grid, r, use_dealias)
-        _assert_close(ops.dx(a), _full_fft_multiplier(1j * grid.xi, a),
-                      grid.xi_max * np.linalg.norm(a))
+        xi = full_xi(grid)
+        inertia = np.exp(r * np.log1p(xi**2))
+        scale = np.linalg.norm(a)
+        _assert_close(ops.dx(a), full_multiplier(1j * xi, a), grid.xi_max * scale)
+        _assert_close(grid.apply_multiplier(a, ops.inertia), full_multiplier(inertia, a),
+                      np.max(inertia) * scale)
+        _assert_close(grid.apply_multiplier(a, ops.ixi_inertia),
+                      full_multiplier(1j * xi * inertia, a),
+                      grid.xi_max * np.max(inertia) * scale)
 
     @settings(max_examples=60, deadline=None)
     @given(**_RANDOM_GRIDS, j=st.integers(-2, 12))
     def test_apply_multiplier_matches_full_fft(self, log2n, L, r, use_dealias, seed, j):
+        # every public path through Grid.apply_multiplier against the same
+        # multiplier applied on the full spectrum
         grid = Grid(L, 2**log2n)
-        f = np.random.default_rng(seed).standard_normal(grid.n)
-        mults = [
-            inertia_multiplier(grid, r),
-            inertia_multiplier(grid, -r),
-            (np.abs(grid.xi) < 2.0**j).astype(float),
-            _smooth_lowpass(grid.xi / 2.0**j),
-            grid.dealias_mask if use_dealias else np.ones(grid.n),
-        ] + [(1j * grid.xi) ** order for order in (1, 2, 3)]
-        for mult in mults:
-            _assert_close(grid.apply_multiplier(f, mult), _full_fft_multiplier(mult, f),
-                          np.max(np.abs(mult)) * np.linalg.norm(f))
+        f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.n))
+        xi = full_xi(grid)
+        mask = np.abs(xi) <= (2.0 / 3.0) * grid.xi_max + 1e-12
+        inertia = np.exp(r * np.log1p(xi**2))
+        paths = [
+            (apply_inertia(f, r), inertia),
+            (invert_inertia(f, r), 1.0 / inertia),
+            (lowpass(f, j, "sharp"), (np.abs(xi) < 2.0**j).astype(float)),
+            (lowpass(f, j, "smooth"), _smooth_lowpass(xi / 2.0**j)),
+            (dealias(f), mask.astype(float)),
+        ] + [(derivative(f, order), (1j * xi) ** order) for order in (1, 2, 3)]
+        for got, mult in paths:
+            _assert_close(got.samples, full_multiplier(mult, f.samples),
+                          np.max(np.abs(mult)) * np.linalg.norm(f.samples))
+
+    @settings(max_examples=40, deadline=None)
+    @given(log2n=st.integers(4, 10), L=st.floats(0.5, 100.0),
+           seed=st.integers(0, 2**32 - 1), s=st.floats(-2.0, 3.0),
+           kmax_frac=st.floats(0.05, 1.0))
+    def test_norm_and_noise_match_full_fft(self, log2n, L, seed, s, kmax_frac):
+        grid = Grid(L, 2**log2n)
+        f = band_limited_noise(grid, seed, kmax_frac)
+        ref = _full_band_limited_noise(grid, seed, kmax_frac)
+        assert np.max(np.abs(f.samples - ref)) <= 1e-14
+        c = full_coeffs(grid, f.samples)
+        weights = np.exp(s * np.log1p(full_xi(grid) ** 2))
+        expect = math.sqrt(2.0 * L * np.sum(weights * np.abs(c) ** 2))
+        assert sobolev_norm(f, s) == pytest.approx(expect, rel=1e-12)
 
     def test_operator_arrays_are_read_only(self, grid20):
         ops = operators(grid20, 1.5, True)
         for arr in (ops.ixi, ops.inertia, ops.ixi_inertia, ops.mask, ops.jet, ops.solve):
             assert arr.shape[-1] == grid20.n // 2 + 1
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("L, n", [(np.pi, 16), (20.0, 256), (100.0, 1024)])
+    def test_every_spectral_array_is_a_half_spectrum(self, L, n):
+        grid = Grid(L, n)
+        ops = operators(grid, 1.5, True)
+        arrays = [grid.xi, grid.dealias_mask, grid.half_coeffs(grid.x)]
+        arrays += [ops.ixi, ops.inertia, ops.ixi_inertia, ops.mask, ops.jet, ops.solve]
+        arrays += [_block_multipliers(grid, style) for style in ("sharp", "smooth")]
+        for arr in arrays:
+            assert arr.shape[-1] == n // 2 + 1
