@@ -40,6 +40,7 @@ from .dynamics import (
     rhs_m_form,
     rhs_nonlocal,
     stability_pair,
+    stability_pairs,
     step_rk4,
 )
 from .harness import PRESETS, Scenario, run_scenario, run_suite

@@ -109,21 +109,33 @@ def evolve_flow(traj: Trajectory, markers=None):
     return flows
 
 
-def check_transport_identity(flows, traj: Trajectory, b: float):
-    """Max deviation of rho(t, phi) * phi_x^(b-1) from rho_0, per snapshot.
+def rho_along_flow(flows, traj: Trajectory):
+    """rho and rho_x at every snapshot's flow positions, two arrays of shape
+    (T, markers).
 
-    The reference rho_0 at the markers is computed through the same
-    interpolation path as the evolved side, so the deviation at t = 0 is
-    exactly zero.
+    One off-grid evaluation per snapshot gives both; the values do not
+    depend on whether the derivative is asked for.  Row 0 is at
+    phi(0) = the markers, the t = 0 reference of both flow identity checks,
+    which share this evaluation when both run.
     """
     grid = traj.grid
-    rho_coeffs = grid.half_coeffs(traj.rho)
-    rho0_at = evaluate_coeffs(grid, rho_coeffs[0], flows[0].markers)
-    devs = []
-    for fl, coeffs in zip(flows, rho_coeffs):
-        rho_at = evaluate_coeffs(grid, coeffs, fl.phi)
-        devs.append(float(np.max(np.abs(rho_at * fl.phi_x ** (b - 1.0) - rho0_at))))
-    return np.array(devs)
+    rows = [evaluate_coeffs(grid, coeffs, fl.phi, deriv=True)
+            for fl, coeffs in zip(flows, grid.half_coeffs(traj.rho))]
+    rho_at, rhox_at = zip(*rows)
+    return np.array(rho_at), np.array(rhox_at)
+
+
+def check_transport_identity(flows, traj: Trajectory, b: float, along=None):
+    """Max deviation of rho(t, phi) * phi_x^(b-1) from rho_0, per snapshot.
+
+    ``along`` is :func:`rho_along_flow` of (flows, traj), computed here when
+    not given.  The reference rho_0 at the markers is its row 0, computed
+    through the same interpolation path as the evolved side, so the
+    deviation at t = 0 is exactly zero.
+    """
+    rho_at = (rho_along_flow(flows, traj) if along is None else along)[0]
+    return np.array([float(np.max(np.abs(r * fl.phi_x ** (b - 1.0) - rho_at[0])))
+                     for fl, r in zip(flows, rho_at)])
 
 
 def casimir(rho: RealField, b: float) -> float:
@@ -184,33 +196,35 @@ def reconstruct_rho(flows, traj: Trajectory, b: float):
     return out
 
 
-def check_m_flow_identity(flows, traj: Trajectory, params):
+def check_m_flow_identity(flows, traj: Trajectory, params, along=None):
     """Max deviation of the momentum balance along the flow, per snapshot.
 
     Requires alpha identically zero.  The coupling integral is accumulated
     with the trapezoid rule over snapshots, with rho and rho_x read off at
-    the markers' positions at each intermediate time.
+    the markers' positions at each intermediate time: ``along``, which is
+    :func:`rho_along_flow` of (flows, traj), computed here when not given.
+    The reference m_0 at the markers is m at the t = 0 flow positions.
     """
     if not params.alpha_is_zero():
         raise ValueError("the momentum flow identity requires alpha == 0")
     b = params.b
     grid = traj.grid
+    rho_at, rhox_at = rho_along_flow(flows, traj) if along is None else along
     m_coeffs = grid.half_coeffs(traj.m)
-    rho_coeffs = grid.half_coeffs(traj.rho)
-    m0_at = evaluate_coeffs(grid, m_coeffs[0], flows[0].markers)
 
     devs = []
-    integral = np.zeros_like(m0_at)
+    integral = np.zeros_like(flows[0].phi)
     prev_integrand = None
     times = traj.times
     for j, fl in enumerate(flows):
-        rho_at, rhox_at = evaluate_coeffs(grid, rho_coeffs[j], fl.phi, deriv=True)
-        integrand = rho_at * rhox_at * fl.phi_x**b
+        integrand = rho_at[j] * rhox_at[j] * fl.phi_x**b
         if j > 0:
             dt = times[j] - times[j - 1]
             integral = integral + 0.5 * dt * (integrand + prev_integrand)
         prev_integrand = integrand
         m_at = evaluate_coeffs(grid, m_coeffs[j], fl.phi)
+        if j == 0:
+            m0_at = m_at
         lhs = m_at * fl.phi_x**b
         rhs = m0_at - params.kappa * integral
         devs.append(float(np.max(np.abs(lhs - rhs))))

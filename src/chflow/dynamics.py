@@ -464,6 +464,22 @@ def rk4_stages(times, series, j, h):
     return iter((series[j], mid, mid, series[j + 1]))
 
 
+# Iterate k+1 lags iterate k by this many steps, and the frozen rows of each
+# iterate are kept in a rolling window of _WINDOW rows (see friedrichs_iterate).
+_LAG = 3
+_WINDOW = 8
+
+
+class _Window:
+    """A series whose row i lives in slot i % len(rows) of a rolling buffer."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, i):
+        return self.rows[i % len(self.rows)]
+
+
 def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
                        K: int, ctrl: StepControl):
     """Linear-transport iteration converging to the direct solution.
@@ -478,6 +494,19 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     fixed step dt = ctrl.dt_max so coefficient time grids line up; midpoint
     coefficient values come from cubic interpolation in time.  Returns the
     list of trajectories for iterates 0..K.
+
+    Iterates 1..K advance together as one lagged (K, 2, n) stack, a
+    pipelined waveform relaxation: at tick g, iterate k takes step
+    j = g - 3(k-1) when 0 <= j < nsteps, so the run is nsteps + 3(K-1)
+    stacked rk4 steps.  Step j reads the frozen rows lo..lo+3 of iterate
+    k-1, lo = min(max(j-1, 0), nsteps-3), hence rows up to max(j+2, 3),
+    which the lag of 3 has written by the tick before.  After each tick the
+    frozen rows of the new snapshots come from one batched transform, into
+    a rolling window of 8 rows per iterate: from the oldest row a step reads
+    to the newest row written are at most 5 rows, so the window holds every
+    row still to be read, and the frozen rows never take a (K, T, 3, n)
+    array.  Every iterate equals the one computed after its predecessor has
+    finished, bit for bit.
     """
     if K < 1:
         raise ValueError("need at least one iterate")
@@ -493,44 +522,52 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     n = grid.n
     alpha = params.alpha_samples(grid)
 
-    iterates = [
-        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
-    ]
-    # Frozen coefficient u_k and the sources, one row per snapshot; the m
-    # source is carried as its u_t share, (m source) / inertia.
-    frozen = np.empty((nsteps + 1, 3, n))
+    def frozen(y):
+        """Frozen coefficient u_k and the two sources of each (u_k, rho_k)
+        row of y (R, 2, n), as (R, 3, n); the m source is carried as its
+        u_t share, (m source) / inertia."""
+        uk, rk = y[:, 0], y[:, 1]
+        y_hat = np.fft.rfft(y)
+        jet = np.fft.irfft(ops.jet[[0, 1, 3]] * y_hat[:, [0, 0, 1]], n)
+        uk_x, mk, rk_x = jet[:, 0], jet[:, 1], jet[:, 2]
+        # the alpha u_{k,x} source enters as in _m_form
+        nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
+        if isinstance(alpha, np.ndarray):
+            nl_m -= alpha * uk_x
+        src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk), axis=1))
+        if not isinstance(alpha, np.ndarray) and alpha != 0.0:
+            src_hat[:, 0] += alpha * (ops.ixi / ops.inertia) * y_hat[:, 0]
+        return np.concatenate((uk[:, None], np.fft.irfft(src_hat, n)), axis=1)
 
-    for k in range(K):
-        for yk, row in zip(iterates[-1].y, frozen):
-            uk, rk = yk
-            y_hat = np.fft.rfft(yk)
-            uk_x, mk, rk_x = np.fft.irfft(ops.jet[[0, 1, 3]] * y_hat[[0, 0, 1]], n)
-            # the alpha u_{k,x} source enters as in _m_form
-            nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
-            if isinstance(alpha, np.ndarray):
-                nl_m -= alpha * uk_x
-            src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk)))
-            if not isinstance(alpha, np.ndarray) and alpha != 0.0:
-                src_hat[0] += alpha * (ops.ixi / ops.inertia) * y_hat[0]
-            row[0] = uk
-            row[1:] = np.fft.irfft(src_hat, n)
+    def rhs_lin(t, y):
+        cu_src = np.stack([next(s) for s in stages])
+        grads = np.fft.irfft(ops.jet[2:] * np.fft.rfft(y), n)   # m_x, rho_x
+        return cu_src[:, 1:] - np.fft.irfft(ops.solve * np.fft.rfft(cu_src[:, :1] * grads), n)
 
-        def rhs_lin(t, y):
-            cu_src = next(stages)
-            grads = np.fft.irfft(ops.jet[2:] * np.fft.rfft(y), n)   # m_x, rho_x
-            return cu_src[1:] - np.fft.irfft(ops.solve * np.fft.rfft(cu_src[0] * grads), n)
-
-        u = besov.lowpass(u0, k + 1)
-        rho = besov.lowpass(rho0, k + 1)
+    # ys[k - 1] is iterate k; windows[k] holds the frozen rows of iterate k
+    ys = np.empty((K, nsteps + 1, 2, n))
+    for k in range(1, K + 1):
+        u, rho = besov.lowpass(u0, k), besov.lowpass(rho0, k)
         if ctrl.dealias:
             u, rho = dealias(u), dealias(rho)
-        ys = np.empty((nsteps + 1, 2, n))
-        ys[0] = u.samples, rho.samples
-        for j in range(nsteps):
-            stages = rk4_stages(times, frozen, j, dt)
-            ys[j + 1] = rk4(rhs_lin, times[j], ys[j], dt)
-        iterates.append(Trajectory(grid, times, ys, params, ctrl, "linearized"))
-    return iterates
+        ys[k - 1, 0] = u.samples, rho.samples
+    windows = np.empty((K, _WINDOW, 3, n))
+    windows[0] = frozen(np.zeros((1, 2, n)))
+    windows[1:, 0] = frozen(ys[:-1, 0])
+    series = [_Window(w) for w in windows]
+
+    for g in range(nsteps + _LAG * (K - 1)):
+        level = np.array([i for i in range(K) if 0 <= g - _LAG * i < nsteps])
+        j = g - _LAG * level
+        stages = [rk4_stages(times, series[i], ji, dt) for i, ji in zip(level, j)]
+        y_new = rk4(rhs_lin, 0.0, ys[level, j], dt)
+        ys[level, j + 1] = y_new
+        feed = level < K - 1
+        if feed.any():
+            windows[level[feed] + 1, (j[feed] + 1) % _WINDOW] = frozen(y_new[feed])
+
+    zero = Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
+    return [zero] + [Trajectory(grid, times, y, params, ctrl, "linearized") for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -557,57 +594,70 @@ class StabilityResult:
         return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
-                   eps_list, params: Params, ctrl: StepControl, s: float = 3.0,
-                   formulation: str = "m", output_times=None) -> StabilityResult:
-    """Run (u0, rho0) against (u0 + eps*pert, rho0) for each eps.
+def stability_pairs(datasets, perturbation: RealField, eps_list, params: Params,
+                    ctrl: StepControl, s: float = 3.0, formulation: str = "m",
+                    output_times=None) -> list:
+    """Run each (u0, rho0) of datasets against (u0 + eps*pert, rho0) for
+    each eps; returns one StabilityResult per dataset.
 
-    The base run and every perturbed run are advanced as one ensemble
-    (:func:`integrate_ensemble`), each with its own steps, so every run
-    equals its own integrate call bit for bit.  Differences are measured in
-    the p = q = 2 dyadic norms at regularity s-1 for u and s-2r for rho,
+    Every dataset's base run and perturbed runs are advanced as one
+    ensemble (:func:`integrate_ensemble`), each with its own steps, so every
+    run equals its own integrate call bit for bit.  Differences are measured
+    in the p = q = 2 dyadic norms at regularity s-1 for u and s-2r for rho,
     each time series in one batched :func:`besov.besov_norms` call; the
     growth integrand per snapshot is the sum of the solution norms at
-    regularity s (u) and s-2r+1 (rho) plus the size of alpha.
+    regularity s (u) and s-2r+1 (rho) of the base run and the first
+    perturbed run, plus the size of alpha.
     """
-    grid = u0.grid
+    datasets = list(datasets)
     eps_arr = np.asarray(list(eps_list), dtype=float)
-    starts = [State(0.0, u0, rho0)] + [
-        State(0.0, RealField(grid, u0.samples + eps * perturbation.samples), rho0)
-        for eps in eps_arr
-    ]
-    base, *runs = integrate_ensemble(starts, params, ctrl, formulation, output_times)
+    starts = []
+    for u0, rho0 in datasets:
+        starts.append(State(0.0, u0, rho0))
+        starts += [State(0.0, RealField(u0.grid, u0.samples + eps * perturbation.samples), rho0)
+                   for eps in eps_arr]
+    runs = integrate_ensemble(starts, params, ctrl, formulation, output_times)
     r = params.r
     idx_du = besov.BesovIndex(s - 1.0)
     idx_drho = besov.BesovIndex(s - 2.0 * r)
     idx_u = besov.BesovIndex(s)
     idx_rho = besov.BesovIndex(s - 2.0 * r + 1.0)
-
     if isinstance(params.alpha, RealField):
         alpha_norm = besov.besov_norm(params.alpha, besov.BesovIndex(s - 2.0 * r))
     else:
         alpha_norm = abs(float(params.alpha))
 
-    def norms(rows, idx):
-        return besov.besov_norms(grid, rows, idx)
+    def result(base, perturbed):
+        def norms(rows, idx):
+            return besov.besov_norms(base.grid, rows, idx)
 
-    du_series = [norms(run.u - base.u, idx_du) for run in runs]
-    drho_series = [norms(run.rho - base.rho, idx_drho) for run in runs]
-    # The growth integrand pairs the base run with the first perturbed run
-    # only.
-    gamma = None
-    if runs:
-        gamma = (norms(base.u, idx_u) + norms(runs[0].u, idx_u)
-                 + norms(base.rho, idx_rho) + norms(runs[0].rho, idx_rho)
-                 + alpha_norm)
+        du_series = [norms(run.u - base.u, idx_du) for run in perturbed]
+        drho_series = [norms(run.rho - base.rho, idx_drho) for run in perturbed]
+        gamma = None
+        if perturbed:
+            first = perturbed[0]
+            gamma = (norms(base.u, idx_u) + norms(first.u, idx_u)
+                     + norms(base.rho, idx_rho) + norms(first.rho, idx_rho)
+                     + alpha_norm)
+        return StabilityResult(
+            eps=eps_arr,
+            sup_du=np.array([s_.max() for s_ in du_series]),
+            sup_drho=np.array([s_.max() for s_ in drho_series]),
+            times=base.times,
+            du_series=du_series,
+            drho_series=drho_series,
+            gamma=gamma,
+            s=s,
+        )
 
-    return StabilityResult(
-        eps=eps_arr,
-        sup_du=np.array([s_.max() for s_ in du_series]),
-        sup_drho=np.array([s_.max() for s_ in drho_series]),
-        times=base.times,
-        du_series=du_series,
-        drho_series=drho_series,
-        gamma=gamma,
-        s=s,
-    )
+    per = len(eps_arr) + 1
+    return [result(runs[i], runs[i + 1:i + per]) for i in range(0, len(runs), per)]
+
+
+def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
+                   eps_list, params: Params, ctrl: StepControl, s: float = 3.0,
+                   formulation: str = "m", output_times=None) -> StabilityResult:
+    """Run (u0, rho0) against (u0 + eps*pert, rho0) for each eps: the
+    one-dataset case of :func:`stability_pairs`."""
+    return stability_pairs([(u0, rho0)], perturbation, eps_list, params, ctrl,
+                           s, formulation, output_times)[0]

@@ -19,6 +19,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -372,21 +373,23 @@ def write_json(path, obj):
 
 
 class _RunContext:
-    """Lazily shared per-run artifacts (flow maps are computed once)."""
+    """Lazily shared per-run artifacts: the flow maps, and rho and rho_x
+    along them, are computed once."""
 
     def __init__(self, scenario, grid, params, traj):
         self.scenario = scenario
         self.grid = grid
         self.params = params
         self.traj = traj
-        self._flows = None
         self.identity_rows = {}
 
-    @property
+    @cached_property
     def flows(self):
-        if self._flows is None:
-            self._flows = characteristics.evolve_flow(self.traj)
-        return self._flows
+        return characteristics.evolve_flow(self.traj)
+
+    @cached_property
+    def rho_along(self):
+        return characteristics.rho_along_flow(self.flows, self.traj)
 
 
 def _gate(value, tol, detail):
@@ -412,7 +415,9 @@ def _diag_casimir(ctx, out):
 
 
 def _diag_transport(ctx, out):
-    devs = characteristics.check_transport_identity(ctx.flows, ctx.traj, ctx.params.b)
+    devs = characteristics.check_transport_identity(
+        ctx.flows, ctx.traj, ctx.params.b, ctx.rho_along
+    )
     ctx.identity_rows["transport_dev"] = devs
     return _gate(float(np.max(devs)), 1e-4, "max deviation of the density transport identity"), []
 
@@ -420,7 +425,9 @@ def _diag_transport(ctx, out):
 def _diag_mflow(ctx, out):
     if not ctx.params.alpha_is_zero():
         return {"status": "skipped", "detail": "requires alpha == 0"}, []
-    devs = characteristics.check_m_flow_identity(ctx.flows, ctx.traj, ctx.params)
+    devs = characteristics.check_m_flow_identity(
+        ctx.flows, ctx.traj, ctx.params, ctx.rho_along
+    )
     ctx.identity_rows["mflow_dev"] = devs
     detail = "max deviation of the momentum balance along the flow"
     return _gate(float(np.max(devs)), 1e-4, detail), []
@@ -767,13 +774,10 @@ def stability_suite(out_dir, workers=1, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
     nrm = besov.besov_norm(pert, besov.BesovIndex(s - 1.0))
     pert = RealField(grid, pert.samples / nrm)
 
-    results = []
-    for seed in (0, 1, 2):
-        u0, rho0 = _stability_dataset(grid, seed)
-        res = dynamics.stability_pair(
-            u0, rho0, pert, eps_list, params, ctrl, s=s, output_times=out_times
-        )
-        results.append(res)
+    datasets = [_stability_dataset(grid, seed) for seed in (0, 1, 2)]
+    results = dynamics.stability_pairs(
+        datasets, pert, eps_list, params, ctrl, s=s, output_times=out_times
+    )
 
     fit_res = results[0]
     ratios = fit_res.sup_du / fit_res.eps
@@ -889,12 +893,12 @@ def friedrichs_suite(out_dir, workers=1, K=6, s=3.0):
     )
     idx = besov.BesovIndex(s - 1.0)
     errs = []
-    chunk = 16   # rows per batched norm call; one call over all rows costs memory
+    chunk = 16   # rows per norm call and per difference; all rows at once cost memory
     for k in range(1, K + 1):
-        diff = iterates[k].u - direct.u
+        u = iterates[k].u
         errs.append(max(
-            float(besov.besov_norms(grid, diff[i:i + chunk], idx).max())
-            for i in range(0, len(diff), chunk)
+            float(besov.besov_norms(grid, u[i:i + chunk] - direct.u[i:i + chunk], idx).max())
+            for i in range(0, len(u), chunk)
         ))
     ratios = [errs[k] / errs[k - 1] for k in range(1, len(errs))]
     ok = all(r < 0.8 for r in ratios[1:])  # ratios between iterates 2..K

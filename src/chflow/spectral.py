@@ -162,9 +162,17 @@ class Operators:
         return self.grid.apply_multiplier(a, self.ixi)
 
 
-@lru_cache(maxsize=64)
 def operators(grid: Grid, r: float = 1.0, use_dealias: bool = True) -> Operators:
-    """The cached :class:`Operators` of (grid, r, use_dealias)."""
+    """The cached :class:`Operators` of (grid, r, use_dealias).
+
+    The arguments are normalised before the cache, so every call form of
+    one triple (defaults, positional or keyword) returns the same bundle.
+    """
+    return _operators(grid, float(r), bool(use_dealias))
+
+
+@lru_cache(maxsize=64)
+def _operators(grid: Grid, r: float, use_dealias: bool) -> Operators:
     ixi = 1j * grid.xi
     a_mult = inertia_multiplier(grid, r)
     ixi_a = ixi * a_mult

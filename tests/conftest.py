@@ -1,15 +1,19 @@
-"""Shared fixtures, field builders and full-spectrum oracles.
+"""Shared fixtures, field builders and oracles.
 
 chflow keeps only the rfft half spectrum k = 0..n/2.  The full_* helpers
 build the whole complex spectrum, k = -n/2..n/2-1 in FFT order, with numpy's
 complex FFT, as an independent reference for the half-spectrum paths.
+:func:`serial_friedrichs_iterate` is the Friedrichs iteration run one
+iterate after another, the reference for the lagged stack.
 """
 
 import numpy as np
 import pytest
 
+from chflow import besov
+from chflow.dynamics import Trajectory, rk4, rk4_stages
 from chflow.profiles import band_limited_noise
-from chflow.spectral import Grid
+from chflow.spectral import Grid, dealias, operators
 
 
 @pytest.fixture
@@ -53,3 +57,50 @@ def full_samples(grid, coeffs):
 def full_multiplier(mult, samples):
     """A multiplier given on every mode (FFT order), through the complex FFT."""
     return np.fft.ifft(mult * np.fft.fft(samples)).real
+
+
+def serial_friedrichs_iterate(u0, rho0, params, K, ctrl):
+    """The Friedrichs iterates 0..K, each run over its whole time span before
+    the next starts, with its frozen rows computed one snapshot at a time."""
+    grid = u0.grid
+    dt = ctrl.dt_max
+    nsteps = int(round(ctrl.t_final / dt))
+    times = dt * np.arange(nsteps + 1)
+    ops = operators(grid, params.r, ctrl.dealias)
+    n = grid.n
+    alpha = params.alpha_samples(grid)
+
+    iterates = [
+        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
+    ]
+    frozen = np.empty((nsteps + 1, 3, n))
+    for k in range(K):
+        for yk, row in zip(iterates[-1].y, frozen):
+            uk, rk = yk
+            y_hat = np.fft.rfft(yk)
+            uk_x, mk, rk_x = np.fft.irfft(ops.jet[[0, 1, 3]] * y_hat[[0, 0, 1]], n)
+            nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
+            if isinstance(alpha, np.ndarray):
+                nl_m -= alpha * uk_x
+            src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk)))
+            if not isinstance(alpha, np.ndarray) and alpha != 0.0:
+                src_hat[0] += alpha * (ops.ixi / ops.inertia) * y_hat[0]
+            row[0] = uk
+            row[1:] = np.fft.irfft(src_hat, n)
+
+        def rhs_lin(t, y):
+            cu_src = next(stages)
+            grads = np.fft.irfft(ops.jet[2:] * np.fft.rfft(y), n)
+            return cu_src[1:] - np.fft.irfft(ops.solve * np.fft.rfft(cu_src[0] * grads), n)
+
+        u = besov.lowpass(u0, k + 1)
+        rho = besov.lowpass(rho0, k + 1)
+        if ctrl.dealias:
+            u, rho = dealias(u), dealias(rho)
+        ys = np.empty((nsteps + 1, 2, n))
+        ys[0] = u.samples, rho.samples
+        for j in range(nsteps):
+            stages = rk4_stages(times, frozen, j, dt)
+            ys[j + 1] = rk4(rhs_lin, times[j], ys[j], dt)
+        iterates.append(Trajectory(grid, times, ys, params, ctrl, "linearized"))
+    return iterates

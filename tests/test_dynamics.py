@@ -1,15 +1,20 @@
 """RHS formulations, time stepping, and the model's structural properties."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chflow import dynamics
 from chflow.besov import BesovIndex, besov_norm
 from chflow.dynamics import (
     BlowUpError,
     FormulationError,
     Params,
+    StabilityResult,
     State,
     StepControl,
     Trajectory,
@@ -22,12 +27,13 @@ from chflow.dynamics import (
     rhs_nonlocal,
     rk4,
     stability_pair,
+    stability_pairs,
     step_rk4,
 )
 from chflow.profiles import band_limited_noise, gaussian
 from chflow.spectral import Grid, RealField, apply_inertia, dealias, operators
 
-from conftest import full_xi
+from conftest import full_xi, serial_friedrichs_iterate
 
 
 def _state(grid, u=None, rho=None, t=0.0):
@@ -639,6 +645,68 @@ class TestFriedrichs:
             assert nxt <= 0.8 * prev
         assert errs[-1] <= 1e-9
 
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", ["zero", "constant", "field"])
+    @pytest.mark.parametrize("nsteps", [3, 4, 50])
+    @pytest.mark.parametrize("K", [1, 2, 6])
+    def test_stack_equals_serial_iterates(self, grid20, K, nsteps, alpha, r, use_dealias):
+        alpha = {
+            "zero": 0.0,
+            "constant": 0.5,
+            "field": RealField(grid20, 0.5 + 0.3 * np.cos(2 * np.pi * grid20.x / grid20.L)),
+        }[alpha]
+        params = Params(b=2.0, kappa=1.0, alpha=alpha, r=r)
+        ctrl = StepControl(cfl=1.0, dt_max=1e-3, t_final=nsteps * 1e-3, dealias=use_dealias)
+        u0 = gaussian(grid20, 0.6, 1.5)
+        rho0 = gaussian(grid20, 0.4, 1.5)
+        stacked = friedrichs_iterate(u0, rho0, params, K, ctrl)
+        serial = serial_friedrichs_iterate(u0, rho0, params, K, ctrl)
+        assert len(stacked) == len(serial) == K + 1
+        for a, b in zip(stacked, serial):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("K, nsteps", [(1, 3), (2, 4), (6, 50)])
+    def test_stack_takes_lagged_ticks(self, grid20, monkeypatch, K, nsteps):
+        # one stacked rk4 step per tick, nsteps + 3(K-1) ticks, every
+        # iterate takes each of its nsteps steps once, and at most
+        # ceil(nsteps / 3) iterates share a tick
+        members = []
+
+        def counting(f, t, y, h):
+            members.append(len(y))
+            return rk4(f, t, y, h)
+
+        monkeypatch.setattr(dynamics, "rk4", counting)
+        ctrl = StepControl(cfl=1.0, dt_max=1e-3, t_final=nsteps * 1e-3)
+        friedrichs_iterate(gaussian(grid20, 0.6, 1.5), gaussian(grid20, 0.4, 1.5),
+                           CH_PARAMS, K, ctrl)
+        assert len(members) == nsteps + 3 * (K - 1)
+        assert sum(members) == K * nsteps
+        assert max(members) == min(K, -(-nsteps // 3))
+
+    def test_frozen_rows_stay_in_a_window(self, grid20):
+        # beyond the returned iterates, the memory a run needs does not grow
+        # with the number of steps: a (T, 3, n) array of frozen rows would
+        # add 3n floats per step
+        u0 = gaussian(grid20, 0.6, 1.5)
+        rho0 = gaussian(grid20, 0.4, 1.5)
+
+        def extra_bytes(nsteps):
+            ctrl = StepControl(cfl=1.0, dt_max=1e-3, t_final=nsteps * 1e-3)
+            tracemalloc.start()
+            try:
+                iterates = friedrichs_iterate(u0, rho0, CH_PARAMS, 2, ctrl)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(it.y.nbytes + it.times.nbytes for it in iterates)
+
+        extra_bytes(50)   # the first run fills the operator caches
+        growth = extra_bytes(200) - extra_bytes(50)
+        assert growth < 150 * 3 * grid20.n * 8 / 4
+
 
 class TestStability:
     def test_zero_perturbation_gives_zero_difference(self, grid20):
@@ -677,3 +745,24 @@ class TestStability:
             for sa, sb in zip(base.states, first.states)
         ]
         assert np.array_equal(res.gamma, expect)
+
+    def test_pairs_equal_one_pair_per_dataset(self, grid20):
+        # amplitudes above 1 make the CFL steps differ between datasets, so
+        # members finish at different steps of the shared stack
+        datasets = [
+            (gaussian(grid20, 0.5, 2.0), gaussian(grid20, 0.3, 1.5)),
+            (gaussian(grid20, 1.5, 1.5, -3.0), gaussian(grid20, 0.4, 2.0, 1.0)),
+            (band_limited_noise(grid20, seed=2, kmax_frac=0.08, amp=2.0),
+             band_limited_noise(grid20, seed=102, kmax_frac=0.08, amp=0.3)),
+        ]
+        pert = RealField(grid20, np.cos(3 * np.pi * grid20.x / grid20.L))
+        params = Params(b=2.0, kappa=1.0, alpha=0.25, r=1.0)
+        ctrl = StepControl(cfl=0.03, dt_max=5e-3, t_final=0.05)
+        eps = [1e-2, 1e-3]
+        out_times = np.linspace(0.0, ctrl.t_final, 6)
+        results = stability_pairs(datasets, pert, eps, params, ctrl, output_times=out_times)
+        assert len(results) == len(datasets)
+        for (u0, rho0), res in zip(datasets, results):
+            ref = stability_pair(u0, rho0, pert, eps, params, ctrl, output_times=out_times)
+            for field in dataclasses.fields(StabilityResult):
+                assert np.array_equal(getattr(res, field.name), getattr(ref, field.name))

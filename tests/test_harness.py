@@ -11,7 +11,7 @@ import pytest
 
 from chflow.cli import main
 from chflow.dynamics import integrate
-from chflow import harness
+from chflow import harness, offgrid
 from chflow.harness import (
     PRESETS,
     ConfigurationError,
@@ -275,6 +275,26 @@ class TestRunScenario:
         assert m_running[0] == pytest.approx(sups[0], rel=1e-12)
         assert np.all(np.diff(m_running) >= 0.0)
         assert m_running[-1] == pytest.approx(sups.max(), rel=1e-12)
+
+    def test_flow_checks_share_one_rho_evaluation(self, tmp_path, monkeypatch):
+        # the flow map takes 4 kernel calls per snapshot interval; then rho
+        # and rho_x along the flow are evaluated once for both checks (T
+        # calls) and m once per snapshot (T calls)
+        kernel = offgrid.trig_eval
+        points = []
+
+        def counting(re, im, pts, xi1, want_deriv):
+            points.append(len(pts))
+            return kernel(re, im, pts, xi1, want_deriv)
+
+        monkeypatch.setattr(offgrid, "trig_eval", counting)
+        sc = _small_scenario(diagnostics=("transport", "mflow"))
+        manifest = run_scenario(sc, str(tmp_path))
+        assert manifest["invariants"]["transport"]["status"] == "pass"
+        assert manifest["invariants"]["mflow"]["status"] == "pass"
+        T = sc.snapshots
+        assert len(points) == 4 * (T - 1) + 2 * T
+        assert set(points) == {sc.n}
 
 
 def test_convergence_suite_independent_of_worker_count(tmp_path):

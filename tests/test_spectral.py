@@ -386,6 +386,16 @@ class TestHalfSpectrum:
         expect = math.sqrt(2.0 * L * np.sum(weights * np.abs(c) ** 2))
         assert sobolev_norm(f, s) == pytest.approx(expect, rel=1e-12)
 
+    def test_one_bundle_per_grid_r_and_dealias(self, grid20):
+        ops = operators(grid20, 1.0, True)
+        same = (operators(grid20), operators(grid20, 1.0), operators(grid20, 1),
+                operators(grid20, np.float64(1.0), use_dealias=1),
+                operators(grid=grid20, r=1.0, use_dealias=True))
+        assert all(o is ops for o in same)
+        assert operators(grid20, 1.0, False) is not ops
+        assert operators(grid20, 2.0) is not ops
+        assert operators(Grid(20.0, 256), 1.0) is ops
+
     def test_operator_arrays_are_read_only(self, grid20):
         ops = operators(grid20, 1.5, True)
         for arr in (ops.ixi, ops.inertia, ops.ixi_inertia, ops.mask, ops.jet, ops.solve):
