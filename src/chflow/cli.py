@@ -5,9 +5,10 @@ Subcommands:
   suite  run one of the named experiment suites
   check  validate a config file without running it
 
-Exit codes: 0 completed (a recorded blow-up still counts as completed),
-1 configuration error, 2 internal error.  CHFLOW_WORKERS sets the default
-worker count for suites.
+Exit codes: 0 completed (a recorded blow-up still counts as completed, and
+``suite`` exits 0 whether it prints pass or FAIL), 1 configuration error,
+2 command-line usage error (from argparse) or internal error.
+CHFLOW_WORKERS sets the default worker count for suites.
 """
 
 import argparse

@@ -1,8 +1,9 @@
 """Right-hand sides, time integration, and the approximation experiments.
 
-The evolved unknowns are (u, rho); the momentum m = (1 - d^2/dx^2)^r u is
-recomputed from u inside every RHS call so the two representations cannot
-drift apart.  Two RHS formulations are provided:
+The evolved unknowns are (u, rho), carried by the time steppers as their
+rfft half spectra y_hat of shape (..., 2, n/2+1); the momentum
+m = (1 - d^2/dx^2)^r u is recomputed from u inside every RHS call so the
+two representations cannot drift apart.  Two RHS formulations are provided:
 
 * ``m`` form (any r >= 1):
       m_t = alpha*u_x - b*u_x*m - u*m_x - kappa*rho*rho_x,
@@ -18,7 +19,12 @@ Dealiasing (two-thirds rule) is linear, so each equation's products are
 summed pointwise and the sum is dealiased once (Orszag, J. Atmos. Sci. 28,
 1971); for band-limited states the two formulations agree to round-off, and
 that equivalence is one of the artifact's checks.  All transforms are real
-(rfft/irfft on the half spectrum).
+(rfft/irfft on the half spectrum).  An RHS evaluation takes y_hat and
+returns dy_hat with two transforms: one irfft of the jet (u, its
+derivatives, rho, rho_x) and one rfft of the summed products.
+integrate_ensemble adds one irfft of (u, u_x, rho) per step for the
+snapshots, the gradient check and the CFL step; the public rhs_m_form,
+rhs_nonlocal and step_rk4 of a State transform at their boundaries.
 """
 
 from dataclasses import dataclass
@@ -27,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from . import besov
-from .spectral import Grid, Operators, RealField, dealias, operators
+from .spectral import Grid, Operators, RealField, operators
 
 
 class FormulationError(ValueError):
@@ -105,8 +111,10 @@ class State:
 
 @dataclass(frozen=True)
 class Stack:
-    """B states on one grid as one array: ``y[i]`` is the stacked (u, rho)
-    of member i at time ``t[i]``; t has shape (B, 1, 1) and y (B, 2, n)."""
+    """B states on one grid as one array of half spectra: ``y[i]`` is the
+    rfft of the stacked (u, rho) of member i at time ``t[i]``; t has shape
+    (B, 1, 1) and y (B, 2, n/2+1).  The imaginary part of the Nyquist entry
+    is zero, as in the rfft of real samples."""
 
     grid: Grid
     t: np.ndarray
@@ -177,14 +185,15 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# RHS evaluation (array level on the stacked (u, rho) y of shape (2, n), or
-# a stack (B, 2, n) of B members; RealField at the boundary)
+# RHS evaluation (array level on the half spectra y_hat of the stacked
+# (u, rho), shape (2, n/2+1), or a stack (B, 2, n/2+1) of B members;
+# RealField at the boundary)
 # ---------------------------------------------------------------------------
 
 
 def _check_finite(t, u_x, values):
     """Raise BlowUpError unless values are all finite; with a member axis
-    (values of shape (B, n)) the error names the first failing member."""
+    (values of shape (B, k)) the error names the first failing member."""
     finite = np.isfinite(values)
     if finite.all():
         return
@@ -195,54 +204,64 @@ def _check_finite(t, u_x, values):
     raise BlowUpError(t_i, float(np.max(np.abs(u_x[i]))), member=i)
 
 
-# the rows of y whose half spectra ops.jet multiplies: (u, u, u, rho)
-_JET_ROWS = np.array([0, 0, 0, 1])
+def _jet(y_hat, n, u_mult, rho_mult=()):
+    """Samples of (u, rho), then of u_mult[i] * u_hat for each i, then of
+    rho_mult[i] * rho_hat, from one irfft of a buffer of this call."""
+    k = len(u_mult)
+    buf = np.empty(y_hat.shape[:-2] + (2 + k + len(rho_mult), y_hat.shape[-1]), complex)
+    buf[..., :2, :] = y_hat
+    np.multiply(u_mult, y_hat[..., :1, :], out=buf[..., 2:2 + k, :])
+    if len(rho_mult):
+        np.multiply(rho_mult, y_hat[..., 1:, :], out=buf[..., 2 + k:, :])
+    return np.fft.irfft(buf, n)
 
 
-def _m_form(ops: Operators, params: Params, t, y):
-    """Momentum-form RHS of the stacked (u, rho); valid for any r >= 1.
+def _real_nyquist(dy_hat):
+    """Drop the imaginary part of the Nyquist entry, as irfft would: an odd
+    multiplier (i*xi) leaves one there, which must not reach u_x."""
+    dy_hat[..., -1].imag = 0.0
+    return dy_hat
 
-    Each equation's products are summed pointwise and dealiased once; the
-    momentum sum goes straight to u_t through mask / inertia.
+
+def _m_form(ops: Operators, params: Params, t, y_hat):
+    """Momentum-form RHS of the half spectra of the stacked (u, rho); valid
+    for any r >= 1.
+
+    One irfft gives (u, rho, u_x, m, m_x, rho_x); each equation's products
+    are summed pointwise and dealiased once, in one rfft, and the momentum
+    sum goes straight to u_t through mask / inertia.
     """
-    u, rho = y[..., 0, :], y[..., 1, :]
-    n = ops.grid.n
-    y_hat = np.fft.rfft(y)
-    jet = np.fft.irfft(ops.jet * y_hat.take(_JET_ROWS, axis=-2), n)
-    u_x, m, m_x, rho_x = (jet[..., i, :] for i in range(4))
+    jet = _jet(y_hat, ops.grid.n, ops.jet[:3], ops.jet[3:])
+    u, rho, u_x, m, m_x, rho_x = (jet[..., i, :] for i in range(6))
     alpha = params.alpha_samples(ops.grid)
 
-    nl_m = params.b * u_x * m + u * m_x + params.kappa * rho * rho_x
+    prods = np.empty_like(jet[..., :2, :])
+    nl_m, nl_rho = prods[..., 0, :], prods[..., 1, :]
+    np.multiply(params.b * u_x, m, out=nl_m)
+    nl_m += u * m_x
+    nl_m += params.kappa * rho * rho_x
     if isinstance(alpha, np.ndarray):
         nl_m -= alpha * u_x
     _check_finite(t, u_x, nl_m)
-    nl_rho = u * rho_x + (params.b - 1.0) * u_x * rho
-    dy_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, nl_rho), axis=-2))
+    np.multiply(u, rho_x, out=nl_rho)
+    nl_rho += (params.b - 1.0) * u_x * rho
+    dy_hat = np.fft.rfft(prods)
+    dy_hat *= -ops.solve
     if not isinstance(alpha, np.ndarray) and alpha != 0.0:
         dy_hat[..., 0, :] += alpha * (ops.ixi / ops.inertia) * y_hat[..., 0, :]
-    return np.fft.irfft(dy_hat, n)
+        _real_nyquist(dy_hat)
+    return dy_hat
 
 
-def _pressure_hat(ops: Operators, params: Params, u, u_x, rho, u_hat):
-    """Half spectrum of P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u,
-    its quadratic part summed and dealiased once."""
-    quad = (
-        0.5 * params.b * u * u
-        + 0.5 * (3.0 - params.b) * u_x * u_x
-        + 0.5 * params.kappa * rho * rho
-    )
-    alpha = params.alpha_samples(ops.grid)
-    if isinstance(alpha, np.ndarray):
-        quad -= alpha * u
-        return ops.mask * np.fft.rfft(quad)
-    return ops.mask * np.fft.rfft(quad) - alpha * u_hat
-
-
-def _nonlocal(ops: Operators, params: Params, t, y):
-    """Nonlocal (Green's function) RHS of the stacked (u, rho).
+def _nonlocal(ops: Operators, params: Params, t, y_hat):
+    """Nonlocal (Green's function) RHS of the half spectra of the stacked
+    (u, rho).
 
     Stated for r = 1 and constant alpha: the reduction of the alpha term
-    into the pressure uses alpha*u_x = d/dx(alpha*u).
+    into the pressure P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u
+    uses alpha*u_x = d/dx(alpha*u).  One irfft gives (u, u_x, rho, rho_x);
+    the quadratic part of P and the two transport products are dealiased
+    in one rfft.
     """
     if params.r != 1.0:
         raise FormulationError(
@@ -252,25 +271,28 @@ def _nonlocal(ops: Operators, params: Params, t, y):
         raise FormulationError(
             "the nonlocal formulation requires a constant alpha"
         )
-    u, rho = y[..., 0, :], y[..., 1, :]
-    n = ops.grid.n
-    y_hat = np.fft.rfft(y)
-    grads = np.fft.irfft(ops.ixi * y_hat, n)
-    u_x, rho_x = grads[..., 0, :], grads[..., 1, :]
-    p_hat = _pressure_hat(ops, params, u, u_x, rho, y_hat[..., 0, :])
-    nl_hat = ops.mask * np.fft.rfft(
-        np.stack((u * u_x, u * rho_x + (params.b - 1.0) * u_x * rho), axis=-2)
+    jet = _jet(y_hat, ops.grid.n, ops.jet[:1], ops.jet[3:])
+    u, rho, u_x, rho_x = (jet[..., i, :] for i in range(4))
+    quad = (
+        0.5 * params.b * u * u
+        + 0.5 * (3.0 - params.b) * u_x * u_x
+        + 0.5 * params.kappa * rho * rho
     )
+    prods_hat = ops.mask * np.fft.rfft(
+        np.stack((quad, u * u_x, u * rho_x + (params.b - 1.0) * u_x * rho), axis=-2)
+    )
+    p_hat = prods_hat[..., 0, :] - float(params.alpha) * y_hat[..., 0, :]
+    nl_hat = prods_hat[..., 1:, :]
     nl_hat[..., 0, :] += (ops.ixi / ops.inertia) * p_hat
-    dy = -np.fft.irfft(nl_hat, n)
-    _check_finite(t, u_x, dy[..., 0, :])
-    return dy
+    dy_hat = _real_nyquist(-nl_hat)
+    _check_finite(t, u_x, dy_hat[..., 0, :])
+    return dy_hat
 
 
 def _on_state(rhs, state: State, params: Params, use_dealias: bool):
     grid = state.grid
-    y = np.stack((state.u.samples, state.rho.samples))
-    dy = rhs(operators(grid, params.r, use_dealias), params, state.t, y)
+    y_hat = np.fft.rfft(np.stack((state.u.samples, state.rho.samples)))
+    dy = np.fft.irfft(rhs(operators(grid, params.r, use_dealias), params, state.t, y_hat), grid.n)
     return RealField(grid, dy[0]), RealField(grid, dy[1])
 
 
@@ -302,31 +324,45 @@ def get_rhs(formulation: str):
 
 
 def rk4(f, t, y, h):
-    """One classical four-stage Runge-Kutta step of y' = f(t, y), y an array."""
+    """One classical four-stage Runge-Kutta step of y' = f(t, y), y an array.
+
+    The stages are combined on the real view of y and of each f(t, y): the
+    coefficients are real, so a complex y (a half spectrum) costs real
+    arithmetic rather than complex products.
+    """
+    dtype = y.dtype
+
+    def g(s, v):
+        return f(s, v.view(dtype)).view(float)
+
+    y = y.view(float)
     half = 0.5 * h
-    k1 = f(t, y)
-    k2 = f(t + half, y + half * k1)
-    k3 = f(t + half, y + half * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # acc = k1 + 2 k2 + 2 k3 + k4, summed in that order as the stages end,
+    # so no more than one stage value is held besides it
+    k1 = g(t, y)
+    k = g(t + half, y + half * k1)
+    acc = k1 + 2.0 * k
+    del k1
+    k = g(t + half, y + half * k)
+    acc += 2.0 * k
+    acc += g(t + h, y + h * k)
+    return (y + (h / 6.0) * acc).view(dtype)
 
 
 def step_rk4(state, params: Params, dt, formulation: str = "m",
              use_dealias: bool = True):
     """One classical four-stage Runge-Kutta step of a State, or of every
-    member of a Stack at once (dt then has shape (B, 1, 1), one per member)."""
+    member of a Stack at once (dt then has shape (B, 1, 1), one per member).
+    A Stack is stepped in its half spectra; a State is transformed to them
+    and back."""
     if (np.asarray(dt) <= 0).any():
         raise ValueError("dt must be positive")
     rhs = partial(get_rhs(formulation), operators(state.grid, params.r, use_dealias), params)
     if isinstance(state, Stack):
         return Stack(state.grid, state.t + dt, rk4(rhs, state.t, state.y, dt))
-    y = rk4(rhs, state.t, np.stack((state.u.samples, state.rho.samples)), dt)
+    y_hat = np.fft.rfft(np.stack((state.u.samples, state.rho.samples)))
+    y = np.fft.irfft(rk4(rhs, state.t, y_hat, dt), state.grid.n)
     return State(state.t + dt, RealField(state.grid, y[0]), RealField(state.grid, y[1]))
-
-
-def _max_gradient(ops: Operators, u):
-    """max |u_x| of each row of u."""
-    return np.abs(ops.dx(u)).max(axis=-1)
 
 
 def integrate_ensemble(states0, params: Params, ctrl: StepControl,
@@ -335,10 +371,12 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
     returns one Trajectory per state.
 
     The members share a grid and a start time and are advanced as one
-    (B, 2, n) stack, one step_rk4 call per step.  Each member takes its own
-    step dt = min(dt_max, cfl*dx / max(1, max|u|)), clipped so every
-    requested output time is hit exactly, and leaves the stack once its last
-    output is recorded; member i's Trajectory therefore equals
+    (B, 2, n/2+1) stack of half spectra, one step_rk4 call per step.  After
+    each step one irfft of (u, u_x, rho) gives the snapshots, the gradient
+    check and the next step's max|u|.  Each member takes its own step
+    dt = min(dt_max, cfl*dx / max(1, max|u|)), clipped so every requested
+    output time is hit exactly, and leaves the stack once its last output
+    is recorded; member i's Trajectory therefore equals
     integrate(states0[i], ...) bit for bit.  Raises ValueError if an initial
     u or rho is non-finite, and BlowUpError if a member's max|u_x| exceeds
     the ceiling or a non-finite value appears, in a step's result or inside
@@ -365,22 +403,30 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
         raise ValueError("last output time must equal t_final")
 
     y = np.stack([(st.u.samples, st.rho.samples) for st in states0])
+    y_hat = np.fft.rfft(y)
     if ctrl.dealias:
-        y = grid.dealias_samples(y)
+        y_hat *= ops.mask
+        y = np.fft.irfft(y_hat, grid.n)
     B, T = len(states0), len(output_times)
     times = np.empty((B, T))
     ys = np.empty((B, T, 2, grid.n))
     # per member: snapshots recorded, steps taken, step size range
     count, steps = [0] * B, [0] * B
     max_dt, min_dt = [0.0] * B, [np.inf] * B
+    # the samples (u, rho, u_x) of a stack of half spectra
+    samples = partial(_jet, n=grid.n, u_mult=ops.jet[:1])
 
     def recorded(i):
         return Trajectory(grid, times[i, :count[i]], ys[i, :count[i]], params, ctrl,
                           formulation, max_dt[i], min_dt[i], steps[i])
 
-    def blowup(row, t_fail, grad):
+    def blowup(row, t_fail, grad=None):
+        # the last valid state is rebuilt from its half spectra
         i = members[row]
-        last = State(t[row], RealField(grid, y[row, 0]), RealField(grid, y[row, 1]))
+        u, rho, u_x = samples(y_hat[row:row + 1])[0]
+        last = State(t[row], RealField(grid, u), RealField(grid, rho))
+        if grad is None:
+            grad = np.abs(u_x).max()
         return BlowUpError(t_fail, float(grad), last, recorded(i), member=i)
 
     if abs(output_times[0] - t0) <= 1e-14:
@@ -388,9 +434,10 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
     # stack row k holds member members[k] at time t[k]
     members = [i for i in range(B) if count[i] < T]
     t = [t0] * len(members)
+    u_max = np.abs(y[members, 0]).max(axis=-1)
+    del y
 
     while members:
-        u_max = np.abs(y[:, 0]).max(axis=-1)
         dt, t_new, hit = [], [], []
         for row, i in enumerate(members):
             h = min(ctrl.dt_max, ctrl.cfl * grid.dx / max(1.0, float(u_max[row])))
@@ -399,29 +446,32 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
             dt.append(t_target - t[row] if hit[row] else h)
             t_new.append(t_target if hit[row] else t[row] + dt[row])
         try:
-            y_new = step_rk4(Stack(grid, np.array(t)[:, None, None], y), params,
+            y_new = step_rk4(Stack(grid, np.array(t)[:, None, None], y_hat), params,
                              np.array(dt)[:, None, None], formulation, ctrl.dealias).y
         except BlowUpError as exc:
             raise blowup(exc.member, exc.t, exc.max_gradient) from exc
 
-        finite = np.isfinite(y_new)
+        phys = samples(y_new)
+        finite = np.isfinite(phys[:, :2])
         if not finite.all():
             row = int(np.argmin(finite.all(axis=(1, 2))))
-            raise blowup(row, t[row], _max_gradient(ops, y[row, 0]))
-        grad = _max_gradient(ops, y_new[:, 0])
+            raise blowup(row, t[row])
+        grad = np.abs(phys[:, 2]).max(axis=-1)
         for row, i in enumerate(members):
             if grad[row] > ctrl.gradient_ceiling:
                 raise blowup(row, t_new[row], grad[row])
             steps[i] += 1
             max_dt[i], min_dt[i] = max(max_dt[i], dt[row]), min(min_dt[i], dt[row])
             if hit[row]:
-                times[i, count[i]], ys[i, count[i]] = t_new[row], y_new[row]
+                times[i, count[i]], ys[i, count[i]] = t_new[row], phys[row, :2]
                 count[i] += 1
 
         # a member whose last output is recorded leaves the stack
         rows = [row for row, i in enumerate(members) if count[i] < T]
         members, t = [members[row] for row in rows], [t_new[row] for row in rows]
-        y = y_new if len(rows) == len(y_new) else y_new[rows]
+        u_max = np.abs(phys[rows, 0]).max(axis=-1)
+        y_hat = y_new if len(rows) == len(y_new) else y_new[rows]
+        del phys, y_new   # a step holds one stack of samples, of this step only
     return [recorded(i) for i in range(B)]
 
 
@@ -437,9 +487,9 @@ def integrate(state0: State, params: Params, ctrl: StepControl,
 # ---------------------------------------------------------------------------
 
 
-def lagrange4(times, series, t):
-    """Cubic Lagrange interpolant at t of series on the four snapshots
-    bracketing t; series[i] is an array sampled at times[i]."""
+def cubic_weights(times, t):
+    """The cubic Lagrange interpolant at t on the four snapshots bracketing
+    t, as (lo, w): its value is sum_a w[a] * series[lo + a]."""
     n = len(times)
     j = int(np.searchsorted(times, t) - 1)
     lo = min(max(j - 1, 0), n - 4)
@@ -449,16 +499,24 @@ def lagrange4(times, series, t):
         for b_ in range(4):
             if a != b_:
                 w[a] *= (t - times[idx[b_]]) / (times[idx[a]] - times[idx[b_]])
-    return sum(wi * series[i] for wi, i in zip(w, idx))
+    return lo, w
 
 
-def rk4_stages(times, series, j, h):
+def lagrange4(series, weights):
+    """The cubic interpolant of series with the (lo, w) of
+    :func:`cubic_weights`; series[i] is an array sampled at times[i]."""
+    lo, w = weights
+    return sum(wi * series[lo + a] for a, wi in enumerate(w))
+
+
+def rk4_stages(times, series, j, h, mid_weights=None):
     """The values of series at the four stages of the rk4 step of size h
     from times[j], in rk4's call order: series[j], the midpoint value twice
     (cubic in time; the mean of the two ends with fewer than four
-    snapshots), series[j + 1]."""
+    snapshots), series[j + 1].  mid_weights are the midpoint's
+    cubic_weights, when the caller has computed them already."""
     if len(times) > 3:
-        mid = lagrange4(times, series, times[j] + 0.5 * h)
+        mid = lagrange4(series, mid_weights or cubic_weights(times, times[j] + 0.5 * h))
     else:
         mid = 0.5 * (series[j] + series[j + 1])
     return iter((series[j], mid, mid, series[j + 1]))
@@ -492,19 +550,22 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
 
     from low-passed data (modes |xi| < 2^{k+1} kept).  All iterates share a
     fixed step dt = ctrl.dt_max so coefficient time grids line up; midpoint
-    coefficient values come from cubic interpolation in time.  Returns the
-    list of trajectories for iterates 0..K.
+    coefficient values come from cubic interpolation in time, with the
+    weights of each step computed once for all iterates.  Returns the list
+    of trajectories for iterates 0..K.
 
-    Iterates 1..K advance together as one lagged (K, 2, n) stack, a
-    pipelined waveform relaxation: at tick g, iterate k takes step
-    j = g - 3(k-1) when 0 <= j < nsteps, so the run is nsteps + 3(K-1)
-    stacked rk4 steps.  Step j reads the frozen rows lo..lo+3 of iterate
-    k-1, lo = min(max(j-1, 0), nsteps-3), hence rows up to max(j+2, 3),
-    which the lag of 3 has written by the tick before.  After each tick the
-    frozen rows of the new snapshots come from one batched transform, into
-    a rolling window of 8 rows per iterate: from the oldest row a step reads
+    Iterates 1..K advance together as one lagged (K, 2, n/2+1) stack of
+    half spectra, a pipelined waveform relaxation: at tick g, iterate k
+    takes step j = g - 3(k-1) when 0 <= j < nsteps, so the run is
+    nsteps + 3(K-1) stacked rk4 steps.  Step j reads the frozen rows
+    lo..lo+3 of iterate k-1, lo = min(max(j-1, 0), nsteps-3), hence rows up
+    to max(j+2, 3), which the lag of 3 has written by the tick before.
+    After each tick one irfft of the new spectra gives the snapshots and the
+    jet of the frozen rows, and one rfft their sources; the frozen
+    coefficient u_k (samples) and the two sources (half spectra) go into a
+    rolling window of 8 rows per iterate: from the oldest row a step reads
     to the newest row written are at most 5 rows, so the window holds every
-    row still to be read, and the frozen rows never take a (K, T, 3, n)
+    row still to be read, and the frozen rows never take a (K, T, ...)
     array.  Every iterate equals the one computed after its predecessor has
     finished, bit for bit.
     """
@@ -518,18 +579,16 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     if nsteps < 3:
         raise ValueError("need at least three steps for midpoint interpolation")
     times = dt * np.arange(nsteps + 1)
+    mid_weights = [cubic_weights(times, t + 0.5 * dt) for t in times[:-1]]
     ops = operators(grid, params.r, ctrl.dealias)
-    n = grid.n
+    n, nh = grid.n, grid.n // 2 + 1
     alpha = params.alpha_samples(grid)
 
-    def frozen(y):
-        """Frozen coefficient u_k and the two sources of each (u_k, rho_k)
-        row of y (R, 2, n), as (R, 3, n); the m source is carried as its
-        u_t share, (m source) / inertia."""
-        uk, rk = y[:, 0], y[:, 1]
-        y_hat = np.fft.rfft(y)
-        jet = np.fft.irfft(ops.jet[[0, 1, 3]] * y_hat[:, [0, 0, 1]], n)
-        uk_x, mk, rk_x = jet[:, 0], jet[:, 1], jet[:, 2]
+    def frozen(jet, y_hat):
+        """Frozen coefficient u_k (R, n) and the half spectra of the two
+        sources (R, 2, n/2+1) of the rows of y_hat with samples jet; the m
+        source is carried as its u_t share, (m source) / inertia."""
+        uk, rk, uk_x, mk, rk_x = (jet[:, i] for i in range(5))
         # the alpha u_{k,x} source enters as in _m_form
         nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
         if isinstance(alpha, np.ndarray):
@@ -537,34 +596,45 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
         src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk), axis=1))
         if not isinstance(alpha, np.ndarray) and alpha != 0.0:
             src_hat[:, 0] += alpha * (ops.ixi / ops.inertia) * y_hat[:, 0]
-        return np.concatenate((uk[:, None], np.fft.irfft(src_hat, n)), axis=1)
+        return uk, _real_nyquist(src_hat)
 
-    def rhs_lin(t, y):
-        cu_src = np.stack([next(s) for s in stages])
-        grads = np.fft.irfft(ops.jet[2:] * np.fft.rfft(y), n)   # m_x, rho_x
-        return cu_src[:, 1:] - np.fft.irfft(ops.solve * np.fft.rfft(cu_src[:, :1] * grads), n)
+    def rhs_lin(t, y_hat):
+        cu = np.stack([next(s) for s, _ in stages])
+        src = np.stack([next(s) for _, s in stages])
+        grads = np.fft.irfft(ops.jet[2:] * y_hat, n)   # m_x, rho_x
+        return src - ops.solve * np.fft.rfft(cu[:, None] * grads)
 
-    # ys[k - 1] is iterate k; windows[k] holds the frozen rows of iterate k
+    def advance(level, row, y_hat):
+        """Write snapshot row[i] of iterate level[i] + 1 from its spectra
+        y_hat[i], and the frozen rows of the iterates that feed another."""
+        jet = _jet(y_hat, n, ops.jet[:2], ops.jet[3:])   # u, rho, u_x, m, rho_x
+        ys[level, row] = jet[:, :2]
+        feed = level < K - 1
+        if feed.any():
+            slot = (level[feed] + 1, row[feed] % _WINDOW)
+            win_u[slot], win_src[slot] = frozen(jet[feed], y_hat[feed])
+
+    # ys[k - 1] is iterate k; win_u[k], win_src[k] hold the frozen rows of
+    # iterate k (zero for iterate 0)
     ys = np.empty((K, nsteps + 1, 2, n))
-    for k in range(1, K + 1):
-        u, rho = besov.lowpass(u0, k), besov.lowpass(rho0, k)
-        if ctrl.dealias:
-            u, rho = dealias(u), dealias(rho)
-        ys[k - 1, 0] = u.samples, rho.samples
-    windows = np.empty((K, _WINDOW, 3, n))
-    windows[0] = frozen(np.zeros((1, 2, n)))
-    windows[1:, 0] = frozen(ys[:-1, 0])
-    series = [_Window(w) for w in windows]
+    win_u = np.zeros((K, _WINDOW, n))
+    win_src = np.zeros((K, _WINDOW, 2, nh), complex)
+    series = [(_Window(wu), _Window(ws)) for wu, ws in zip(win_u, win_src)]
+    y_hat = np.stack([np.fft.rfft(np.stack((besov.lowpass(u0, k).samples,
+                                            besov.lowpass(rho0, k).samples)))
+                      for k in range(1, K + 1)])
+    if ctrl.dealias:
+        y_hat *= ops.mask
+    advance(np.arange(K), np.zeros(K, int), y_hat)
 
     for g in range(nsteps + _LAG * (K - 1)):
         level = np.array([i for i in range(K) if 0 <= g - _LAG * i < nsteps])
         j = g - _LAG * level
-        stages = [rk4_stages(times, series[i], ji, dt) for i, ji in zip(level, j)]
-        y_new = rk4(rhs_lin, 0.0, ys[level, j], dt)
-        ys[level, j + 1] = y_new
-        feed = level < K - 1
-        if feed.any():
-            windows[level[feed] + 1, (j[feed] + 1) % _WINDOW] = frozen(y_new[feed])
+        stages = [[rk4_stages(times, s, ji, dt, mid_weights[ji]) for s in series[i]]
+                  for i, ji in zip(level, j)]
+        y_new = rk4(rhs_lin, 0.0, y_hat[level], dt)
+        y_hat[level] = y_new
+        advance(level, j + 1, y_new)
 
     zero = Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
     return [zero] + [Trajectory(grid, times, y, params, ctrl, "linearized") for y in ys]

@@ -21,6 +21,7 @@ from .spectral import RealField
 
 SIGMA = 2  # oversampling factor of the fine grid
 W = 16  # half-width of the Gaussian, in fine-grid cells
+BLOCK = 256  # points per block: 64 KiB for each (BLOCK, 2W) temporary
 
 
 @lru_cache(maxsize=16)
@@ -58,19 +59,28 @@ def trig_eval(re, im, pts, xi1, want_deriv):
     # d_j = u - cell - j to the neighbour cell + j, j = -W+1 .. W
     h = 2.0 * np.pi / m
     u = np.mod(xi1 * np.asarray(pts, dtype=float), 2.0 * np.pi) / h
-    cell = np.floor(u)
-    d = np.subtract.outer(u - cell, np.arange(-W + 1, W + 1))
-    near = sliding_window_view(fine, 2 * W)[cell.astype(np.intp)]
-    # Gaussian exp(-(d*h)^2 / (4 tau)); its theta-derivative is
-    # -(d*h) / (2 tau) times the same weight
-    gauss = d * d
-    gauss *= -h * h / (4.0 * tau)
-    np.exp(gauss, out=gauss)
-    near *= gauss
-    vals = near.sum(axis=1)
-    if not want_deriv:
-        return vals, None
-    return vals, np.einsum("ij,ij->i", near, d) * (-xi1 * h / (2.0 * tau))
+    windows = sliding_window_view(fine, 2 * W)
+    vals = np.empty(u.size)
+    dvals = np.empty(u.size) if want_deriv else None
+    # Points go in blocks of BLOCK: each point's sums are its own, so the
+    # values do not depend on the blocking, and a block's (BLOCK, 2W)
+    # temporaries stay small enough for the C allocator to reuse heap
+    # memory instead of mapping and faulting in fresh pages on every call.
+    for s in range(0, u.size, BLOCK):
+        ub = u[s:s + BLOCK]
+        cell = np.floor(ub)
+        d = np.subtract.outer(ub - cell, np.arange(-W + 1, W + 1))
+        near = windows[cell.astype(np.intp)]
+        # Gaussian exp(-(d*h)^2 / (4 tau)); its theta-derivative is
+        # -(d*h) / (2 tau) times the same weight
+        gauss = d * d
+        gauss *= -h * h / (4.0 * tau)
+        np.exp(gauss, out=gauss)
+        near *= gauss
+        vals[s:s + BLOCK] = near.sum(axis=1)
+        if want_deriv:
+            dvals[s:s + BLOCK] = np.einsum("ij,ij->i", near, d) * (-xi1 * h / (2.0 * tau))
+    return vals, dvals
 
 
 def evaluate_coeffs(grid, coeffs, points, deriv: bool = False):

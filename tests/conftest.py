@@ -4,7 +4,9 @@ chflow keeps only the rfft half spectrum k = 0..n/2.  The full_* helpers
 build the whole complex spectrum, k = -n/2..n/2-1 in FFT order, with numpy's
 complex FFT, as an independent reference for the half-spectrum paths.
 :func:`serial_friedrichs_iterate` is the Friedrichs iteration run one
-iterate after another, the reference for the lagged stack.
+iterate after another, the bitwise reference for the lagged stack, and
+:func:`physical_friedrichs_iterate` the same loop in physical space, its
+round-off reference.
 """
 
 import numpy as np
@@ -61,7 +63,61 @@ def full_multiplier(mult, samples):
 
 def serial_friedrichs_iterate(u0, rho0, params, K, ctrl):
     """The Friedrichs iterates 0..K, each run over its whole time span before
-    the next starts, with its frozen rows computed one snapshot at a time."""
+    the next starts, with its frozen rows computed one snapshot at a time.
+    Like friedrichs_iterate it carries the half spectra of the iterates and
+    of the frozen sources, so the two agree bit for bit."""
+    grid = u0.grid
+    dt = ctrl.dt_max
+    nsteps = int(round(ctrl.t_final / dt))
+    times = dt * np.arange(nsteps + 1)
+    ops = operators(grid, params.r, ctrl.dealias)
+    n = grid.n
+    alpha = params.alpha_samples(grid)
+
+    iterates = [
+        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
+    ]
+    spectra = np.zeros((nsteps + 1, 2, n // 2 + 1), complex)
+    frozen_u = np.zeros((nsteps + 1, n))
+    frozen_src = np.zeros((nsteps + 1, 2, n // 2 + 1), complex)
+    for k in range(K):
+        if k > 0:
+            for y_hat, row_u, row_src in zip(spectra, frozen_u, frozen_src):
+                uk, rk, uk_x, mk, rk_x = np.fft.irfft(np.concatenate((
+                    y_hat, ops.jet[:2] * y_hat[:1], ops.jet[3:] * y_hat[1:])), n)
+                nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
+                if isinstance(alpha, np.ndarray):
+                    nl_m -= alpha * uk_x
+                src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk)))
+                if not isinstance(alpha, np.ndarray) and alpha != 0.0:
+                    src_hat[0] += alpha * (ops.ixi / ops.inertia) * y_hat[0]
+                src_hat[:, -1] = src_hat[:, -1].real
+                row_u[:] = uk
+                row_src[:] = src_hat
+
+        def rhs_lin(t, y_hat):
+            cu, src = next(stages_u), next(stages_src)
+            grads = np.fft.irfft(ops.jet[2:] * y_hat, n)
+            return src - ops.solve * np.fft.rfft(cu * grads)
+
+        u = besov.lowpass(u0, k + 1)
+        rho = besov.lowpass(rho0, k + 1)
+        spectra[0] = np.fft.rfft(np.stack((u.samples, rho.samples)))
+        if ctrl.dealias:
+            spectra[0] *= ops.mask
+        for j in range(nsteps):
+            stages_u = rk4_stages(times, frozen_u, j, dt)
+            stages_src = rk4_stages(times, frozen_src, j, dt)
+            spectra[j + 1] = rk4(rhs_lin, times[j], spectra[j], dt)
+        iterates.append(Trajectory(grid, times, np.fft.irfft(spectra, n), params, ctrl,
+                                   "linearized"))
+    return iterates
+
+
+def physical_friedrichs_iterate(u0, rho0, params, K, ctrl):
+    """The Friedrichs iterates 0..K run serially in physical space: every
+    state and frozen source is held as samples, and each RHS evaluation
+    transforms them.  A round-off reference for the half-spectrum stack."""
     grid = u0.grid
     dt = ctrl.dt_max
     nsteps = int(round(ctrl.t_final / dt))

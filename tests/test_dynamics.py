@@ -33,7 +33,7 @@ from chflow.dynamics import (
 from chflow.profiles import band_limited_noise, gaussian
 from chflow.spectral import Grid, RealField, apply_inertia, dealias, operators
 
-from conftest import full_xi, serial_friedrichs_iterate
+from conftest import full_xi, physical_friedrichs_iterate, serial_friedrichs_iterate
 
 
 def _state(grid, u=None, rho=None, t=0.0):
@@ -43,6 +43,10 @@ def _state(grid, u=None, rho=None, t=0.0):
         RealField(grid, z if u is None else u),
         RealField(grid, z if rho is None else rho),
     )
+
+
+def _state_rows(state):
+    return np.stack((state.u.samples, state.rho.samples))
 
 
 def _random_state(grid, seed, amp=0.5):
@@ -192,9 +196,9 @@ class TestRhs:
             alpha = RealField(grid20, 0.5 + 0.3 * np.cos(np.pi * grid20.x / grid20.L))
         params = Params(b=2.5, kappa=0.8, alpha=alpha, r=1.0)
         ops = operators(grid20, params.r, use_dealias)
-        ys = np.stack([np.stack((s.u.samples, s.rho.samples))
-                       for s in (_random_state(grid20, seed, amp) for seed, amp in
-                                 ((1, 0.3), (2, 1.7), (3, 0.9), (4, 2.4)))])
+        ys = np.fft.rfft([np.stack((s.u.samples, s.rho.samples))
+                          for s in (_random_state(grid20, seed, amp) for seed, amp in
+                                    ((1, 0.3), (2, 1.7), (3, 0.9), (4, 2.4)))])
         t = np.array([0.0, 0.1, 0.2, 0.3])[:, None, None]
         stacked = rhs(ops, params, t, ys)
         assert stacked.shape == ys.shape
@@ -211,7 +215,7 @@ class TestRhs:
         ys[member, row, 11] = np.nan
         t = np.array([0.0, 0.25, 0.5])[:, None, None]
         with pytest.raises(BlowUpError) as exc:
-            rhs(ops, CH_PARAMS, t, ys)
+            rhs(ops, CH_PARAMS, t, np.fft.rfft(ys))
         assert exc.value.member == member
         assert exc.value.t == t[member, 0, 0]
         assert f"in member {member}" in str(exc.value)
@@ -546,6 +550,96 @@ class TestEnsemble:
         assert err.last_state.t == ref.last_state.t
         assert np.array_equal(err.last_state.u.samples, ref.last_state.u.samples)
         assert np.array_equal(err.last_state.rho.samples, ref.last_state.rho.samples)
+
+
+class TestHalfSpectrumState:
+    """The steppers carry the rfft half spectrum of (u, rho)."""
+
+    @pytest.mark.parametrize("rhs", [rhs_m_form, rhs_nonlocal])
+    def test_undealiased_run_matches_physical_stepping(self, rhs):
+        # A narrow Gaussian reaches the Nyquist mode, where the constant-alpha
+        # term and the pressure's i*xi/inertia leave an imaginary part; the
+        # carried spectrum must drop it as the irfft of a physical step does.
+        grid = Grid(np.pi, 64)
+        params = Params(b=2.5, kappa=0.8, alpha=0.7, r=1.0)
+        st = _state(grid, u=gaussian(grid, 0.5, 0.15).samples,
+                    rho=gaussian(grid, 0.4, 0.2, 0.3).samples)
+        times = np.linspace(0.0, 0.04, 21)
+        ctrl = StepControl(cfl=1.0, dt_max=2e-3, t_final=0.04, dealias=False)
+        formulation = "m" if rhs is rhs_m_form else "nonlocal"
+        traj = integrate(st, params, ctrl, formulation, output_times=times)
+        assert traj.steps == len(times) - 1
+
+        def f(t, y):
+            du, drho = rhs(State(t, RealField(grid, y[0]), RealField(grid, y[1])), params,
+                           use_dealias=False)
+            return np.stack((du.samples, drho.samples))
+
+        y = traj.y[0]
+        for k in range(len(times) - 1):
+            y = rk4(f, times[k], y, times[k + 1] - times[k])
+            assert np.max(np.abs(traj.y[k + 1] - y)) <= 1e-14
+
+    def test_iterates_match_physical_space_iteration(self, grid20):
+        # the physical-space loop transforms every state and source in each
+        # RHS evaluation; the half-spectrum stack agrees with it to round-off
+        params = Params(b=2.0, kappa=1.0, alpha=0.5, r=1.0)
+        ctrl = StepControl(cfl=1.0, dt_max=1e-3, t_final=0.03, dealias=False)
+        u0 = gaussian(grid20, 0.6, 0.25)    # narrow: the Nyquist mode is not negligible
+        rho0 = gaussian(grid20, 0.4, 0.3, 0.5)
+        # iterates 4 and 5 keep every mode, so the frozen sources of iterate
+        # 4 carry the Nyquist entry that the alpha term makes imaginary
+        stacked = friedrichs_iterate(u0, rho0, params, 5, ctrl)
+        physical = physical_friedrichs_iterate(u0, rho0, params, 5, ctrl)
+        for a, b in zip(stacked, physical):
+            assert np.max(np.abs(a.y - b.y)) <= 1e-14
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("rhs", [_m_form, _nonlocal])
+    def test_rhs_makes_two_transforms(self, grid20, fft_calls, rhs):
+        y_hat = np.fft.rfft(np.stack([_state_rows(_random_state(grid20, seed))
+                                      for seed in range(3)]))
+        fft_calls.clear()
+        dy_hat = rhs(operators(grid20), Params(b=2.5, kappa=0.8, alpha=0.3), 0.0, y_hat)
+        assert dy_hat.shape == y_hat.shape
+        assert fft_calls == ["irfft", "rfft"]
+
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    def test_integrate_makes_nine_transforms_per_step(self, grid20, fft_calls, use_dealias):
+        # four RHS evaluations of two transforms each, and one irfft of
+        # (u, rho, u_x) per step; the start takes an rfft (and an irfft of
+        # the dealiased data)
+        ctrl = StepControl(cfl=1.0, dt_max=5e-3, t_final=0.05, dealias=use_dealias)
+        st = _random_state(grid20, 3)
+        fft_calls.clear()
+        traj = integrate(st, CH_PARAMS, ctrl)
+        assert traj.steps > 10
+        assert len(fft_calls) == (2 if use_dealias else 1) + 9 * traj.steps
+
+    def test_rhs_lin_makes_two_transforms(self, grid20, fft_calls, monkeypatch):
+        per_step = []
+
+        def counting(f, t, y, h):
+            before = len(fft_calls)
+            out = rk4(f, t, y, h)
+            per_step.append(len(fft_calls) - before)
+            return out
+
+        monkeypatch.setattr(dynamics, "rk4", counting)
+        ctrl = StepControl(cfl=1.0, dt_max=1e-3, t_final=0.02)
+        friedrichs_iterate(gaussian(grid20, 0.6, 1.5), gaussian(grid20, 0.4, 1.5),
+                           CH_PARAMS, 3, ctrl)
+        assert len(per_step) == 20 + 3 * 2
+        assert set(per_step) == {4 * 2}
 
 
 class TestTrajectoryStorage:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chflow.offgrid import evaluate
+from chflow.offgrid import BLOCK, evaluate
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, RealField, derivative
 
@@ -135,3 +135,19 @@ def test_large_grid():
     rng = np.random.default_rng(15)
     pts = np.concatenate((rng.uniform(-100.0, 100.0, 250), rng.uniform(-2e4, 2e4, 250)))
     _assert_matches_dense(grid, f, scale, pts, np.fmod(pts, 2.0 * grid.L))
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+def test_blocks_do_not_change_values(deriv):
+    # points are evaluated in blocks; each point's value is its own, so the
+    # whole set equals the points taken one at a time, bit for bit
+    g = Grid(7.0, 256)
+    f = band_limited_noise(g, seed=5, kmax_frac=0.4)
+    pts = np.random.default_rng(2).uniform(-30.0, 30.0, 2 * BLOCK + 37)
+    whole = evaluate(f, pts, deriv=deriv)
+    single = [evaluate(f, pts[i:i + 1], deriv=deriv) for i in range(len(pts))]
+    if deriv:
+        assert np.array_equal(whole[0], np.concatenate([v for v, _ in single]))
+        assert np.array_equal(whole[1], np.concatenate([d for _, d in single]))
+    else:
+        assert np.array_equal(whole, np.concatenate(single))
