@@ -39,7 +39,6 @@ from .dynamics import (
     integrate_ensemble,
     rhs_m_form,
     rhs_nonlocal,
-    stability_pair,
     stability_pairs,
     step_rk4,
 )

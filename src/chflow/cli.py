@@ -7,8 +7,8 @@ Subcommands:
 
 Exit codes: 0 completed (a recorded blow-up still counts as completed, and
 ``suite`` exits 0 whether it prints pass or FAIL), 1 configuration error,
-2 command-line usage error (from argparse) or internal error.
-CHFLOW_WORKERS sets the default worker count for suites.
+2 command-line usage error (from argparse) or internal error, printed as
+``internal error: <exception type>: <message>``.
 """
 
 import argparse
@@ -49,7 +49,6 @@ def build_parser():
     p_suite = sub.add_parser("suite", help="run an experiment suite")
     p_suite.add_argument("name", help=f"one of {sorted(SUITES)}")
     p_suite.add_argument("--out", default="out", help="output directory")
-    p_suite.add_argument("--workers", type=int, default=None, help="worker count")
 
     p_check = sub.add_parser("check", help="validate a config file")
     p_check.add_argument("config")
@@ -110,7 +109,7 @@ def main(argv=None) -> int:
             print(f"wrote {len(manifest['outputs']) + 1} files to {args.out}")
             return 0
         if args.command == "suite":
-            report = run_suite(args.name, args.out, workers=args.workers)
+            report = run_suite(args.name, args.out)
             print(f"suite {args.name}: {'pass' if report.get('pass') else 'FAIL'}")
             return 0
         if args.command == "check":
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
             print(f"configuration error: {err}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -177,12 +177,6 @@ class Trajectory:
         """Momentum (1 - d^2/dx^2)^r u of every snapshot, shape (T, n)."""
         return self.grid.apply_multiplier(self.u, operators(self.grid, self.params.r).inertia)
 
-    @property
-    def states(self):
-        """The snapshots as States (read-only views of the rows)."""
-        return tuple(State(t, RealField(self.grid, u), RealField(self.grid, rho))
-                     for t, u, rho in zip(self.times, self.u, self.rho))
-
 
 # ---------------------------------------------------------------------------
 # RHS evaluation (array level on the half spectra y_hat of the stacked
@@ -722,12 +716,3 @@ def stability_pairs(datasets, perturbation: RealField, eps_list, params: Params,
 
     per = len(eps_arr) + 1
     return [result(runs[i], runs[i + 1:i + per]) for i in range(0, len(runs), per)]
-
-
-def stability_pair(u0: RealField, rho0: RealField, perturbation: RealField,
-                   eps_list, params: Params, ctrl: StepControl, s: float = 3.0,
-                   formulation: str = "m", output_times=None) -> StabilityResult:
-    """Run (u0, rho0) against (u0 + eps*pert, rho0) for each eps: the
-    one-dataset case of :func:`stability_pairs`."""
-    return stability_pairs([(u0, rho0)], perturbation, eps_list, params, ctrl,
-                           s, formulation, output_times)[0]

@@ -11,13 +11,13 @@ Scenarios are deterministic: with a fixed build, re-running one reproduces
 the numeric outputs byte for byte (manifest wall time excluded).
 """
 
+import inspect
 import itertools
 import json
 import math
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
@@ -83,7 +83,6 @@ class Scenario:
     decay_window: tuple = None        # None -> decay_profile's default window
     weight_battery: tuple = DEFAULT_WEIGHT_BATTERY
     norm_ps: tuple = (1.0, 2.0, math.inf)
-    seed: int = 0
 
     def validate(self):
         errors = []
@@ -106,9 +105,15 @@ class Scenario:
         elif self.formulation == "nonlocal" and self.r != 1:
             errors.append("formulation 'nonlocal' requires r = 1")
         for label, spec in (("u0", dict(self.u0)), ("rho0", dict(self.rho0))):
-            prof = spec.get("profile", "zero")
+            prof = spec.pop("profile", "zero")
             if prof not in PROFILES:
                 errors.append(f"{label}.profile {prof!r} unknown; choose from {sorted(PROFILES)}")
+                continue
+            takes = list(inspect.signature(PROFILES[prof]).parameters)[1:]   # after grid
+            for key in spec:
+                if key not in takes:
+                    errors.append(f"{label}.{key} is not a parameter of profile {prof!r}; "
+                                  f"it takes {takes}")
         for diag in self.diagnostics:
             if diag not in DIAGNOSTICS:
                 errors.append(f"unknown diagnostic {diag!r}; choose from {sorted(DIAGNOSTICS)}")
@@ -220,7 +225,7 @@ _SECTION_FIELDS = {
     },
     "u0": None,      # free-form profile parameters
     "rho0": None,
-    "run": {"name": str, "diagnostics": None, "seed": int},
+    "run": {"name": str, "diagnostics": None},
 }
 
 
@@ -666,28 +671,12 @@ def _write_identity_csv(path, traj, columns):
 # ---------------------------------------------------------------------------
 
 
-def _workers_from_env(workers=None):
-    if workers is not None:
-        return max(1, int(workers))
-    return max(1, int(os.environ.get("CHFLOW_WORKERS", "1")))
-
-
-def _pmap(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _integrate_job(args):
-    scenario, output_times = args
+def _integrate(scenario, output_times):
     _, params, ctrl, state0 = scenario.build()
-    return dynamics.integrate(
-        state0, params, ctrl, scenario.formulation, output_times
-    )
+    return dynamics.integrate(state0, params, ctrl, scenario.formulation, output_times)
 
 
-def convergence_suite(out_dir, workers=1):
+def convergence_suite(out_dir):
     """Spatial (grid doubling) and temporal (step halving) error tables."""
     base = replace(
         PRESETS["2cch"],
@@ -703,8 +692,7 @@ def convergence_suite(out_dir, workers=1):
     out_times = np.array([0.0, base.t_final])
 
     ns = (256, 512, 1024)
-    jobs = [(replace(base, n=n), out_times) for n in ns]
-    trajs = _pmap(_integrate_job, jobs, workers)
+    trajs = [_integrate(replace(base, n=n), out_times) for n in ns]
     fine = trajs[-1]
     spatial_errs = []
     for n, traj in zip(ns[:-1], trajs[:-1]):
@@ -723,8 +711,7 @@ def convergence_suite(out_dir, workers=1):
 
     dts = (4e-2, 2e-2, 1e-2)
     tbase = replace(base, n=512)
-    jobs = [(replace(tbase, dt_max=dt), out_times) for dt in dts + (dts[-1] / 8.0,)]
-    trajs = _pmap(_integrate_job, jobs, workers)
+    trajs = [_integrate(replace(tbase, dt_max=dt), out_times) for dt in dts + (dts[-1] / 8.0,)]
     oracle = trajs[-1]
     terrs = []
     for dt, traj in zip(dts, trajs[:-1]):
@@ -765,7 +752,7 @@ def _stability_dataset(grid, seed):
     )
 
 
-def stability_suite(out_dir, workers=1, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
+def stability_suite(out_dir, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
     """Paired-run continuous dependence: linearity in eps and a shared C."""
     grid = Grid(20.0, 256)
     params = dynamics.Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
@@ -822,7 +809,7 @@ def stability_suite(out_dir, workers=1, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
     return report
 
 
-def persistence_suite(out_dir, workers=1):
+def persistence_suite(out_dir):
     """Weight battery persistence with an L-doubling truncation control."""
     # sech data: its exp(-|x|) tails match what the dynamics sustains, so
     # the weighted norms evolve smoothly instead of through a data transient.
@@ -836,8 +823,7 @@ def persistence_suite(out_dir, workers=1):
         diagnostics=("persistence",),
     )
     sc2 = replace(sc, name="persistence_Lx2", L=160.0, n=8192)
-    jobs = [(sc, sc.output_times()), (sc2, sc2.output_times())]
-    traj, traj2 = _pmap(_integrate_job, jobs, workers)
+    traj, traj2 = (_integrate(s, s.output_times()) for s in (sc, sc2))
 
     # weight, p, C_hat, fit_residual, L_doubling_shift, status
     columns = ([], [], [], [], [], [])
@@ -878,7 +864,7 @@ def persistence_suite(out_dir, workers=1):
     return report
 
 
-def friedrichs_suite(out_dir, workers=1, K=6, s=3.0):
+def friedrichs_suite(out_dir, K=6, s=3.0):
     """Geometric convergence of the linear-transport iteration."""
     grid = Grid(20.0, 256)
     from .profiles import gaussian
@@ -916,7 +902,7 @@ def friedrichs_suite(out_dir, workers=1, K=6, s=3.0):
     return report
 
 
-def support_suite(out_dir, workers=1):
+def support_suite(out_dir):
     """Bump-data containment of rho and m supports in the transported interval."""
     manifest = run_scenario(replace(PRESETS["support"], name="support_suite"), out_dir)
     inv = manifest["invariants"]["support"]
@@ -938,9 +924,15 @@ SUITES = {
 }
 
 
-def run_suite(name: str, out_dir: str, workers=None) -> dict:
+def run_suite(name: str, out_dir: str, workers=1) -> dict:
+    """Run a named suite in this process.  ``workers`` accepts only 1; it is
+    kept for callers that still pass it."""
     if name not in SUITES:
         raise ConfigurationError(
             [f"unknown suite {name!r}; choose from {sorted(SUITES)}"]
         )
-    return SUITES[name](out_dir, workers=_workers_from_env(workers))
+    if workers != 1:
+        raise ConfigurationError(
+            [f"suites run in one process: workers must be 1, got {workers!r}"]
+        )
+    return SUITES[name](out_dir)

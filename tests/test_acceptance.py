@@ -5,6 +5,7 @@ per criterion.  Heavy runs are shared through module-scoped fixtures.
 """
 
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -119,7 +120,7 @@ def test_criterion_02_casimir_conservation():
             )
             elapsed = time.perf_counter() - start
             ok = ok and elapsed < 60.0
-            vals = [casimir(s.rho, b) for s in traj.states]
+            vals = [casimir(RealField(traj.grid, rho), b) for rho in traj.rho]
             drifts.append(max(abs(v - vals[0]) for v in vals) / abs(vals[0]))
         base, half = drifts
         ok = ok and base < 1e-6
@@ -155,7 +156,7 @@ def test_criterion_04_representation_formula(identity_fine):
     i_half = int(np.argmin(np.abs(traj.times - 0.5)))
     assert traj.times[i_half] == pytest.approx(0.5, abs=1e-12)
     err = float(
-        np.max(np.abs(rec[i_half].samples - traj.states[i_half].rho.samples))
+        np.max(np.abs(rec[i_half].samples - traj.rho[i_half]))
     )
     _report(
         4, "representation-formula", err < 1e-4,
@@ -209,6 +210,9 @@ def test_criterion_08_iteration_scheme(out_root):
 
 def test_criterion_09_weighted_persistence(out_root):
     report = persistence_suite(str(out_root / "persistence"))
+    assert sorted(os.listdir(out_root / "persistence")) == [
+        "persistence_battery.csv", "persistence_report.json"
+    ]
     ok = (
         report["pass"]
         and report["worst_fit_residual"] < math.log(1.05)

@@ -67,8 +67,8 @@ class TestEvolveFlow:
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.3, 1.5), 0.2, 1e-3)
         flows = evolve_flow(traj)
         ux_series = np.empty((len(flows), g.n))
-        for i, (fl, st) in enumerate(zip(flows, traj.states)):
-            _, dvals = evaluate(st.u, fl.phi, deriv=True)
+        for i, (fl, u) in enumerate(zip(flows, traj.u)):
+            _, dvals = evaluate(RealField(g, u), fl.phi, deriv=True)
             ux_series[i] = dvals
         integral = simpson(ux_series, x=traj.times, axis=0)
         expect = np.exp(integral)
@@ -123,13 +123,13 @@ class TestSupBoundAlongFlow:
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.4, 1.5), 0.5, 5e-3)
         flows = evolve_flow(traj)
         m1 = 0.0
-        for fl, st in zip(flows, traj.states):
-            _, ux_at_phi = evaluate(st.u, fl.phi, deriv=True)
+        for fl, u in zip(flows, traj.u):
+            _, ux_at_phi = evaluate(RealField(g, u), fl.phi, deriv=True)
             m1 = max(m1, float(np.max(-(b - 1.0) * ux_at_phi)))
-        rho0_max = np.max(np.abs(traj.states[0].rho.samples))
-        for st in traj.states:
-            bound = math.exp(m1 * st.t) * rho0_max
-            assert np.max(np.abs(st.rho.samples)) <= bound * (1 + 1e-10)
+        rho0_max = np.max(np.abs(traj.rho[0]))
+        for t, rho in zip(traj.times, traj.rho):
+            bound = math.exp(m1 * t) * rho0_max
+            assert np.max(np.abs(rho)) <= bound * (1 + 1e-10)
 
 
 class TestCasimir:
@@ -153,7 +153,7 @@ class TestCasimir:
         rho0 = RealField(g, 0.3 + gaussian(g, 0.5, 1.5).samples)
         traj = _run(g, gaussian(g, 0.5, 2.0), rho0, 0.5, 5e-3,
                     params=Params(b=3.0, kappa=1.0, alpha=0.0, r=1.0))
-        vals = [casimir(s.rho, 3.0) for s in traj.states]
+        vals = [casimir(RealField(g, rho), 3.0) for rho in traj.rho]
         drift = max(abs(v - vals[0]) for v in vals) / vals[0]
         assert drift < 1e-6
 
@@ -164,7 +164,7 @@ class TestReconstructRho:
                     0.05, 5e-3)
         flows = evolve_flow(traj)
         rec = reconstruct_rho(flows, traj, b=2.0)
-        assert np.array_equal(rec[0].samples, traj.states[0].rho.samples)
+        assert np.array_equal(rec[0].samples, traj.rho[0])
 
     def test_frozen_zero_velocity(self, grid20):
         times = np.linspace(0.0, 1.0, 9)
@@ -182,7 +182,7 @@ class TestReconstructRho:
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.4, 1.5), 0.5, 5e-3)
         flows = evolve_flow(traj)
         rec = reconstruct_rho(flows, traj, b=2.0)
-        err = np.max(np.abs(rec[-1].samples - traj.states[-1].rho.samples))
+        err = np.max(np.abs(rec[-1].samples - traj.rho[-1]))
         assert err < 1e-4
 
 

@@ -26,7 +26,6 @@ from chflow.dynamics import (
     rhs_m_form,
     rhs_nonlocal,
     rk4,
-    stability_pair,
     stability_pairs,
     step_rk4,
 )
@@ -295,9 +294,8 @@ class TestIntegrate:
     def test_zero_data_zero_trajectory(self, grid20):
         ctrl = StepControl(t_final=0.3)
         traj = integrate(_state(grid20), CH_PARAMS, ctrl)
-        for s in traj.states:
-            assert np.all(s.u.samples == 0.0)
-            assert np.all(s.rho.samples == 0.0)
+        assert np.all(traj.u == 0.0)
+        assert np.all(traj.rho == 0.0)
 
     def test_output_times_hit_exactly(self, grid20):
         ctrl = StepControl(t_final=0.5, dt_max=0.013)
@@ -314,9 +312,9 @@ class TestIntegrate:
                         rho=gaussian(g, 0.3, 1.0).samples)
             ctrl = StepControl(cfl=1.0, dt_max=2e-3, t_final=0.25)
             runs[n] = integrate(st, CH_PARAMS, ctrl, output_times=[0.0, 0.25])
-        u512 = runs[512].states[-1].u.samples
-        err128 = np.max(np.abs(runs[128].states[-1].u.samples - u512[::4]))
-        err256 = np.max(np.abs(runs[256].states[-1].u.samples - u512[::2]))
+        u512 = runs[512].u[-1]
+        err128 = np.max(np.abs(runs[128].u[-1] - u512[::4]))
+        err256 = np.max(np.abs(runs[256].u[-1] - u512[::2]))
         assert err128 / err256 >= 10.0
 
     def test_casimir_mean_rho_conserved_exactly_b2(self, grid20):
@@ -326,7 +324,7 @@ class TestIntegrate:
                     rho=gaussian(grid20, 0.4, 1.5).samples)
         ctrl = StepControl(t_final=0.5, dt_max=5e-3)
         traj = integrate(st, CH_PARAMS, ctrl, output_times=[0.0, 0.25, 0.5])
-        means = [np.mean(s.rho.samples) for s in traj.states]
+        means = [np.mean(rho) for rho in traj.rho]
         assert max(abs(m - means[0]) for m in means) < 1e-14
 
     def test_translation_equivariance(self, grid20):
@@ -341,7 +339,7 @@ class TestIntegrate:
         ctrl = StepControl(t_final=0.2, dt_max=5e-3)
         a = integrate(st, CH_PARAMS, ctrl, output_times=[0.0, 0.2])
         b = integrate(st_shifted, CH_PARAMS, ctrl, output_times=[0.0, 0.2])
-        diff = np.max(np.abs(np.roll(a.states[-1].u.samples, shift) - b.states[-1].u.samples))
+        diff = np.max(np.abs(np.roll(a.u[-1], shift) - b.u[-1]))
         assert diff < 1e-10
 
     def test_time_reversal_single_component(self, grid20):
@@ -351,9 +349,9 @@ class TestIntegrate:
         st = _state(grid20, u=gaussian(grid20, 0.4, 2.0).samples)
         ctrl = StepControl(t_final=0.3, dt_max=2e-3, cfl=1.0)
         fwd = integrate(st, params, ctrl, output_times=[0.0, 0.3])
-        back_start = _state(grid20, u=-fwd.states[-1].u.samples)
+        back_start = _state(grid20, u=-fwd.u[-1])
         back = integrate(back_start, params, ctrl, output_times=[0.0, 0.3])
-        returned = -back.states[-1].u.samples
+        returned = -back.u[-1]
         assert np.max(np.abs(returned - st.u.samples)) < 1e-6
 
     def test_blowup_detected_and_carries_state(self):
@@ -418,9 +416,9 @@ class TestIntegrate:
         times = [0.0, 0.05, 0.1]
         a = integrate(st, CH_PARAMS, ctrl, formulation="m", output_times=times)
         b = integrate(st, CH_PARAMS, ctrl, formulation="nonlocal", output_times=times)
-        for sa, sb in zip(a.states, b.states):
-            assert np.max(np.abs(sa.u.samples - sb.u.samples)) < 1e-11
-            assert np.max(np.abs(sa.rho.samples - sb.rho.samples)) < 1e-11
+        for ua, ub, rho_a, rho_b in zip(a.u, b.u, a.rho, b.rho):
+            assert np.max(np.abs(ua - ub)) < 1e-11
+            assert np.max(np.abs(rho_a - rho_b)) < 1e-11
 
     def test_reduction_to_b_equation_assumes_c0_equals_minus_alpha(self):
         # independently coded single-component solver of
@@ -463,7 +461,7 @@ class TestIntegrate:
         params = Params(b=b, kappa=1.0, alpha=alpha, r=1.0)
         ctrl = StepControl(cfl=1.0, dt_max=dt, t_final=T)
         traj = integrate(_state(g, u=u0), params, ctrl, output_times=[0.0, T])
-        assert np.max(np.abs(traj.states[-1].u.samples - u)) < 1e-8
+        assert np.max(np.abs(traj.u[-1] - u)) < 1e-8
 
 
 def _ensemble_ctrl(grid, dealias_on=True):
@@ -656,11 +654,8 @@ class TestTrajectoryStorage:
         with pytest.raises(ValueError):
             traj.u[0, 0] = 1.0
         m = traj.m
-        for i, s in enumerate(traj.states):
-            assert s.t == traj.times[i]
-            assert np.array_equal(s.u.samples, traj.y[i, 0])
-            assert np.array_equal(s.rho.samples, traj.y[i, 1])
-            m_ref = apply_inertia(s.u, params.r).samples
+        for i, u in enumerate(traj.u):
+            m_ref = apply_inertia(RealField(grid20, u), params.r).samples
             assert np.max(np.abs(m[i] - m_ref)) <= 1e-13 * np.max(np.abs(m_ref))
 
     def test_constructor_checks_shape_and_leaves_caller_arrays(self, grid20):
@@ -680,8 +675,7 @@ class TestFriedrichs:
         iterates = friedrichs_iterate(z, z, CH_PARAMS, K=3, ctrl=ctrl)
         assert len(iterates) == 4
         for it in iterates:
-            for s in it.states:
-                assert np.all(s.u.samples == 0.0)
+            assert np.all(it.u == 0.0)
 
     def test_first_iterate_constant_when_coefficients_zero(self, grid20):
         # iterate 1 sees zero frozen coefficients, so its momentum (and
@@ -690,10 +684,10 @@ class TestFriedrichs:
         rho0 = gaussian(grid20, 0.3, 1.5)
         ctrl = StepControl(cfl=1.0, dt_max=0.01, t_final=0.05)
         iterates = friedrichs_iterate(u0, rho0, CH_PARAMS, K=1, ctrl=ctrl)
-        first = iterates[1].states
-        for s in first[1:]:
-            assert np.array_equal(s.u.samples, first[0].u.samples)
-            assert np.array_equal(s.rho.samples, first[0].rho.samples)
+        first = iterates[1]
+        for u, rho in zip(first.u[1:], first.rho[1:]):
+            assert np.array_equal(u, first.u[0])
+            assert np.array_equal(rho, first.rho[0])
 
     def test_iterates_approach_direct_solution(self, grid20):
         u0 = gaussian(grid20, 0.5, 2.0)
@@ -707,8 +701,8 @@ class TestFriedrichs:
         errs = []
         for k in (2, 3, 4):
             sup = max(
-                besov_norm(RealField(grid20, a.u.samples - b.u.samples), idx)
-                for a, b in zip(iterates[k].states, direct.states)
+                besov_norm(RealField(grid20, a - b), idx)
+                for a, b in zip(iterates[k].u, direct.u)
             )
             errs.append(sup)
         assert errs[1] < 0.8 * errs[0]
@@ -731,8 +725,7 @@ class TestFriedrichs:
             State(0.0, u0, rho0), params, ctrl, output_times=iterates[1].times
         )
         errs = [
-            max(np.max(np.abs(a.u.samples - b.u.samples))
-                for a, b in zip(it.states, direct.states))
+            max(np.max(np.abs(a - b)) for a, b in zip(it.u, direct.u))
             for it in iterates[1:]
         ]
         for prev, nxt in zip(errs, errs[1:]):
@@ -808,7 +801,7 @@ class TestStability:
         rho0 = gaussian(grid20, 0.3, 1.5)
         pert = RealField(grid20, np.cos(np.pi * grid20.x / grid20.L))
         ctrl = StepControl(cfl=1.0, dt_max=5e-3, t_final=0.1)
-        res = stability_pair(u0, rho0, pert, [0.0], CH_PARAMS, ctrl)
+        res = stability_pairs([(u0, rho0)], pert, [0.0], CH_PARAMS, ctrl)[0]
         assert res.sup_du[0] == 0.0
         assert res.sup_drho[0] == 0.0
 
@@ -817,7 +810,7 @@ class TestStability:
         rho0 = gaussian(grid20, 0.3, 1.5)
         pert = RealField(grid20, np.cos(np.pi * grid20.x / grid20.L))
         ctrl = StepControl(cfl=1.0, dt_max=5e-3, t_final=0.1)
-        res = stability_pair(u0, rho0, pert, [1e-2, 5e-3], CH_PARAMS, ctrl)
+        res = stability_pairs([(u0, rho0)], pert, [1e-2, 5e-3], CH_PARAMS, ctrl)[0]
         ratio = res.sup_du[0] / res.sup_du[1]
         assert ratio == pytest.approx(2.0, rel=0.2)
 
@@ -827,16 +820,17 @@ class TestStability:
         pert = RealField(grid20, np.cos(np.pi * grid20.x / grid20.L))
         ctrl = StepControl(cfl=1.0, dt_max=5e-3, t_final=0.05)
         params = Params(b=2.0, kappa=1.0, alpha=0.25, r=1.0)
-        res = stability_pair(u0, rho0, pert, [1e-2, 5e-3, 1e-3], params, ctrl, s=3.0)
+        res = stability_pairs([(u0, rho0)], pert, [1e-2, 5e-3, 1e-3], params, ctrl, s=3.0)[0]
 
         base = integrate(State(0.0, u0, rho0), params, ctrl, output_times=res.times)
         u0p = RealField(grid20, u0.samples + 1e-2 * pert.samples)
         first = integrate(State(0.0, u0p, rho0), params, ctrl, output_times=res.times)
         idx_u, idx_rho = BesovIndex(3.0), BesovIndex(2.0)
         expect = [
-            besov_norm(sa.u, idx_u) + besov_norm(sb.u, idx_u)
-            + besov_norm(sa.rho, idx_rho) + besov_norm(sb.rho, idx_rho) + 0.25
-            for sa, sb in zip(base.states, first.states)
+            besov_norm(RealField(grid20, ua), idx_u) + besov_norm(RealField(grid20, ub), idx_u)
+            + besov_norm(RealField(grid20, rho_a), idx_rho)
+            + besov_norm(RealField(grid20, rho_b), idx_rho) + 0.25
+            for ua, ub, rho_a, rho_b in zip(base.u, first.u, base.rho, first.rho)
         ]
         assert np.array_equal(res.gamma, expect)
 
@@ -857,6 +851,7 @@ class TestStability:
         results = stability_pairs(datasets, pert, eps, params, ctrl, output_times=out_times)
         assert len(results) == len(datasets)
         for (u0, rho0), res in zip(datasets, results):
-            ref = stability_pair(u0, rho0, pert, eps, params, ctrl, output_times=out_times)
+            ref = stability_pairs([(u0, rho0)], pert, eps, params, ctrl,
+                                  output_times=out_times)[0]
             for field in dataclasses.fields(StabilityResult):
                 assert np.array_equal(getattr(res, field.name), getattr(ref, field.name))

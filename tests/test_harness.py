@@ -16,13 +16,11 @@ from chflow.harness import (
     PRESETS,
     ConfigurationError,
     Scenario,
-    convergence_suite,
     parse_config,
-    persistence_suite,
     run_scenario,
 )
 from chflow.schema import IDENTITY_COLUMNS, SCHEMA_VERSION, TRAJECTORY_COLUMNS
-from chflow.spectral import apply_inertia, derivative
+from chflow.spectral import RealField, apply_inertia, derivative
 
 GOOD_CONFIG = """
 [params]
@@ -119,6 +117,31 @@ class TestConfig:
     def test_unknown_profile_rejected(self):
         sc = Scenario(u0=(("profile", "wiggle"),))
         assert any("wiggle" in e for e in sc.validate())
+
+    @pytest.mark.parametrize("section, profile, extra, key", [
+        ("u0", "gaussian", "ampl = 0.7\n", "ampl"),   # a typo of amp
+        ("rho0", "mode", "", "width"),                # mode takes k, amp, phase
+        ("u0", "zero", "", "amp"),                    # zero takes no parameters
+    ], ids=("typo", "mode", "zero"))
+    def test_profile_parameters_checked(self, config_file, section, profile, extra, key,
+                                        capsys):
+        head = f"[{section}]\nprofile = gaussian\n"
+        with open(config_file) as fh:
+            text = fh.read().replace(head, f"[{section}]\nprofile = {profile}\n{extra}")
+        with open(config_file, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(config_file)
+        assert any(f"{section}.{key}" in e and repr(profile) in e for e in exc.value.errors)
+        assert main(["check", config_file]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_seed_is_not_a_run_key(self, tmp_path):
+        path = tmp_path / "seed.cfg"
+        path.write_text("[run]\nseed = 3\n")
+        with pytest.raises(ConfigurationError, match="'seed'"):
+            parse_config(str(path))
+        assert not hasattr(Scenario(), "seed")
 
     @pytest.mark.parametrize("diag", ["transport", "mflow", "support"])
     def test_coarse_snapshots_rejected_for_flow_diagnostics(self, diag):
@@ -267,9 +290,9 @@ class TestRunScenario:
         _, params, ctrl, state0 = sc.build()
         traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
         sups = np.array([
-            np.max(np.abs(s.u.samples)) + np.max(np.abs(derivative(s.u, 1).samples))
-            + np.max(np.abs(s.rho.samples))
-            for s in traj.states
+            np.max(np.abs(u)) + np.max(np.abs(derivative(RealField(traj.grid, u), 1).samples))
+            + np.max(np.abs(rho))
+            for u, rho in zip(traj.u, traj.rho)
         ])
         assert sups.max() > 1.01 * sups[0]   # the sup norms do change
         assert m_running[0] == pytest.approx(sups[0], rel=1e-12)
@@ -297,22 +320,14 @@ class TestRunScenario:
         assert set(points) == {sc.n}
 
 
-def test_convergence_suite_independent_of_worker_count(tmp_path):
-    reports = [convergence_suite(str(tmp_path / str(w)), workers=w) for w in (1, 2)]
-    assert reports[0] == reports[1]
-    for name in ("convergence_report.json", "convergence_spatial.csv",
-                 "convergence_temporal.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
-
-def test_persistence_suite_independent_of_worker_count(tmp_path):
-    reports = [persistence_suite(str(tmp_path / str(w)), workers=w) for w in (1, 2)]
-    assert reports[0] == reports[1]
-    names = sorted(os.listdir(tmp_path / "1"))
-    assert names == ["persistence_battery.csv", "persistence_report.json"]
-    assert sorted(os.listdir(tmp_path / "2")) == names
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+def test_suites_run_in_one_process(tmp_path):
+    with pytest.raises(ConfigurationError, match="workers must be 1"):
+        harness.run_suite("stability", str(tmp_path), workers=2)
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(SystemExit) as exc:      # argparse: no such option
+        main(["suite", "stability", "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert os.listdir(tmp_path) == []
 
 
 def _reference_cell(v):
@@ -383,13 +398,12 @@ class TestCsvWriter:
 
         _, params, ctrl, state0 = sc.build()
         traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
-        assert isinstance(traj.states[1].t, np.float64)
+        assert isinstance(traj.times[1], np.float64)
         x = traj.grid.x
         rows = []
-        for s in traj.states:
-            m = apply_inertia(s.u, params.r).samples
-            rows += [(s.t, x[j], s.u.samples[j], s.rho.samples[j], m[j])
-                     for j in range(traj.grid.n)]
+        for t, u, rho in zip(traj.times, traj.u, traj.rho):
+            m = apply_inertia(RealField(traj.grid, u), params.r).samples
+            rows += [(t, x[j], u[j], rho[j], m[j]) for j in range(traj.grid.n)]
         lines = _lines(tmp_path / "golden_trajectory.csv")
         assert lines == _reference_csv(TRAJECTORY_COLUMNS, rows)
         assert not any("np.float64" in line for line in lines)
@@ -438,6 +452,16 @@ class TestCli:
         assert code == 0
         manifest = json.loads((tmp_path / "demo_manifest.json").read_text())
         assert manifest["scenario"]["t_final"] == 0.05
+
+    def test_internal_error_names_the_exception_type(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise TypeError("integrate() got an unexpected keyword argument 'ampl'")
+
+        monkeypatch.setattr(harness.dynamics, "integrate", broken)
+        assert main(["run", "--preset", "zero", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "internal error: TypeError: integrate() got an unexpected keyword argument 'ampl'\n"
+        )
 
     def test_unknown_suite_is_config_error(self, tmp_path):
         assert main(["suite", "bogus", "--out", str(tmp_path)]) == 1

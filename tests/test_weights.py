@@ -198,9 +198,9 @@ class TestPersistenceMonitor:
         g = traj.grid
         window = (np.abs(g.x) >= 9.0) & (np.abs(g.x) <= 14.0)
         c_prime = 0.0
-        for s in traj.states:
-            u_x = full_multiplier(1j * full_xi(g), s.u.samples)
-            tot = np.abs(s.u.samples) + np.abs(u_x) + np.abs(s.rho.samples)
+        for u, rho in zip(traj.u, traj.rho):
+            u_x = full_multiplier(1j * full_xi(g), u)
+            tot = np.abs(u) + np.abs(u_x) + np.abs(rho)
             c_prime = max(c_prime, np.max(np.exp(np.abs(g.x[window])) * tot[window]))
         assert np.isfinite(c_prime)
         assert c_prime < 100.0
