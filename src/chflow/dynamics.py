@@ -138,7 +138,7 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a run plus the settings that produced them.
+    """Snapshots of a run, its model constants and its step statistics.
 
     ``y[i]`` is the stacked (u, rho) at ``times[i]``: ``times`` has shape
     (T,) and ``y`` shape (T, 2, n).  Both are read-only; ``u`` and ``rho``
@@ -149,8 +149,6 @@ class Trajectory:
     times: np.ndarray
     y: np.ndarray
     params: Params
-    ctrl: StepControl
-    formulation: str = "m"
     max_dt: float = 0.0
     min_dt: float = np.inf
     steps: int = 0
@@ -411,8 +409,8 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
     samples = partial(_jet, n=grid.n, u_mult=ops.jet[:1])
 
     def recorded(i):
-        return Trajectory(grid, times[i, :count[i]], ys[i, :count[i]], params, ctrl,
-                          formulation, max_dt[i], min_dt[i], steps[i])
+        return Trajectory(grid, times[i, :count[i]], ys[i, :count[i]], params,
+                          max_dt[i], min_dt[i], steps[i])
 
     def blowup(row, t_fail, grad=None):
         # the last valid state is rebuilt from its half spectra
@@ -630,8 +628,8 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
         y_hat[level] = y_new
         advance(level, j + 1, y_new)
 
-    zero = Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
-    return [zero] + [Trajectory(grid, times, y, params, ctrl, "linearized") for y in ys]
+    zero = Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params)
+    return [zero] + [Trajectory(grid, times, y, params) for y in ys]
 
 
 # ---------------------------------------------------------------------------

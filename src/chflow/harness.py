@@ -12,7 +12,6 @@ the numeric outputs byte for byte (manifest wall time excluded).
 """
 
 import inspect
-import itertools
 import json
 import math
 import os
@@ -37,14 +36,16 @@ from .spectral import Grid, RealField, invert_inertia, operators
 
 CODE_VERSION = "0.1.0"
 
-DEFAULT_WEIGHT_BATTERY = (
-    {"a": 0.0, "b": 0.0, "c": 1.0, "d": 0.0, "side": "both"},
-    {"a": 0.0, "b": 0.0, "c": 2.0, "d": 0.0, "side": "both"},
-    {"a": 0.0, "b": 0.0, "c": 3.0, "d": 0.0, "side": "both"},
-    {"a": 0.25, "b": 1.0, "c": 0.0, "d": 0.0, "side": "right"},
-    {"a": 0.5, "b": 1.0, "c": 0.0, "d": 0.0, "side": "right"},
-    {"a": 0.9, "b": 1.0, "c": 0.0, "d": 0.0, "side": "right"},
+# the weights and norm exponents the persistence diagnostic and suite monitor
+WEIGHT_BATTERY = (
+    weights.StandardWeight(c=1.0),
+    weights.StandardWeight(c=2.0),
+    weights.StandardWeight(c=3.0),
+    weights.StandardWeight(a=0.25, b=1.0, side="right"),
+    weights.StandardWeight(a=0.5, b=1.0, side="right"),
+    weights.StandardWeight(a=0.9, b=1.0, side="right"),
 )
+NORM_PS = (1.0, 2.0, math.inf)
 
 
 class ConfigurationError(ValueError):
@@ -81,8 +82,6 @@ class Scenario:
     # diagnostics and outputs
     diagnostics: tuple = ("casimir", "transport", "formulation")
     decay_window: tuple = None        # None -> decay_profile's default window
-    weight_battery: tuple = DEFAULT_WEIGHT_BATTERY
-    norm_ps: tuple = (1.0, 2.0, math.inf)
 
     def validate(self):
         errors = []
@@ -109,11 +108,16 @@ class Scenario:
             if prof not in PROFILES:
                 errors.append(f"{label}.profile {prof!r} unknown; choose from {sorted(PROFILES)}")
                 continue
-            takes = list(inspect.signature(PROFILES[prof]).parameters)[1:]   # after grid
-            for key in spec:
+            signature = inspect.signature(PROFILES[prof]).parameters
+            takes = list(signature)[1:]   # after grid
+            for key, val in spec.items():
                 if key not in takes:
                     errors.append(f"{label}.{key} is not a parameter of profile {prof!r}; "
                                   f"it takes {takes}")
+                elif signature[key].annotation is int and not (
+                        isinstance(val, int) or isinstance(val, float) and val.is_integer()):
+                    errors.append(f"{label}.{key} must be an integer for profile "
+                                  f"{prof!r}, got {val!r}")
         for diag in self.diagnostics:
             if diag not in DIAGNOSTICS:
                 errors.append(f"unknown diagnostic {diag!r}; choose from {sorted(DIAGNOSTICS)}")
@@ -260,9 +264,11 @@ def parse_config(path, base: Scenario = None) -> Scenario:
             for key, val in cp.items(section):
                 if key == "profile":
                     spec["profile"] = val.strip()
+                elif key == "momentum" and section == "rho0":
+                    errors.append("[rho0] momentum: only [u0] takes momentum")
                 elif key == "momentum":
                     try:
-                        updates[f"{section}_is_momentum"] = _parse_bool(val)
+                        updates["u0_is_momentum"] = _parse_bool(val)
                     except ValueError as exc:
                         errors.append(f"[{section}] {key}: {exc}")
                 else:
@@ -477,43 +483,30 @@ def _diag_formulation(ctx, out):
     return _gate(worst, 1e-10, "relative sup difference of the two RHS formulations"), []
 
 
-def _weight_from_spec(spec):
-    return weights.StandardWeight(
-        a=spec["a"], b=spec["b"], c=spec["c"], d=spec["d"], side=spec.get("side", "both")
-    )
-
-
-def _weight_tag(spec):
-    side = "R" if spec.get("side") == "right" else "B"
-    return f"a{spec['a']}_b{spec['b']}_c{spec['c']}_d{spec['d']}_{side}".replace(".", "p")
+def _weight_tag(w):
+    side = "R" if w.side == "right" else "B"
+    return f"a{w.a}_b{w.b}_c{w.c}_d{w.d}_{side}".replace(".", "p")
 
 
 def _diag_persistence(ctx, out):
+    times = ctx.traj.times
+    reports = weights.persistence_monitor(ctx.traj, WEIGHT_BATTERY, NORM_PS)
+    # the sup norms depend on neither the weight nor p
+    m_running = np.maximum.accumulate(reports[WEIGHT_BATTERY[0], math.inf].sup_norms)
     files = []
-    worst_resid = 0.0
-    all_ok = True
-    for spec in ctx.scenario.weight_battery:
-        w = _weight_from_spec(spec)
-        reports = {}
-        for p in ctx.scenario.norm_ps:
-            rep = weights.persistence_monitor(ctx.traj, w, p)
-            reports[p] = rep
-            worst_resid = max(worst_resid, rep.residual)
-            all_ok = all_ok and rep.bound_ok
-        times = ctx.traj.times
-        nan_col = np.full(len(times), np.nan)
-        repi = reports.get(math.inf)
-        sups = repi.sup_norms if repi else np.zeros(len(times))
-        m_running = list(itertools.accumulate(sups, max, initial=0.0))[1:]
+    for w in WEIGHT_BATTERY:
+        reps = [reports[w, p] for p in NORM_PS]
         columns = (
             times,
-            *(reports[p].W if p in reports else nan_col for p in (1.0, 2.0, math.inf)),
+            *(r.W for r in reps),
             m_running,
-            [max(r.residual for r in reports.values())] * len(times),
+            [max(r.residual for r in reps)] * len(times),
         )
-        name = f"{ctx.scenario.name}_persistence_{_weight_tag(spec)}.csv"
+        name = f"{ctx.scenario.name}_persistence_{_weight_tag(w)}.csv"
         write_csv(os.path.join(out, name), PERSISTENCE_COLUMNS, [columns])
         files.append(name)
+    worst_resid = max(r.residual for r in reports.values())
+    all_ok = all(r.bound_ok for r in reports.values())
     tol = math.log(1.05)
     status = "pass" if (all_ok and worst_resid < tol) else "fail"
     return {
@@ -830,24 +823,23 @@ def persistence_suite(out_dir):
     all_ok = True
     worst_resid = 0.0
     worst_lshift = 0.0
-    for spec in sc.weight_battery:
-        w = _weight_from_spec(spec)
-        for p in sc.norm_ps:
-            rep = weights.persistence_monitor(traj, w, p)
-            rep2 = weights.persistence_monitor(traj2, w, p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shift = float(
-                    np.max(np.abs(rep.W - rep2.W) / np.maximum(np.abs(rep.W), 1e-300))
-                )
-            l_stable = shift <= 0.01
-            ok = rep.bound_ok and rep.residual < math.log(1.05) and l_stable
-            all_ok = all_ok and ok
-            worst_resid = max(worst_resid, rep.residual)
-            worst_lshift = max(worst_lshift, shift)
-            row = (_weight_tag(spec), "inf" if math.isinf(p) else p,
-                   rep.C_hat, rep.residual, shift, "pass" if ok else "fail")
-            for col, v in zip(columns, row):
-                col.append(v)
+    reports, reports2 = (weights.persistence_monitor(t, WEIGHT_BATTERY, NORM_PS)
+                         for t in (traj, traj2))
+    for (w, p), rep in reports.items():
+        rep2 = reports2[w, p]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = float(
+                np.max(np.abs(rep.W - rep2.W) / np.maximum(np.abs(rep.W), 1e-300))
+            )
+        l_stable = shift <= 0.01
+        ok = rep.bound_ok and rep.residual < math.log(1.05) and l_stable
+        all_ok = all_ok and ok
+        worst_resid = max(worst_resid, rep.residual)
+        worst_lshift = max(worst_lshift, shift)
+        row = (_weight_tag(w), "inf" if math.isinf(p) else p,
+               rep.C_hat, rep.residual, shift, "pass" if ok else "fail")
+        for col, v in zip(columns, row):
+            col.append(v)
     os.makedirs(out_dir, exist_ok=True)
     write_csv(
         os.path.join(out_dir, "persistence_battery.csv"),

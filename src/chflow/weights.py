@@ -21,7 +21,7 @@ from .spectral import RealField, operators
 
 # persistence_monitor: the tolerance of its growth bound on log W (5%
 # multiplicative), and the floor, relative to each field's peak, below which
-# samples leave the weighted norms (see _masked_weighted_norm)
+# samples leave the weighted norms (see persistence_monitor)
 RESIDUAL_TOL = math.log(1.05)
 SIGNAL_FLOOR = 1e-12
 
@@ -174,78 +174,80 @@ class PersistenceReport:
     weight: StandardWeight
 
 
-def _masked_weighted_norm(samples, wvals, dx, p):
-    """Weighted L^p norm over the samples that sit above the noise floor.
-
-    Spectral solutions carry an absolute round-off floor of about
-    1e-16 * max|f|; an exponential weight amplifies that floor by exp(a*L),
-    which would dominate the norm with pure noise on wide domains.  Samples
-    with |f| <= SIGNAL_FLOOR * max|f| are therefore excluded: the monitored
-    quantity is the weighted norm of the representable part of the field.
-    """
-    a = np.abs(samples)
-    peak = a.max(initial=0.0)
-    g = np.where(a > SIGNAL_FLOOR * peak, a, 0.0) * wvals
-    if np.isinf(p):
-        return float(g.max(initial=0.0))
-    return float((dx * np.sum(g**p)) ** (1.0 / p))
-
-
-def persistence_monitor(traj: Trajectory, w: StandardWeight, p: float,
-                        relaxed_admissibility: bool = False) -> PersistenceReport:
+def persistence_monitor(traj: Trajectory, battery, ps,
+                        relaxed_admissibility: bool = False) -> dict:
     """Track the weighted size of (u, u_x, rho) along a run and fit its growth.
 
+    Returns one PersistenceReport per (weight, p) key, for every weight of
+    battery and every p of ps, from one pass over the snapshots: u_x, the
+    masked fields and their sup norms are computed once per snapshot, and
+    each w(x) once per run.
+
     Inadmissible weights are rejected unless relaxed_admissibility is set and the
-    p-dependent companion condition holds.  Samples below SIGNAL_FLOOR
-    relative to each field's peak are excluded from the weighted norms (see
-    _masked_weighted_norm); this floor leaves genuinely decaying tails
-    intact while keeping exponential weights from blowing up the round-off
-    field.  The fitted slope C_hat is the least-squares slope of log W
-    against (1+M)t; bound_ok states whether the measured growth stays under
-    that affine bound within RESIDUAL_TOL (a 5% multiplicative tolerance).
+    p-dependent companion condition holds.  Spectral solutions carry an
+    absolute round-off floor of about 1e-16 * max|f|; an exponential weight
+    amplifies that floor by exp(a*L), which would dominate the norm with
+    pure noise on wide domains.  Samples with |f| <= SIGNAL_FLOOR * max|f|
+    are therefore excluded: the monitored quantity is the weighted norm of
+    the representable part of the field.  This floor leaves genuinely
+    decaying tails intact.  The fitted slope C_hat is the least-squares
+    slope of log W against (1+M)t; bound_ok states whether the measured
+    growth stays under that affine bound within RESIDUAL_TOL (a 5%
+    multiplicative tolerance).
     """
-    if not w.admissible:
-        if not (relaxed_admissibility and companion_in_lp(w, p, traj.grid.L)):
+    grid = traj.grid
+    for w in battery:
+        if not w.admissible and not (
+            relaxed_admissibility and all(companion_in_lp(w, p, grid.L) for p in ps)
+        ):
             raise ValueError(
                 "weight is not admissible for the persistence bound; "
                 "pass relaxed_admissibility=True with a p satisfying the companion "
                 "condition to monitor it anyway"
             )
-    grid = traj.grid
     times = traj.times
-    wvals = w(grid.x)
-    Ws = []
-    sup_norms = []
-    for u, u_x, rho in zip(traj.u, operators(grid).dx(traj.u), traj.rho):
-        Ws.append(
-            _masked_weighted_norm(u, wvals, grid.dx, p)
-            + _masked_weighted_norm(u_x, wvals, grid.dx, p)
-            + _masked_weighted_norm(rho, wvals, grid.dx, p)
-        )
-        sup_norms.append(
-            float(np.max(np.abs(u)))
-            + float(np.max(np.abs(u_x)))
-            + float(np.max(np.abs(rho)))
-        )
-    Ws = np.array(Ws)
-    sup_norms = np.array(sup_norms)
+    wvals = [w(grid.x) for w in battery]
+    Ws = np.empty((len(battery), len(ps), len(times)))
+    sup_norms = np.empty(len(times))
+    for i, fields in enumerate(zip(traj.u, operators(grid).dx(traj.u), traj.rho)):
+        masked = []
+        sup = 0.0
+        for f in fields:
+            a = np.abs(f)
+            peak = a.max(initial=0.0)
+            masked.append(np.where(a > SIGNAL_FLOOR * peak, a, 0.0))
+            sup += float(peak)
+        sup_norms[i] = sup
+        for j, wv in enumerate(wvals):
+            gs = [m * wv for m in masked]
+            for k, p in enumerate(ps):
+                if np.isinf(p):
+                    Ws[j, k, i] = sum(float(g.max(initial=0.0)) for g in gs)
+                else:
+                    Ws[j, k, i] = sum(float((grid.dx * np.sum(g**p)) ** (1.0 / p))
+                                      for g in gs)
     M = float(sup_norms.max())
     if not np.all(np.isfinite(Ws)):
         raise ValueError("weighted norm overflowed; persistence violated or weight too strong")
 
-    if np.all(Ws == 0.0):
-        return PersistenceReport(times, Ws, sup_norms, M, 0.0, 0.0, 0.0, True, p, w)
-
-    y = np.log(Ws)
     xdata = (1.0 + M) * times
     A = np.vstack([xdata, np.ones_like(xdata)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit = slope * xdata + intercept
-    residual = float(np.max(np.abs(y - fit)))
-    bound_ok = bool(np.all(y - y[0] <= slope * xdata + RESIDUAL_TOL))
-    return PersistenceReport(
-        times, Ws, sup_norms, M, float(slope), float(intercept), residual, bound_ok, p, w
-    )
+    reports = {}
+    for w, W_w in zip(battery, Ws):
+        for p, W in zip(ps, W_w):
+            if np.all(W == 0.0):
+                reports[w, p] = PersistenceReport(
+                    times, W, sup_norms, M, 0.0, 0.0, 0.0, True, p, w)
+                continue
+            y = np.log(W)
+            (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+            residual = float(np.max(np.abs(y - (slope * xdata + intercept))))
+            bound_ok = bool(np.all(y - y[0] <= slope * xdata + RESIDUAL_TOL))
+            reports[w, p] = PersistenceReport(
+                times, W, sup_norms, M, float(slope), float(intercept), residual,
+                bound_ok, p, w,
+            )
+    return reports
 
 
 @dataclass

@@ -6,13 +6,15 @@ complex FFT, as an independent reference for the half-spectrum paths.
 :func:`serial_friedrichs_iterate` is the Friedrichs iteration run one
 iterate after another, the bitwise reference for the lagged stack, and
 :func:`physical_friedrichs_iterate` the same loop in physical space, its
-round-off reference.
+round-off reference.  :func:`per_pair_persistence_monitor` monitors one
+(weight, p) pair per call, the bitwise reference for the one-pass battery
+monitor.
 """
 
 import numpy as np
 import pytest
 
-from chflow import besov
+from chflow import besov, weights
 from chflow.dynamics import Trajectory, rk4, rk4_stages
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, dealias, operators
@@ -75,7 +77,7 @@ def serial_friedrichs_iterate(u0, rho0, params, K, ctrl):
     alpha = params.alpha_samples(grid)
 
     iterates = [
-        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
+        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params)
     ]
     spectra = np.zeros((nsteps + 1, 2, n // 2 + 1), complex)
     frozen_u = np.zeros((nsteps + 1, n))
@@ -109,8 +111,7 @@ def serial_friedrichs_iterate(u0, rho0, params, K, ctrl):
             stages_u = rk4_stages(times, frozen_u, j, dt)
             stages_src = rk4_stages(times, frozen_src, j, dt)
             spectra[j + 1] = rk4(rhs_lin, times[j], spectra[j], dt)
-        iterates.append(Trajectory(grid, times, np.fft.irfft(spectra, n), params, ctrl,
-                                   "linearized"))
+        iterates.append(Trajectory(grid, times, np.fft.irfft(spectra, n), params))
     return iterates
 
 
@@ -127,7 +128,7 @@ def physical_friedrichs_iterate(u0, rho0, params, K, ctrl):
     alpha = params.alpha_samples(grid)
 
     iterates = [
-        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params, ctrl, "linearized")
+        Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params)
     ]
     frozen = np.empty((nsteps + 1, 3, n))
     for k in range(K):
@@ -158,5 +159,52 @@ def physical_friedrichs_iterate(u0, rho0, params, K, ctrl):
         for j in range(nsteps):
             stages = rk4_stages(times, frozen, j, dt)
             ys[j + 1] = rk4(rhs_lin, times[j], ys[j], dt)
-        iterates.append(Trajectory(grid, times, ys, params, ctrl, "linearized"))
+        iterates.append(Trajectory(grid, times, ys, params))
     return iterates
+
+
+def _masked_norm(samples, wvals, dx, p):
+    a = np.abs(samples)
+    peak = a.max(initial=0.0)
+    g = np.where(a > weights.SIGNAL_FLOOR * peak, a, 0.0) * wvals
+    if np.isinf(p):
+        return float(g.max(initial=0.0))
+    return float((dx * np.sum(g**p)) ** (1.0 / p))
+
+
+def per_pair_persistence_monitor(traj, w, p, relaxed_admissibility=False):
+    """The PersistenceReport of one (weight, p) pair, with u_x, the masks
+    and the sup norms recomputed for the pair."""
+    if not w.admissible:
+        if not (relaxed_admissibility and weights.companion_in_lp(w, p, traj.grid.L)):
+            raise ValueError("weight is not admissible for the persistence bound")
+    grid = traj.grid
+    times = traj.times
+    wvals = w(grid.x)
+    Ws = []
+    sup_norms = []
+    for u, u_x, rho in zip(traj.u, operators(grid).dx(traj.u), traj.rho):
+        Ws.append(
+            _masked_norm(u, wvals, grid.dx, p)
+            + _masked_norm(u_x, wvals, grid.dx, p)
+            + _masked_norm(rho, wvals, grid.dx, p)
+        )
+        sup_norms.append(
+            float(np.max(np.abs(u)))
+            + float(np.max(np.abs(u_x)))
+            + float(np.max(np.abs(rho)))
+        )
+    Ws = np.array(Ws)
+    sup_norms = np.array(sup_norms)
+    M = float(sup_norms.max())
+    if np.all(Ws == 0.0):
+        return weights.PersistenceReport(times, Ws, sup_norms, M, 0.0, 0.0, 0.0, True, p, w)
+    y = np.log(Ws)
+    xdata = (1.0 + M) * times
+    A = np.vstack([xdata, np.ones_like(xdata)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    residual = float(np.max(np.abs(y - (slope * xdata + intercept))))
+    bound_ok = bool(np.all(y - y[0] <= slope * xdata + weights.RESIDUAL_TOL))
+    return weights.PersistenceReport(
+        times, Ws, sup_norms, M, float(slope), float(intercept), residual, bound_ok, p, w
+    )

@@ -32,7 +32,7 @@ CH_PARAMS = Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
 def _const_trajectory(grid, c, times, params=CH_PARAMS):
     y = np.zeros((len(times), 2, grid.n))
     y[:, 0] = c
-    return Trajectory(grid, times, y, params, StepControl(t_final=times[-1]))
+    return Trajectory(grid, times, y, params)
 
 
 def _run(grid, u0, rho0, t_final, dt, params=CH_PARAMS, nsnap=None):
@@ -171,7 +171,7 @@ class TestReconstructRho:
         rho = gaussian(grid20, 0.4, 1.5)
         y = np.zeros((len(times), 2, grid20.n))
         y[:, 1] = rho.samples
-        traj = Trajectory(grid20, times, y, CH_PARAMS, StepControl(t_final=1.0))
+        traj = Trajectory(grid20, times, y, CH_PARAMS)
         flows = evolve_flow(traj)
         rec = reconstruct_rho(flows, traj, b=2.0)
         for r in rec:

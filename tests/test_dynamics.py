@@ -661,11 +661,11 @@ class TestTrajectoryStorage:
     def test_constructor_checks_shape_and_leaves_caller_arrays(self, grid20):
         times = np.linspace(0.0, 1.0, 3)
         y = np.zeros((3, 2, grid20.n))
-        traj = Trajectory(grid20, times, y, CH_PARAMS, StepControl())
+        traj = Trajectory(grid20, times, y, CH_PARAMS)
         assert y.flags.writeable and times.flags.writeable
         assert not traj.y.flags.writeable
         with pytest.raises(ValueError, match="shape"):
-            Trajectory(grid20, times, y[:2], CH_PARAMS, StepControl())
+            Trajectory(grid20, times, y[:2], CH_PARAMS)
 
 
 class TestFriedrichs:

@@ -136,6 +136,26 @@ class TestConfig:
         assert main(["check", config_file]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    def test_momentum_is_a_u0_key(self, tmp_path, capsys):
+        path = tmp_path / "rho0m.cfg"
+        path.write_text("[rho0]\nmomentum = true\n")
+        with pytest.raises(ConfigurationError, match=r"\[rho0\] momentum"):
+            parse_config(str(path))
+        assert main(["check", str(path)]) == 1
+        assert "configuration error: [rho0] momentum" in capsys.readouterr().err
+        path.write_text("[u0]\nmomentum = true\n")
+        assert parse_config(str(path)).u0_is_momentum
+
+    @pytest.mark.parametrize("k, ok", [("2", True), ("2.0", True), ("1.5", False)])
+    def test_int_profile_parameters_must_be_integers(self, tmp_path, capsys, k, ok):
+        path = tmp_path / "mode.cfg"
+        path.write_text(f"[u0]\nprofile = mode\nk = {k}\n")
+        assert main(["check", str(path)]) == (0 if ok else 1)
+        if not ok:
+            assert "u0.k must be an integer" in capsys.readouterr().err
+        errors = Scenario(u0=(("profile", "mode"), ("k", float(k)))).validate()
+        assert (errors == []) == ok
+
     def test_seed_is_not_a_run_key(self, tmp_path):
         path = tmp_path / "seed.cfg"
         path.write_text("[run]\nseed = 3\n")
@@ -280,7 +300,6 @@ class TestRunScenario:
     def test_persistence_m_running_is_a_running_max(self, tmp_path):
         sc = _small_scenario(
             name="persist", t_final=0.5, snapshots=11, diagnostics=("persistence",),
-            weight_battery=({"a": 0.0, "b": 0.0, "c": 1.0, "d": 0.0, "side": "both"},),
         )
         manifest = run_scenario(sc, str(tmp_path))
         fname = next(f for f in manifest["outputs"] if "_persistence_" in f)
@@ -383,13 +402,11 @@ class TestCsvWriter:
             name="golden",
             diagnostics=("casimir", "transport", "mflow", "formulation",
                          "persistence", "decay", "besov"),
-            weight_battery=harness.DEFAULT_WEIGHT_BATTERY[:2],
-            norm_ps=(2.0, float("inf")),     # W_1 is a NaN column
         )
         manifest = run_scenario(sc, str(tmp_path))
         csvs = [f for f in manifest["outputs"] if f.endswith(".csv")]
         assert sorted(csvs) == sorted(written)
-        assert len(csvs) == 6
+        assert len(csvs) == 10
         for name, (header, blocks) in written.items():
             rows = [row for block in blocks for row in zip(*block)]
             assert _lines(tmp_path / name) == _reference_csv(header, rows), name
@@ -486,13 +503,8 @@ class TestStrictJson:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_manifests_are_strict_json(self, name, tmp_path):
         sc = PRESETS[name]
-        manifest = run_scenario(sc, str(tmp_path))
-        parsed = _strict_json(tmp_path / f"{sc.name}_manifest.json")
-        assert parsed["scenario"]["norm_ps"] == [
-            "inf" if math.isinf(p) else p for p in sc.norm_ps
-        ]
-        # the returned manifest keeps the floats
-        assert manifest["scenario"]["norm_ps"] == sc.norm_ps
+        run_scenario(sc, str(tmp_path))
+        _strict_json(tmp_path / f"{sc.name}_manifest.json")
 
     def test_blowup_manifest_is_strict_json(self, tmp_path):
         with np.errstate(all="ignore"):

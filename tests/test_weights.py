@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chflow.dynamics import Params, State, StepControl, integrate
+from chflow.harness import NORM_PS, WEIGHT_BATTERY
 from chflow.profiles import bump, gaussian, sech
 from chflow.spectral import Grid, RealField
 from chflow.weights import (
@@ -21,7 +22,7 @@ from chflow.weights import (
     weighted_norm,
 )
 
-from conftest import full_multiplier, full_xi
+from conftest import full_multiplier, full_xi, per_pair_persistence_monitor
 
 
 class TestWeightFamily:
@@ -148,20 +149,35 @@ def _short_run(L=40.0, n=2048, t_final=0.4):
 
 
 class TestPersistenceMonitor:
+    def test_battery_pass_equals_the_per_pair_monitor(self):
+        traj = _short_run()
+        reports = persistence_monitor(traj, WEIGHT_BATTERY, NORM_PS)
+        assert list(reports) == [(w, p) for w in WEIGHT_BATTERY for p in NORM_PS]
+        for (w, p), rep in reports.items():
+            ref = per_pair_persistence_monitor(traj, w, p)
+            assert np.array_equal(rep.W, ref.W), (w, p)
+            assert np.array_equal(rep.sup_norms, ref.sup_norms), (w, p)
+            assert (rep.C_hat, rep.residual, rep.bound_ok) == (
+                ref.C_hat, ref.residual, ref.bound_ok), (w, p)
+            assert (rep.M, rep.intercept, rep.p, rep.weight) == (
+                ref.M, ref.intercept, p, w)
+
     def test_zero_data_stays_zero(self, grid20):
         params = Params()
         ctrl = StepControl(t_final=0.2, dt_max=5e-3)
         z = RealField(grid20, np.zeros(grid20.n))
         traj = integrate(State(0.0, z, z), params, ctrl,
                          output_times=np.linspace(0.0, 0.2, 5))
-        rep = persistence_monitor(traj, StandardWeight(c=3.0), math.inf)
+        w = StandardWeight(c=3.0)
+        rep = persistence_monitor(traj, [w], [math.inf])[w, math.inf]
         assert np.all(rep.W == 0.0)
         assert rep.bound_ok
 
     def test_algebraic_weight_bounded_growth(self):
         traj = _short_run()
-        for p in (1.0, 2.0, math.inf):
-            rep = persistence_monitor(traj, StandardWeight(c=3.0), p)
+        reports = persistence_monitor(traj, [StandardWeight(c=3.0)], (1.0, 2.0, math.inf))
+        assert len(reports) == 3
+        for rep in reports.values():
             assert rep.bound_ok
             assert rep.residual < math.log(1.05)
             assert np.all(np.isfinite(rep.W))
@@ -178,15 +194,15 @@ class TestPersistenceMonitor:
             State(0.0, gaussian(g, 0.7, 2.5), gaussian(g, 0.5, 2.0)),
             params, ctrl, output_times=np.linspace(0.0, 0.4, 5),
         )
-        rep = persistence_monitor(traj, StandardWeight(c=3.0), math.inf)
+        w = StandardWeight(c=3.0)
+        rep = persistence_monitor(traj, [w], [math.inf])[w, math.inf]
         assert np.all(np.isfinite(rep.W))
         assert rep.bound_ok
 
     def test_right_only_exponential_finite(self):
         traj = _short_run()
-        rep = persistence_monitor(
-            traj, StandardWeight(a=0.9, b=1.0, side="right"), math.inf
-        )
+        w = StandardWeight(a=0.9, b=1.0, side="right")
+        rep = persistence_monitor(traj, [w], [math.inf])[w, math.inf]
         assert np.all(np.isfinite(rep.W))
         assert rep.bound_ok
 
@@ -208,19 +224,24 @@ class TestPersistenceMonitor:
     def test_inadmissible_weight_rejected_by_default(self):
         traj = _short_run()
         with pytest.raises(ValueError, match="admissible"):
-            persistence_monitor(traj, StandardWeight(a=1.0, b=1.0), math.inf)
+            persistence_monitor(traj, [StandardWeight(c=1.0), StandardWeight(a=1.0, b=1.0)],
+                                [math.inf])
 
     def test_relaxed_mode_limit_weight(self):
         # a = b = 1 with p = inf satisfies the companion condition; both the
         # full-weight and half-weight quantities stay finite along the run
         traj = _short_run()
+        limit = StandardWeight(a=1.0, b=1.0)
         rep = persistence_monitor(
-            traj, StandardWeight(a=1.0, b=1.0), math.inf, relaxed_admissibility=True
-        )
+            traj, [limit], [math.inf], relaxed_admissibility=True
+        )[limit, math.inf]
         assert np.all(np.isfinite(rep.W))
         half = StandardWeight(a=0.5, b=1.0)
-        rep_half = persistence_monitor(traj, half, 2.0)
+        rep_half = persistence_monitor(traj, [half], [2.0])[half, 2.0]
         assert np.all(np.isfinite(rep_half.W))
+        # at p = 2 the limit weight fails the companion condition
+        with pytest.raises(ValueError, match="admissible"):
+            persistence_monitor(traj, [limit], [math.inf, 2.0], relaxed_admissibility=True)
 
 
 class TestDecayProfile:
