@@ -21,12 +21,16 @@ summed pointwise and the sum is dealiased once (Orszag, J. Atmos. Sci. 28,
 that equivalence is one of the artifact's checks.  All transforms are real
 (rfft/irfft on the half spectrum).  An RHS evaluation takes y_hat and
 returns dy_hat with two transforms: one irfft of the jet (u, its
-derivatives, rho, rho_x) and one rfft of the summed products.
-integrate_ensemble adds one irfft of (u, u_x, rho) per step for the
-snapshots, the gradient check and the CFL step; the public rhs_m_form,
-rhs_nonlocal and step_rk4 of a State transform at their boundaries.
+derivatives, rho, rho_x) and one rfft of the summed products.  The jet
+may also be handed in: integrate_ensemble transforms each step's result
+into its jet once, reads the snapshots, the gradient check and the CFL
+step from its first rows, and passes it to the next step's first stage, so
+a step makes 8 FFT calls (4 rfft, 3 irfft inside the stages, 1 irfft of
+the jet).  The public rhs_m_form, rhs_nonlocal and step_rk4 of a State
+transform at their boundaries.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -78,6 +82,10 @@ class Params:
     r: float = 1.0
 
     def __post_init__(self):
+        names = ("b", "kappa", "r") + (() if isinstance(self.alpha, RealField) else ("alpha",))
+        for name in names:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.r < 1.0:
             raise ValueError(f"inertia exponent r must be >= 1, got {self.r}")
 
@@ -132,8 +140,13 @@ class StepControl:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.dt_max <= 0:
-            raise ValueError("dt_max must be positive")
+        for name in ("dt_max", "t_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        # inf switches the ceiling off; non-finite values still end a run
+        if not self.gradient_ceiling > 0:
+            raise ValueError(f"gradient_ceiling must be positive, got {self.gradient_ceiling}")
 
 
 @dataclass
@@ -215,15 +228,27 @@ def _real_nyquist(dy_hat):
     return dy_hat
 
 
-def _m_form(ops: Operators, params: Params, t, y_hat):
+def _m_jet(ops: Operators, y_hat):
+    """The jet (u, rho, u_x, m, m_x, rho_x) the m form reads, one irfft."""
+    return _jet(y_hat, ops.grid.n, ops.jet[:3], ops.jet[3:])
+
+
+def _nonlocal_jet(ops: Operators, y_hat):
+    """The jet (u, rho, u_x, rho_x) the nonlocal form reads, one irfft."""
+    return _jet(y_hat, ops.grid.n, ops.jet[:1], ops.jet[3:])
+
+
+def _m_form(ops: Operators, params: Params, t, y_hat, jet=None):
     """Momentum-form RHS of the half spectra of the stacked (u, rho); valid
     for any r >= 1.
 
-    One irfft gives (u, rho, u_x, m, m_x, rho_x); each equation's products
-    are summed pointwise and dealiased once, in one rfft, and the momentum
-    sum goes straight to u_t through mask / inertia.
+    One irfft gives (u, rho, u_x, m, m_x, rho_x), unless that jet of y_hat
+    is given; each equation's products are summed pointwise and dealiased
+    once, in one rfft, and the momentum sum goes straight to u_t through
+    mask / inertia.
     """
-    jet = _jet(y_hat, ops.grid.n, ops.jet[:3], ops.jet[3:])
+    if jet is None:
+        jet = _m_jet(ops, y_hat)
     u, rho, u_x, m, m_x, rho_x = (jet[..., i, :] for i in range(6))
     alpha = params.alpha_samples(ops.grid)
 
@@ -245,15 +270,15 @@ def _m_form(ops: Operators, params: Params, t, y_hat):
     return dy_hat
 
 
-def _nonlocal(ops: Operators, params: Params, t, y_hat):
+def _nonlocal(ops: Operators, params: Params, t, y_hat, jet=None):
     """Nonlocal (Green's function) RHS of the half spectra of the stacked
     (u, rho).
 
     Stated for r = 1 and constant alpha: the reduction of the alpha term
     into the pressure P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u
-    uses alpha*u_x = d/dx(alpha*u).  One irfft gives (u, u_x, rho, rho_x);
-    the quadratic part of P and the two transport products are dealiased
-    in one rfft.
+    uses alpha*u_x = d/dx(alpha*u).  One irfft gives (u, rho, u_x, rho_x),
+    unless that jet of y_hat is given; the quadratic part of P and the two
+    transport products are dealiased in one rfft.
     """
     if params.r != 1.0:
         raise FormulationError(
@@ -263,7 +288,8 @@ def _nonlocal(ops: Operators, params: Params, t, y_hat):
         raise FormulationError(
             "the nonlocal formulation requires a constant alpha"
         )
-    jet = _jet(y_hat, ops.grid.n, ops.jet[:1], ops.jet[3:])
+    if jet is None:
+        jet = _nonlocal_jet(ops, y_hat)
     u, rho, u_x, rho_x = (jet[..., i, :] for i in range(4))
     quad = (
         0.5 * params.b * u * u
@@ -299,6 +325,8 @@ def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
 
 
 _RHS = {"m": _m_form, "nonlocal": _nonlocal}
+# the jet each formulation's RHS reads, rows (u, rho, u_x) first
+_JETS = {"m": _m_jet, "nonlocal": _nonlocal_jet}
 
 
 def get_rhs(formulation: str):
@@ -315,8 +343,9 @@ def get_rhs(formulation: str):
 # ---------------------------------------------------------------------------
 
 
-def rk4(f, t, y, h):
-    """One classical four-stage Runge-Kutta step of y' = f(t, y), y an array.
+def rk4(f, t, y, h, k1=None):
+    """One classical four-stage Runge-Kutta step of y' = f(t, y), y an array;
+    k1 is f(t, y), evaluated here unless the caller has it.
 
     The stages are combined on the real view of y and of each f(t, y): the
     coefficients are real, so a complex y (a half spectrum) costs real
@@ -329,52 +358,66 @@ def rk4(f, t, y, h):
 
     y = y.view(float)
     half = 0.5 * h
-    # acc = k1 + 2 k2 + 2 k3 + k4, summed in that order as the stages end,
-    # so no more than one stage value is held besides it
-    k1 = g(t, y)
+    # acc = k1 + 2 k2 + 2 k3 + k4, summed in that order as the stages end;
+    # a stage value is dropped as soon as it is in acc and has formed the
+    # next stage's input, so it is not held while that stage is evaluated
+    k1 = g(t, y) if k1 is None else k1.view(float)
     k = g(t + half, y + half * k1)
     acc = k1 + 2.0 * k
     del k1
-    k = g(t + half, y + half * k)
+    k = y + half * k
+    k = g(t + half, k)
     acc += 2.0 * k
-    acc += g(t + h, y + h * k)
+    k = y + h * k
+    acc += g(t + h, k)
     return (y + (h / 6.0) * acc).view(dtype)
 
 
 def step_rk4(state, params: Params, dt, formulation: str = "m",
-             use_dealias: bool = True):
+             use_dealias: bool = True, jet=None):
     """One classical four-stage Runge-Kutta step of a State, or of every
     member of a Stack at once (dt then has shape (B, 1, 1), one per member).
     A Stack is stepped in its half spectra; a State is transformed to them
-    and back."""
+    and back.  A Stack's jet, the samples the formulation's RHS reads
+    (u, rho, u_x first), saves the first stage its irfft; it is dropped
+    once that stage is evaluated, so a caller that hands over its only
+    reference frees it before the second stage."""
     if (np.asarray(dt) <= 0).any():
         raise ValueError("dt must be positive")
     rhs = partial(get_rhs(formulation), operators(state.grid, params.r, use_dealias), params)
     if isinstance(state, Stack):
-        return Stack(state.grid, state.t + dt, rk4(rhs, state.t, state.y, dt))
+        k1 = None if jet is None else rhs(state.t, state.y, jet)
+        del jet
+        return Stack(state.grid, state.t + dt, rk4(rhs, state.t, state.y, dt, k1))
     y_hat = np.fft.rfft(np.stack((state.u.samples, state.rho.samples)))
     y = np.fft.irfft(rk4(rhs, state.t, y_hat, dt), state.grid.n)
     return State(state.t + dt, RealField(state.grid, y[0]), RealField(state.grid, y[1]))
 
 
 def integrate_ensemble(states0, params: Params, ctrl: StepControl,
-                       formulation: str = "m", output_times=None) -> list:
+                       formulation: str = "m", output_times=None,
+                       dt_max=None) -> list:
     """Advance every state of states0 to ctrl.t_final, recording snapshots;
     returns one Trajectory per state.
 
     The members share a grid and a start time and are advanced as one
     (B, 2, n/2+1) stack of half spectra, one step_rk4 call per step.  After
-    each step one irfft of (u, u_x, rho) gives the snapshots, the gradient
-    check and the next step's max|u|.  Each member takes its own step
-    dt = min(dt_max, cfl*dx / max(1, max|u|)), clipped so every requested
-    output time is hit exactly, and leaves the stack once its last output
-    is recorded; member i's Trajectory therefore equals
-    integrate(states0[i], ...) bit for bit.  Raises ValueError if an initial
-    u or rho is non-finite, and BlowUpError if a member's max|u_x| exceeds
-    the ceiling or a non-finite value appears, in a step's result or inside
-    the RHS; the error names the first member that failed in the step and
-    carries its last valid state and the partial trajectory of the
-    snapshots it recorded before it.
+    each step one irfft gives the formulation's jet of the new spectra
+    (see _JETS): its rows (u, rho, u_x) give the snapshots, the gradient
+    check and the next step's max|u|, and the whole jet is the next step's
+    first RHS input, so no stage transforms the same spectra twice.  Each
+    member takes its own step dt = min(dt_max[i], cfl*dx / max(1, max|u|)),
+    clipped so every requested output time is hit exactly, and leaves the
+    stack once its last output is recorded; dt_max holds one bound per
+    member and defaults to ctrl.dt_max for all.  Member i's Trajectory
+    therefore equals integrate(states0[i], ...) with
+    ctrl.dt_max = dt_max[i], bit for bit.  Raises ValueError if an initial
+    u or rho is non-finite, an output time is non-finite or out of order,
+    or a dt_max is missing, non-finite or not positive; raises BlowUpError
+    if a member's max|u_x| exceeds the ceiling or a non-finite value
+    appears, in a step's result or inside the RHS; the error names the
+    first member that failed in the step and carries its last valid state
+    and the partial trajectory of the snapshots it recorded before it.
     """
     states0 = list(states0)
     if not states0:
@@ -385,11 +428,21 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
     grid, t0 = states0[0].grid, states0[0].t
     if any(st.grid != grid or st.t != t0 for st in states0):
         raise ValueError("ensemble members must share a grid and a start time")
+    B = len(states0)
+    dt_max = [ctrl.dt_max] * B if dt_max is None else [float(d) for d in dt_max]
+    if len(dt_max) != B:
+        raise ValueError(f"dt_max needs one value per member: {len(dt_max)} for {B}")
+    if not all(math.isfinite(d) and d > 0 for d in dt_max):
+        raise ValueError(f"every dt_max must be finite and positive, got {dt_max}")
+    get_rhs(formulation)   # an unknown formulation fails before any work
     ops = operators(grid, params.r, ctrl.dealias)
+    jet_of = partial(_JETS[formulation], ops)
     if output_times is None:
         output_times = np.linspace(t0, ctrl.t_final, 17)
     output_times = np.asarray(output_times, dtype=float)
-    if output_times.ndim != 1 or np.any(np.diff(output_times) <= 0):
+    if output_times.ndim != 1 or not np.isfinite(output_times).all():
+        raise ValueError("output times must be a finite 1-d sequence")
+    if np.any(np.diff(output_times) <= 0):
         raise ValueError("output times must be strictly increasing")
     if abs(output_times[-1] - ctrl.t_final) > 1e-12:
         raise ValueError("last output time must equal t_final")
@@ -398,15 +451,15 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
     y_hat = np.fft.rfft(y)
     if ctrl.dealias:
         y_hat *= ops.mask
-        y = np.fft.irfft(y_hat, grid.n)
-    B, T = len(states0), len(output_times)
+    phys = jet_of(y_hat)
+    if ctrl.dealias:
+        y = phys[:, :2]
+    T = len(output_times)
     times = np.empty((B, T))
     ys = np.empty((B, T, 2, grid.n))
     # per member: snapshots recorded, steps taken, step size range
     count, steps = [0] * B, [0] * B
     max_dt, min_dt = [0.0] * B, [np.inf] * B
-    # the samples (u, rho, u_x) of a stack of half spectra
-    samples = partial(_jet, n=grid.n, u_mult=ops.jet[:1])
 
     def recorded(i):
         return Trajectory(grid, times[i, :count[i]], ys[i, :count[i]], params,
@@ -415,7 +468,7 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
     def blowup(row, t_fail, grad=None):
         # the last valid state is rebuilt from its half spectra
         i = members[row]
-        u, rho, u_x = samples(y_hat[row:row + 1])[0]
+        u, rho, u_x = jet_of(y_hat[row:row + 1])[0, :3]
         last = State(t[row], RealField(grid, u), RealField(grid, rho))
         if grad is None:
             grad = np.abs(u_x).max()
@@ -423,27 +476,31 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
 
     if abs(output_times[0] - t0) <= 1e-14:
         times[:, 0], ys[:, 0], count = t0, y, [1] * B
-    # stack row k holds member members[k] at time t[k]
+    # stack row k holds member members[k] at time t[k]; jet holds the jet
+    # of y_hat for the next step's first stage, in a one-item list so that
+    # the step can be handed its only reference (see step_rk4)
     members = [i for i in range(B) if count[i] < T]
     t = [t0] * len(members)
     u_max = np.abs(y[members, 0]).max(axis=-1)
-    del y
+    jet = [phys]
+    del y, phys
 
     while members:
         dt, t_new, hit = [], [], []
         for row, i in enumerate(members):
-            h = min(ctrl.dt_max, ctrl.cfl * grid.dx / max(1.0, float(u_max[row])))
+            h = min(dt_max[i], ctrl.cfl * grid.dx / max(1.0, float(u_max[row])))
             t_target = output_times[count[i]]
             hit.append(t[row] + h >= t_target - 1e-13)
             dt.append(t_target - t[row] if hit[row] else h)
             t_new.append(t_target if hit[row] else t[row] + dt[row])
         try:
             y_new = step_rk4(Stack(grid, np.array(t)[:, None, None], y_hat), params,
-                             np.array(dt)[:, None, None], formulation, ctrl.dealias).y
+                             np.array(dt)[:, None, None], formulation, ctrl.dealias,
+                             jet.pop()).y
         except BlowUpError as exc:
             raise blowup(exc.member, exc.t, exc.max_gradient) from exc
 
-        phys = samples(y_new)
+        phys = jet_of(y_new)
         finite = np.isfinite(phys[:, :2])
         if not finite.all():
             row = int(np.argmin(finite.all(axis=(1, 2))))
@@ -462,8 +519,11 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
         rows = [row for row, i in enumerate(members) if count[i] < T]
         members, t = [members[row] for row in rows], [t_new[row] for row in rows]
         u_max = np.abs(phys[rows, 0]).max(axis=-1)
-        y_hat = y_new if len(rows) == len(y_new) else y_new[rows]
-        del phys, y_new   # a step holds one stack of samples, of this step only
+        if len(rows) < len(phys):
+            y_new, phys = y_new[rows], phys[rows]
+        y_hat = y_new
+        jet.append(phys)
+        del phys, y_new
     return [recorded(i) for i in range(B)]
 
 

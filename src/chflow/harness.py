@@ -85,18 +85,24 @@ class Scenario:
 
     def validate(self):
         errors = []
-        if self.L <= 0:
-            errors.append(f"grid.L must be positive, got {self.L}")
+        for label, value in (("params.b", self.b), ("params.kappa", self.kappa),
+                             ("params.alpha", self.alpha), ("params.r", self.r)):
+            if not math.isfinite(value):
+                errors.append(f"{label} must be finite, got {value}")
+        for label, value in (("grid.L", self.L), ("control.dt_max", self.dt_max),
+                             ("control.t_final", self.t_final)):
+            if not (math.isfinite(value) and value > 0):
+                errors.append(f"{label} must be finite and positive, got {value}")
+        # inf switches the ceiling off; non-finite values still end a run
+        if not self.gradient_ceiling > 0:
+            errors.append(f"control.gradient_ceiling must be positive, got "
+                          f"{self.gradient_ceiling}")
         if self.n < 16 or self.n & (self.n - 1):
             errors.append(f"grid.n must be a power of two >= 16, got {self.n}")
         if self.r < 1:
             errors.append(f"params.r must be >= 1, got {self.r}")
         if not 0 < self.cfl <= 1.0:
             errors.append(f"control.cfl must lie in (0, 1], got {self.cfl}")
-        if self.dt_max <= 0:
-            errors.append(f"control.dt_max must be positive, got {self.dt_max}")
-        if self.t_final <= 0:
-            errors.append(f"control.t_final must be positive, got {self.t_final}")
         if self.snapshots < 2:
             errors.append(f"control.snapshots must be >= 2, got {self.snapshots}")
         if self.formulation not in ("m", "nonlocal"):
@@ -125,7 +131,8 @@ class Scenario:
             errors.append("diagnostic 'casimir' requires b != 1: the conserved "
                           "density |rho|^(1/(b-1)) is undefined for b = 1")
         flow_diags = [d for d in self.diagnostics if d in FLOW_DIAGNOSTICS]
-        if flow_diags and self.snapshots >= 2 and self.dt_max > 0:
+        if (flow_diags and self.snapshots >= 2 and self.dt_max > 0
+                and math.isfinite(self.t_final)):
             stride = self.t_final / (self.snapshots - 1)
             if stride > 4.0 * self.dt_max + 1e-12:
                 errors.append(
@@ -684,8 +691,16 @@ def convergence_suite(out_dir):
     )
     out_times = np.array([0.0, base.t_final])
 
+    # the n = 512 spatial run and the temporal runs (dts, then the dt/8
+    # oracle) share grid, data and parameters: one ensemble, one dt_max each
     ns = (256, 512, 1024)
-    trajs = [_integrate(replace(base, n=n), out_times) for n in ns]
+    dts = (4e-2, 2e-2, 1e-2)
+    _, params, ctrl, state0 = replace(base, n=512).build()
+    dt_max = (base.dt_max,) + dts + (dts[-1] / 8.0,)
+    at512 = dynamics.integrate_ensemble([state0] * len(dt_max), params, ctrl,
+                                        base.formulation, out_times, dt_max)
+    trajs = [_integrate(replace(base, n=256), out_times), at512[0],
+             _integrate(replace(base, n=1024), out_times)]
     fine = trajs[-1]
     spatial_errs = []
     for n, traj in zip(ns[:-1], trajs[:-1]):
@@ -702,14 +717,8 @@ def convergence_suite(out_dir):
         d >= 10.0 or spatial_errs[i + 1] < floor for i, d in enumerate(drops)
     )
 
-    dts = (4e-2, 2e-2, 1e-2)
-    tbase = replace(base, n=512)
-    trajs = [_integrate(replace(tbase, dt_max=dt), out_times) for dt in dts + (dts[-1] / 8.0,)]
-    oracle = trajs[-1]
-    terrs = []
-    for dt, traj in zip(dts, trajs[:-1]):
-        err = float(np.max(np.abs(traj.u[-1] - oracle.u[-1])))
-        terrs.append(err)
+    oracle = at512[-1]
+    terrs = [float(np.max(np.abs(traj.u[-1] - oracle.u[-1]))) for traj in at512[1:-1]]
     orders = [math.log2(terrs[i] / terrs[i + 1]) for i in range(len(terrs) - 1)]
     temporal_ok = all(abs(o - 4.0) <= 0.3 for o in orders)
 

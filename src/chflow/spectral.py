@@ -10,6 +10,7 @@ coefficients and off-grid evaluation needs no extra phase.  Every operator
 is a diagonal multiplier on the same k = 0..n/2 array.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,8 +29,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"half length must be positive, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"half length must be finite and positive, got {self.L}")
         if self.n < 16 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
 

@@ -8,14 +8,19 @@ iterate after another, the bitwise reference for the lagged stack, and
 :func:`physical_friedrichs_iterate` the same loop in physical space, its
 round-off reference.  :func:`per_pair_persistence_monitor` monitors one
 (weight, p) pair per call, the bitwise reference for the one-pass battery
-monitor.
+monitor.  :func:`stepwise_integrate` is integrate as it stepped before
+each step's jet was reused, with :func:`stage_by_stage_rk4`: every stage
+transforms its own input and each step's result is transformed again for
+its samples, the bitwise reference for the jet handed from step to step.
 """
 
 import numpy as np
 import pytest
 
+from functools import partial
+
 from chflow import besov, weights
-from chflow.dynamics import Trajectory, rk4, rk4_stages
+from chflow.dynamics import Trajectory, get_rhs, rk4, rk4_stages
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, dealias, operators
 
@@ -208,3 +213,59 @@ def per_pair_persistence_monitor(traj, w, p, relaxed_admissibility=False):
     return weights.PersistenceReport(
         times, Ws, sup_norms, M, float(slope), float(intercept), residual, bound_ok, p, w
     )
+
+
+def stage_by_stage_rk4(f, t, y, h):
+    """The classical Runge-Kutta step, each stage value held until the
+    stage after it has ended (rk4 drops it sooner); the same arithmetic."""
+    dtype = y.dtype
+
+    def g(s, v):
+        return f(s, v.view(dtype)).view(float)
+
+    y = y.view(float)
+    half = 0.5 * h
+    k1 = g(t, y)
+    k = g(t + half, y + half * k1)
+    acc = k1 + 2.0 * k
+    del k1
+    k = g(t + half, y + half * k)
+    acc += 2.0 * k
+    acc += g(t + h, y + h * k)
+    return (y + (h / 6.0) * acc).view(dtype)
+
+
+def stepwise_integrate(state0, params, ctrl, formulation, output_times):
+    """One state advanced by the step rule of integrate, one member of a
+    stack at a time: every RHS evaluation transforms its own input, and
+    after each step one irfft of (u, rho, u_x) gives the snapshot, the
+    gradient check and the next step's max|u|."""
+    grid = state0.grid
+    ops = operators(grid, params.r, ctrl.dealias)
+    f = partial(get_rhs(formulation), ops, params)
+    y = np.stack([(state0.u.samples, state0.rho.samples)])
+    y_hat = np.fft.rfft(y)
+    if ctrl.dealias:
+        y_hat *= ops.mask
+        y = np.fft.irfft(y_hat, grid.n)
+    t, u_max = state0.t, np.abs(y[0, 0]).max()
+    times, ys, dts = [], [], []
+    if abs(output_times[0] - t) <= 1e-14:
+        times.append(t)
+        ys.append(y[0])
+    while len(times) < len(output_times):
+        h = min(ctrl.dt_max, ctrl.cfl * grid.dx / max(1.0, float(u_max)))
+        target = output_times[len(times)]
+        hit = t + h >= target - 1e-13
+        dt = target - t if hit else h
+        y_hat = stage_by_stage_rk4(f, np.full((1, 1, 1), t), y_hat, np.full((1, 1, 1), dt))
+        u, rho, u_x = np.fft.irfft(np.concatenate((y_hat, ops.jet[:1] * y_hat[:, :1]), axis=1),
+                                   grid.n)[0]
+        assert np.abs(u_x).max() <= ctrl.gradient_ceiling
+        t = target if hit else t + dt
+        dts.append(dt)
+        u_max = np.abs(u).max()
+        if hit:
+            times.append(t)
+            ys.append(np.stack((u, rho)))
+    return Trajectory(grid, times, ys, params, max(dts), min(dts), len(dts))

@@ -32,7 +32,13 @@ from chflow.dynamics import (
 from chflow.profiles import band_limited_noise, gaussian
 from chflow.spectral import Grid, RealField, apply_inertia, dealias, operators
 
-from conftest import full_xi, physical_friedrichs_iterate, serial_friedrichs_iterate
+from conftest import (
+    full_xi,
+    physical_friedrichs_iterate,
+    serial_friedrichs_iterate,
+    stage_by_stage_rk4,
+    stepwise_integrate,
+)
 
 
 def _state(grid, u=None, rho=None, t=0.0):
@@ -290,6 +296,25 @@ class TestStepRK4:
         assert 16.0 < ratio < 64.0    # local truncation error ~ dt^5
 
 
+class TestConstructorsRejectNonFinite:
+    @pytest.mark.parametrize("field, value", [
+        ("dt_max", np.inf), ("dt_max", np.nan), ("t_final", np.inf), ("t_final", np.nan),
+        ("t_final", 0.0), ("gradient_ceiling", np.nan), ("gradient_ceiling", 0.0),
+    ])
+    def test_step_control(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StepControl(**{field: value})
+
+    def test_infinite_gradient_ceiling_switches_the_ceiling_off(self):
+        assert StepControl(gradient_ceiling=np.inf).gradient_ceiling == np.inf
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["b", "kappa", "alpha", "r"])
+    def test_params(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Params(**{field: value})
+
+
 class TestIntegrate:
     def test_zero_data_zero_trajectory(self, grid20):
         ctrl = StepControl(t_final=0.3)
@@ -515,6 +540,39 @@ class TestEnsemble:
         for st_, run in zip(states, runs):
             _assert_same_run(run, integrate(st_, CH_PARAMS, ctrl, output_times=times))
 
+    @pytest.mark.parametrize("formulation", ["m", "nonlocal"])
+    def test_per_member_dt_max_equals_own_integrate(self, formulation):
+        # member 0 has max|u| > 1 and a dt_max of 1, so its CFL step binds;
+        # the others take their own dt_max, and all four leave the stack at
+        # different ticks
+        grid = Grid(8.0, 128)
+        ctrl = StepControl(cfl=0.5, dt_max=1e-2, t_final=0.25)
+        dt_max = (1.0, 0.03, 0.02, 1e-2 / 3)
+        states = [State(0.0, gaussian(grid, a, 1.5), gaussian(grid, 0.4, 1.2))
+                  for a in (1.6, 0.7, 0.5, 0.3)]
+        times = [0.0, 0.1, 0.25]
+        runs = integrate_ensemble(states, CH_PARAMS, ctrl, formulation, times, dt_max)
+        for st_, d, run in zip(states, dt_max, runs):
+            alone = dataclasses.replace(ctrl, dt_max=d)
+            _assert_same_run(run, integrate(st_, CH_PARAMS, alone, formulation, times))
+        assert runs[0].max_dt < 0.5 * grid.dx < dt_max[0]
+        assert runs[1].max_dt == dt_max[1]
+        assert len({run.steps for run in runs}) == len(runs)
+
+    @pytest.mark.parametrize("dt_max", [(0.01,), (0.01, 0.02, 0.03), (0.01, np.nan),
+                                        (0.01, np.inf), (0.01, 0.0), (-0.01, 0.01)])
+    def test_dt_max_needs_a_finite_positive_value_per_member(self, grid20, dt_max):
+        ctrl = StepControl(t_final=0.1)
+        with pytest.raises(ValueError, match="dt_max"):
+            integrate_ensemble([_state(grid20), _state(grid20)], CH_PARAMS, ctrl,
+                               dt_max=dt_max)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 0.1], [0.0, 0.05, np.inf]])
+    def test_output_times_must_be_finite(self, grid20, times):
+        # NaN passes the ordering and last-time checks on its own
+        with pytest.raises(ValueError, match="finite"):
+            integrate(_state(grid20), CH_PARAMS, StepControl(t_final=0.1), output_times=times)
+
     def test_members_must_share_grid_and_start(self, grid20):
         ctrl = StepControl(t_final=0.1)
         other = _state(Grid(10.0, 256))
@@ -612,16 +670,53 @@ class TestHalfSpectrumState:
         assert fft_calls == ["irfft", "rfft"]
 
     @pytest.mark.parametrize("use_dealias", [True, False])
-    def test_integrate_makes_nine_transforms_per_step(self, grid20, fft_calls, use_dealias):
-        # four RHS evaluations of two transforms each, and one irfft of
-        # (u, rho, u_x) per step; the start takes an rfft (and an irfft of
-        # the dealiased data)
+    @pytest.mark.parametrize("formulation", ["m", "nonlocal"])
+    def test_integrate_matches_stage_by_stage_stepping(self, grid20, formulation, use_dealias):
+        # the jet each step hands to the next one changes no bit of a run
+        params = Params(b=2.5, kappa=0.8, alpha=0.3, r=1.0)
+        ctrl = StepControl(cfl=0.8, dt_max=4e-3, t_final=0.06, dealias=use_dealias)
+        st = _random_state(grid20, 5, amp=1.5)
+        times = np.linspace(0.0, 0.06, 4)
+        traj = integrate(st, params, ctrl, formulation, times)
+        assert traj.steps > 3 * len(times)
+        _assert_same_run(traj, stepwise_integrate(st, params, ctrl, formulation, times))
+
+    def test_rk4_takes_a_precomputed_k1(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+
+        def f(t, v):
+            return a @ v + t
+
+        ref = stage_by_stage_rk4(f, 0.3, y, 0.1)
+        assert np.array_equal(rk4(f, 0.3, y, 0.1), ref)
+        assert np.array_equal(rk4(f, 0.3, y, 0.1, f(0.3, y)), ref)
+
+    @pytest.mark.parametrize("formulation", ["m", "nonlocal"])
+    def test_step_rk4_takes_the_jet(self, grid20, fft_calls, formulation):
+        ops = operators(grid20)
+        y_hat = np.fft.rfft(np.stack([_state_rows(_random_state(grid20, s)) for s in (1, 2)]))
+        stack = dynamics.Stack(grid20, np.zeros((2, 1, 1)), y_hat)
+        dt = np.full((2, 1, 1), 1e-2)
+        jet = dynamics._JETS[formulation](ops, y_hat)
+        fft_calls.clear()
+        plain = step_rk4(stack, CH_PARAMS, dt, formulation)
+        with_jet = step_rk4(stack, CH_PARAMS, dt, formulation, jet=jet)
+        assert len(fft_calls) == 8 + 7
+        assert np.array_equal(plain.y, with_jet.y) and np.array_equal(plain.t, with_jet.t)
+
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    def test_integrate_makes_eight_transforms_per_step(self, grid20, fft_calls, use_dealias):
+        # four RHS evaluations of two transforms each, less the first
+        # stage's irfft, and one irfft of the jet of the step's result per
+        # step; the start takes an rfft and the irfft of the first jet
         ctrl = StepControl(cfl=1.0, dt_max=5e-3, t_final=0.05, dealias=use_dealias)
         st = _random_state(grid20, 3)
         fft_calls.clear()
         traj = integrate(st, CH_PARAMS, ctrl)
         assert traj.steps > 10
-        assert len(fft_calls) == (2 if use_dealias else 1) + 9 * traj.steps
+        assert len(fft_calls) == 2 + 8 * traj.steps
 
     def test_rhs_lin_makes_two_transforms(self, grid20, fft_calls, monkeypatch):
         per_step = []

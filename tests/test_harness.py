@@ -146,6 +146,31 @@ class TestConfig:
         path.write_text("[u0]\nmomentum = true\n")
         assert parse_config(str(path)).u0_is_momentum
 
+    @pytest.mark.parametrize("field, value, label", [
+        ("L", math.inf, "grid.L"), ("L", math.nan, "grid.L"),
+        ("dt_max", math.nan, "control.dt_max"), ("dt_max", math.inf, "control.dt_max"),
+        ("t_final", math.inf, "control.t_final"), ("t_final", math.nan, "control.t_final"),
+        ("gradient_ceiling", math.nan, "control.gradient_ceiling"),
+        ("gradient_ceiling", 0.0, "control.gradient_ceiling"),
+        ("b", math.nan, "params.b"), ("kappa", math.inf, "params.kappa"),
+        ("alpha", -math.inf, "params.alpha"), ("r", math.nan, "params.r"),
+    ])
+    def test_non_finite_numbers_fail_at_validate(self, field, value, label):
+        # each of these used to pass validate(): t_final = inf never ended,
+        # dt_max = nan ended as a blow-up, gradient_ceiling = nan switched
+        # the ceiling off, L = inf ended as a casimir fail
+        errors = replace(PRESETS["zero"], **{field: value}).validate()
+        assert len(errors) == 1 and errors[0].startswith(label)
+
+    def test_infinite_gradient_ceiling_switches_the_ceiling_off(self):
+        assert replace(PRESETS["zero"], gradient_ceiling=math.inf).validate() == []
+
+    def test_infinite_t_final_is_a_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "forever.cfg"
+        path.write_text("[control]\nt_final = inf\n")
+        assert main(["check", str(path)]) == 1
+        assert "control.t_final must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k, ok", [("2", True), ("2.0", True), ("1.5", False)])
     def test_int_profile_parameters_must_be_integers(self, tmp_path, capsys, k, ok):
         path = tmp_path / "mode.cfg"

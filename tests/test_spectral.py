@@ -50,6 +50,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(-1.0, 64)
 
+    @pytest.mark.parametrize("L", [np.inf, np.nan])
+    def test_rejects_non_finite_length(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(L, 64)
+
     def test_field_length_mismatch(self):
         g = Grid(1.0, 32)
         with pytest.raises(GridMismatchError):
