@@ -72,8 +72,9 @@ def _uniform_spacing(times):
     return float(np.mean(dts))
 
 
-def evolve_flow(traj: Trajectory, markers=None):
-    """Integrate the marker ODE through the trajectory's snapshots.
+def evolve_flow(traj: Trajectory):
+    """Integrate the marker ODE through the trajectory's snapshots, from
+    markers at the grid points.
 
     One RK4 step per snapshot interval; the velocity and its derivative at
     marker positions come from trigonometric interpolation of the stored
@@ -89,9 +90,7 @@ def evolve_flow(traj: Trajectory, markers=None):
             f"snapshot stride {stride:.3g} exceeds 4x the solver step "
             f"{traj.max_dt:.3g}; store denser output for flow evolution"
         )
-    if markers is None:
-        markers = grid.x.copy()
-    markers = np.asarray(markers, dtype=float)
+    markers = grid.x.copy()
     series = grid.half_coeffs(traj.u)
 
     def velocity(t, y):
@@ -268,8 +267,7 @@ def _marker_index(markers, x0):
     return int(np.argmin(np.abs(markers - x0)))
 
 
-def check_support_containment(flows, traj: Trajectory, params,
-                              eps_rel: float = 1e-10) -> ContainmentReport:
+def check_support_containment(flows, traj: Trajectory, params) -> ContainmentReport:
     """Verify rho (and m, when alpha == 0) stay in the transported interval.
 
     The reference intervals are [phi(t, beta) - 2dx, phi(t, gamma) + 2dx]
@@ -282,6 +280,7 @@ def check_support_containment(flows, traj: Trajectory, params,
     grid = traj.grid
     slack = 2.0 * grid.dx
     markers = flows[0].markers
+    eps_rel = 1e-10   # support threshold, relative to the largest |f|
 
     def contained(rows, eps, i_lo, i_hi):
         sups = [track_support(RealField(grid, f), eps) for f in rows]

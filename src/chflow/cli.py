@@ -5,6 +5,11 @@ Subcommands:
   suite  run one of the named experiment suites
   check  validate a config file without running it
 
+``run --formulation`` offers the RHS formulations dynamics defines
+(``dynamics.FORMULATIONS``).  A bad field fails before anything is written:
+``run_scenario`` builds the scenario, which validates it, before it creates
+the output directory.
+
 Exit codes: 0 completed (a recorded blow-up still counts as completed, and
 ``suite`` exits 0 whether it prints pass or FAIL), 1 configuration error,
 2 command-line usage error (from argparse) or internal error, printed as
@@ -15,6 +20,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .dynamics import FORMULATIONS
 from .harness import (
     PRESETS,
     SUITES,
@@ -40,10 +46,11 @@ def build_parser():
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--n", type=int, help="override grid point count")
     p_run.add_argument("--L", type=float, help="override domain half length")
-    p_run.add_argument("--tfinal", type=float, help="override final time")
+    p_run.add_argument("--tfinal", dest="t_final", metavar="TFINAL", type=float,
+                       help="override final time")
     p_run.add_argument("--cfl", type=float, help="override Courant factor")
     p_run.add_argument(
-        "--formulation", choices=("m", "nonlocal"), help="override RHS formulation"
+        "--formulation", choices=FORMULATIONS, help="override RHS formulation"
     )
 
     p_suite = sub.add_parser("suite", help="run an experiment suite")
@@ -65,27 +72,10 @@ def _scenario_from_args(args) -> Scenario:
                 [f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"]
             )
         base = PRESETS[args.preset]
-    if args.config:
-        scenario = parse_config(args.config, base=base)
-    else:
-        scenario = base
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.L is not None:
-        overrides["L"] = args.L
-    if args.tfinal is not None:
-        overrides["t_final"] = args.tfinal
-    if args.cfl is not None:
-        overrides["cfl"] = args.cfl
-    if args.formulation is not None:
-        overrides["formulation"] = args.formulation
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    errors = scenario.validate()
-    if errors:
-        raise ConfigurationError(errors)
-    return scenario
+    scenario = parse_config(args.config, base=base) if args.config else base
+    fields = ("n", "L", "t_final", "cfl", "formulation")
+    overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+    return replace(scenario, **overrides)
 
 
 def main(argv=None) -> int:

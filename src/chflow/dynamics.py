@@ -37,10 +37,18 @@ from functools import partial
 import numpy as np
 
 from . import besov
-from .spectral import Grid, Operators, RealField, operators
+from .spectral import (
+    ConfigurationError,
+    Grid,
+    Operators,
+    RealField,
+    inertia_exponent_errors,
+    operators,
+    raise_errors,
+)
 
 
-class FormulationError(ValueError):
+class FormulationError(ConfigurationError):
     """Requested RHS formulation is not valid for these parameters."""
 
 
@@ -82,12 +90,10 @@ class Params:
     r: float = 1.0
 
     def __post_init__(self):
-        names = ("b", "kappa", "r") + (() if isinstance(self.alpha, RealField) else ("alpha",))
-        for name in names:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.r < 1.0:
-            raise ValueError(f"inertia exponent r must be >= 1, got {self.r}")
+        # every field is a number, except an alpha given as a field
+        errors = [f"{name} must be finite, got {value}" for name, value in vars(self).items()
+                  if not isinstance(value, RealField) and not math.isfinite(value)]
+        raise_errors(errors + inertia_exponent_errors(self.r))
 
     def alpha_samples(self, grid: Grid):
         if isinstance(self.alpha, RealField):
@@ -138,15 +144,15 @@ class StepControl:
     gradient_ceiling: float = 1e6
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
+        errors = [] if 0.0 < self.cfl <= 1.0 else [f"cfl must lie in (0, 1], got {self.cfl}"]
         for name in ("dt_max", "t_final"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+                errors.append(f"{name} must be finite and positive, got {value}")
         # inf switches the ceiling off; non-finite values still end a run
         if not self.gradient_ceiling > 0:
-            raise ValueError(f"gradient_ceiling must be positive, got {self.gradient_ceiling}")
+            errors.append(f"gradient_ceiling must be positive, got {self.gradient_ceiling}")
+        raise_errors(errors)
 
 
 @dataclass
@@ -280,14 +286,7 @@ def _nonlocal(ops: Operators, params: Params, t, y_hat, jet=None):
     unless that jet of y_hat is given; the quadratic part of P and the two
     transport products are dealiased in one rfft.
     """
-    if params.r != 1.0:
-        raise FormulationError(
-            f"the nonlocal formulation requires r = 1, got r = {params.r}"
-        )
-    if isinstance(params.alpha, RealField):
-        raise FormulationError(
-            "the nonlocal formulation requires a constant alpha"
-        )
+    raise_errors(formulation_errors("nonlocal", params.r, params.alpha), FormulationError)
     if jet is None:
         jet = _nonlocal_jet(ops, y_hat)
     u, rho, u_x, rho_x = (jet[..., i, :] for i in range(4))
@@ -327,15 +326,26 @@ def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
 _RHS = {"m": _m_form, "nonlocal": _nonlocal}
 # the jet each formulation's RHS reads, rows (u, rho, u_x) first
 _JETS = {"m": _m_jet, "nonlocal": _nonlocal_jet}
+FORMULATIONS = tuple(_RHS)
+
+
+def formulation_errors(formulation, r=1.0, alpha=0.0):
+    """Why the RHS formulation cannot run with inertia exponent r and this
+    alpha, one message per reason; [] when it can.  The m form runs with
+    any parameters, the nonlocal form with r = 1 and a constant alpha."""
+    if formulation not in _RHS:
+        return [f"formulation must be {' or '.join(map(repr, _RHS))}, got {formulation!r}"]
+    if formulation == "m":
+        return []
+    errors = [] if r == 1.0 else [f"formulation 'nonlocal' requires r = 1, got r = {r}"]
+    if isinstance(alpha, RealField):
+        errors.append("formulation 'nonlocal' requires a constant alpha")
+    return errors
 
 
 def get_rhs(formulation: str):
-    try:
-        return _RHS[formulation]
-    except KeyError:
-        raise FormulationError(
-            f"unknown formulation {formulation!r}; choose 'm' or 'nonlocal'"
-        ) from None
+    raise_errors(formulation_errors(formulation), FormulationError)
+    return _RHS[formulation]
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +444,8 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
         raise ValueError(f"dt_max needs one value per member: {len(dt_max)} for {B}")
     if not all(math.isfinite(d) and d > 0 for d in dt_max):
         raise ValueError(f"every dt_max must be finite and positive, got {dt_max}")
-    get_rhs(formulation)   # an unknown formulation fails before any work
+    # a formulation these parameters cannot run fails before any work
+    raise_errors(formulation_errors(formulation, params.r, params.alpha), FormulationError)
     ops = operators(grid, params.r, ctrl.dealias)
     jet_of = partial(_JETS[formulation], ops)
     if output_times is None:

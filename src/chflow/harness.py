@@ -17,7 +17,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ from .schema import (
     SCHEMA_VERSION,
     TRAJECTORY_COLUMNS,
 )
-from .spectral import Grid, RealField, invert_inertia, operators
+from .spectral import ConfigurationError, Grid, RealField, invert_inertia, operators
 
 CODE_VERSION = "0.1.0"
 
@@ -46,14 +46,6 @@ WEIGHT_BATTERY = (
     weights.StandardWeight(a=0.9, b=1.0, side="right"),
 )
 NORM_PS = (1.0, 2.0, math.inf)
-
-
-class ConfigurationError(ValueError):
-    """Scenario validation failed; .errors lists every offending field."""
-
-    def __init__(self, errors):
-        super().__init__("; ".join(errors))
-        self.errors = list(errors)
 
 
 @dataclass(frozen=True)
@@ -83,32 +75,27 @@ class Scenario:
     diagnostics: tuple = ("casimir", "transport", "formulation")
     decay_window: tuple = None        # None -> decay_profile's default window
 
+    def _models(self):
+        """(section, constructor, keyword arguments) of the grid, the model
+        constants and the step control.  Each constructor checks its own
+        fields, which the scenario holds under the same names."""
+        return [(section, model, {f.name: getattr(self, f.name) for f in fields(model)})
+                for section, model in (("grid", Grid), ("params", dynamics.Params),
+                                       ("control", dynamics.StepControl))]
+
     def validate(self):
+        """Every reason this scenario cannot run, one message per field: the
+        constructors' own messages prefixed with their section, then the
+        rules that span objects (formulation, profiles, diagnostics)."""
         errors = []
-        for label, value in (("params.b", self.b), ("params.kappa", self.kappa),
-                             ("params.alpha", self.alpha), ("params.r", self.r)):
-            if not math.isfinite(value):
-                errors.append(f"{label} must be finite, got {value}")
-        for label, value in (("grid.L", self.L), ("control.dt_max", self.dt_max),
-                             ("control.t_final", self.t_final)):
-            if not (math.isfinite(value) and value > 0):
-                errors.append(f"{label} must be finite and positive, got {value}")
-        # inf switches the ceiling off; non-finite values still end a run
-        if not self.gradient_ceiling > 0:
-            errors.append(f"control.gradient_ceiling must be positive, got "
-                          f"{self.gradient_ceiling}")
-        if self.n < 16 or self.n & (self.n - 1):
-            errors.append(f"grid.n must be a power of two >= 16, got {self.n}")
-        if self.r < 1:
-            errors.append(f"params.r must be >= 1, got {self.r}")
-        if not 0 < self.cfl <= 1.0:
-            errors.append(f"control.cfl must lie in (0, 1], got {self.cfl}")
+        for section, model, kwargs in self._models():
+            try:
+                model(**kwargs)
+            except ConfigurationError as exc:
+                errors += [f"{section}.{e}" for e in exc.errors]
         if self.snapshots < 2:
             errors.append(f"control.snapshots must be >= 2, got {self.snapshots}")
-        if self.formulation not in ("m", "nonlocal"):
-            errors.append(f"formulation must be 'm' or 'nonlocal', got {self.formulation!r}")
-        elif self.formulation == "nonlocal" and self.r != 1:
-            errors.append("formulation 'nonlocal' requires r = 1")
+        errors += [f"control.{e}" for e in dynamics.formulation_errors(self.formulation, self.r)]
         for label, spec in (("u0", dict(self.u0)), ("rho0", dict(self.rho0))):
             prof = spec.pop("profile", "zero")
             if prof not in PROFILES:
@@ -147,12 +134,7 @@ class Scenario:
         errors = self.validate()
         if errors:
             raise ConfigurationError(errors)
-        grid = Grid(self.L, self.n)
-        params = dynamics.Params(b=self.b, kappa=self.kappa, alpha=self.alpha, r=self.r)
-        ctrl = dynamics.StepControl(
-            cfl=self.cfl, dt_max=self.dt_max, t_final=self.t_final,
-            dealias=self.dealias, gradient_ceiling=self.gradient_ceiling,
-        )
+        grid, params, ctrl = (model(**kwargs) for _, model, kwargs in self._models())
         u0 = make_profile(grid, dict(self.u0))
         if self.u0_is_momentum:
             u0 = invert_inertia(u0, self.r)
@@ -227,16 +209,16 @@ PRESETS = {
 # Config files: INI-style sections of key = value pairs
 # ---------------------------------------------------------------------------
 
+# the Scenario fields each section sets; [u0] and [rho0] hold free-form
+# profile parameters, and [u0] the u0_is_momentum flag as `momentum`
 _SECTION_FIELDS = {
-    "params": {"b": float, "kappa": float, "alpha": float, "r": float},
-    "grid": {"L": float, "n": int},
-    "control": {
-        "cfl": float, "dt_max": float, "t_final": float, "dealias": None,
-        "snapshots": int, "formulation": str, "gradient_ceiling": float,
-    },
-    "u0": None,      # free-form profile parameters
+    "params": ("b", "kappa", "alpha", "r"),
+    "grid": ("L", "n"),
+    "control": ("cfl", "dt_max", "t_final", "dealias", "snapshots", "formulation",
+                "gradient_ceiling"),
+    "u0": None,
     "rho0": None,
-    "run": {"name": str, "diagnostics": None},
+    "run": ("name", "diagnostics"),
 }
 
 
@@ -246,7 +228,17 @@ def _parse_bool(text):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise ValueError(text)
+
+
+def _parse_names(text):
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+# the type each Scenario field declares, and the parser of each type that
+# is not its own (float, int and str parse their text themselves)
+_FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+_PARSERS = {bool: _parse_bool, tuple: _parse_names}
 
 
 def parse_config(path, base: Scenario = None) -> Scenario:
@@ -261,50 +253,38 @@ def parse_config(path, base: Scenario = None) -> Scenario:
         raise ConfigurationError([f"config file {path!r} not found or unreadable"])
     sc = base if base is not None else Scenario()
     updates = {}
+
+    def convert(section, key, kind, text):
+        """text parsed as kind; None, with the error listed, if it is not one."""
+        try:
+            return _PARSERS.get(kind, kind)(text)
+        except ValueError:
+            errors.append(f"[{section}] {key}: expected {kind.__name__}, got {text!r}")
+
     for section in cp.sections():
         if section not in _SECTION_FIELDS:
             errors.append(f"unknown section [{section}]")
             continue
-        fields = _SECTION_FIELDS[section]
-        if section in ("u0", "rho0"):
+        keys = _SECTION_FIELDS[section]
+        if keys is None:
             spec = {}
             for key, val in cp.items(section):
                 if key == "profile":
-                    spec["profile"] = val.strip()
-                elif key == "momentum" and section == "rho0":
-                    errors.append("[rho0] momentum: only [u0] takes momentum")
-                elif key == "momentum":
-                    try:
-                        updates["u0_is_momentum"] = _parse_bool(val)
-                    except ValueError as exc:
-                        errors.append(f"[{section}] {key}: {exc}")
+                    spec[key] = val.strip()
+                elif key != "momentum":
+                    spec[key] = convert(section, key, float, val)
+                elif section == "u0":
+                    updates["u0_is_momentum"] = convert(
+                        section, key, _FIELD_TYPES["u0_is_momentum"], val)
                 else:
-                    try:
-                        spec[key] = float(val)
-                    except ValueError:
-                        errors.append(f"[{section}] {key}: expected a number, got {val!r}")
+                    errors.append("[rho0] momentum: only [u0] takes momentum")
             updates[section] = tuple(sorted(spec.items()))
             continue
         for key, val in cp.items(section):
-            if key not in fields:
-                errors.append(f"unknown key {key!r} in section [{section}]")
-                continue
-            if key == "dealias":
-                try:
-                    updates["dealias"] = _parse_bool(val)
-                except ValueError as exc:
-                    errors.append(f"[control] dealias: {exc}")
-            elif key == "diagnostics":
-                names = tuple(x.strip() for x in val.split(",") if x.strip())
-                updates["diagnostics"] = names
+            if key in keys:
+                updates[key] = convert(section, key, _FIELD_TYPES[key], val)
             else:
-                conv = fields[key]
-                try:
-                    updates[key] = conv(val)
-                except ValueError:
-                    errors.append(
-                        f"[{section}] {key}: expected {conv.__name__}, got {val!r}"
-                    )
+                errors.append(f"unknown key {key!r} in section [{section}]")
     if errors:
         raise ConfigurationError(errors)
     sc = replace(sc, **updates)
@@ -730,7 +710,6 @@ def convergence_suite(out_dir):
                      "pass": temporal_ok},
         "pass": bool(spatial_ok and temporal_ok),
     }
-    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "convergence_spatial.csv"), ("n", "sup_error"),
               [(ns[:-1], spatial_errs)])
     write_csv(os.path.join(out_dir, "convergence_temporal.csv"), ("dt", "sup_error"),
@@ -754,8 +733,9 @@ def _stability_dataset(grid, seed):
     )
 
 
-def stability_suite(out_dir, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
+def stability_suite(out_dir):
     """Paired-run continuous dependence: linearity in eps and a shared C."""
+    eps_list, s = (1e-2, 1e-3, 1e-4), 3.0
     grid = Grid(20.0, 256)
     params = dynamics.Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
     ctrl = dynamics.StepControl(cfl=1.0, dt_max=2e-3, t_final=0.3)
@@ -794,7 +774,6 @@ def stability_suite(out_dir, eps_list=(1e-2, 1e-3, 1e-4), s=3.0):
                     ok = series[i] / series[0] <= bound
                     validated = validated and ok
 
-    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "stability_table.csv"), ("eps", "sup_du", "sup_drho"),
               [(fit_res.eps, fit_res.sup_du, fit_res.sup_drho)])
     report = {
@@ -849,7 +828,6 @@ def persistence_suite(out_dir):
                rep.C_hat, rep.residual, shift, "pass" if ok else "fail")
         for col, v in zip(columns, row):
             col.append(v)
-    os.makedirs(out_dir, exist_ok=True)
     write_csv(
         os.path.join(out_dir, "persistence_battery.csv"),
         ("weight", "p", "C_hat", "fit_residual", "L_doubling_shift", "status"),
@@ -865,8 +843,9 @@ def persistence_suite(out_dir):
     return report
 
 
-def friedrichs_suite(out_dir, K=6, s=3.0):
+def friedrichs_suite(out_dir):
     """Geometric convergence of the linear-transport iteration."""
+    K, s = 6, 3.0
     grid = Grid(20.0, 256)
     from .profiles import gaussian
 
@@ -890,7 +869,6 @@ def friedrichs_suite(out_dir, K=6, s=3.0):
         ))
     ratios = [errs[k] / errs[k - 1] for k in range(1, len(errs))]
     ok = all(r < 0.8 for r in ratios[1:])  # ratios between iterates 2..K
-    os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "friedrichs_errors.csv"), ("k", "error"),
               [(range(1, K + 1), errs)])
     report = {

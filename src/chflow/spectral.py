@@ -21,6 +21,26 @@ class GridMismatchError(ValueError):
     """Operands live on different grids, or an array has the wrong length."""
 
 
+class ConfigurationError(ValueError):
+    """Fields failed their checks; .errors lists one message per field."""
+
+    def __init__(self, errors):
+        super().__init__("; ".join(errors))
+        self.errors = list(errors)
+
+
+def raise_errors(errors, kind=ConfigurationError):
+    """Raise kind (a ConfigurationError) listing errors, unless there are none."""
+    if errors:
+        raise kind(errors)
+
+
+def inertia_exponent_errors(r):
+    """The inertia exponent rule, r >= 1: [] or the message saying why not.
+    A NaN is left to the caller's finiteness check."""
+    return [f"r must be >= 1, got {r}"] if r < 1.0 else []
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L, L) with n points, n a power of two."""
@@ -29,10 +49,12 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        errors = []
         if not (math.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"half length must be finite and positive, got {self.L}")
+            errors.append(f"L must be finite and positive, got {self.L}")
         if self.n < 16 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two >= 16, got {self.n}")
+            errors.append(f"n must be a power of two >= 16, got {self.n}")
+        raise_errors(errors)
 
     @property
     def dx(self):
@@ -113,20 +135,15 @@ def inertia_multiplier(grid: Grid, r: float):
     return np.exp(r * np.log1p(grid.xi**2))
 
 
-def _check_inertia_exponent(r):
-    if r < 1.0:
-        raise ValueError(f"inertia exponent r={r} is below 1")
-
-
 def apply_inertia(f: RealField, r: float) -> RealField:
     """Momentum from velocity: multiplier (1 + xi^2)^r."""
-    _check_inertia_exponent(r)
+    raise_errors(inertia_exponent_errors(r))
     return RealField(f.grid, f.grid.apply_multiplier(f.samples, operators(f.grid, r).inertia))
 
 
 def invert_inertia(m: RealField, r: float) -> RealField:
     """Velocity from momentum: multiplier (1 + xi^2)^(-r).  Smooths by 2r."""
-    _check_inertia_exponent(r)
+    raise_errors(inertia_exponent_errors(r))
     return RealField(m.grid, m.grid.apply_multiplier(m.samples, inertia_multiplier(m.grid, -r)))
 
 

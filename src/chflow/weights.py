@@ -260,7 +260,7 @@ class DecayFit:
     n_points: int
 
 
-def decay_profile(f: RealField, window=None, floor: float = 1e-300) -> DecayFit:
+def decay_profile(f: RealField, window=None) -> DecayFit:
     """Fit tail decay rates of |f| on a window of |x|.
 
     Least squares of log|f| against |x| gives the exponential rate, against
@@ -274,7 +274,7 @@ def decay_profile(f: RealField, window=None, floor: float = 1e-300) -> DecayFit:
     if not 0 <= lo < hi:
         raise ValueError("window must satisfy 0 <= lo < hi")
     ax = np.abs(grid.x)
-    mask = (ax >= lo) & (ax <= hi) & (np.abs(f.samples) > floor)
+    mask = (ax >= lo) & (ax <= hi) & (np.abs(f.samples) > 1e-300)   # log|f| finite
     if not np.any(mask):
         raise UndefinedFitError("no usable samples in the fit window")
     xw = ax[mask]

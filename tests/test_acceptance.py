@@ -199,7 +199,7 @@ def test_criterion_07_continuous_dependence(out_root):
 
 
 def test_criterion_08_iteration_scheme(out_root):
-    report = friedrichs_suite(str(out_root / "friedrichs"), K=6)
+    report = friedrichs_suite(str(out_root / "friedrichs"))
     ratios = report["ratios"][1:]       # between iterates 2..6
     ok = report["pass"] and all(r < 0.8 for r in ratios)
     _report(

@@ -30,7 +30,7 @@ from chflow.dynamics import (
     step_rk4,
 )
 from chflow.profiles import band_limited_noise, gaussian
-from chflow.spectral import Grid, RealField, apply_inertia, dealias, operators
+from chflow.spectral import ConfigurationError, Grid, RealField, apply_inertia, dealias, operators
 
 from conftest import (
     full_xi,
@@ -106,6 +106,13 @@ class TestRhs:
         st = _random_state(grid20, seed=3)
         with pytest.raises(FormulationError):
             rhs_nonlocal(st, Params(r=2.0))
+
+    def test_integrate_rejects_a_formulation_before_any_step(self, grid20):
+        # integrate checks the formulation against the parameters up front
+        st = _random_state(grid20, seed=3)
+        with pytest.raises(FormulationError) as exc:
+            integrate(st, Params(r=2.0), StepControl(t_final=0.01), "nonlocal")
+        assert exc.value.errors == dynamics.formulation_errors("nonlocal", 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -307,6 +314,17 @@ class TestConstructorsRejectNonFinite:
 
     def test_infinite_gradient_ceiling_switches_the_ceiling_off(self):
         assert StepControl(gradient_ceiling=np.inf).gradient_ceiling == np.inf
+
+    @pytest.mark.parametrize("make, errors", [
+        (lambda: Params(b=np.nan, r=0.5),
+         ["b must be finite, got nan", "r must be >= 1, got 0.5"]),
+        (lambda: StepControl(cfl=0, dt_max=np.nan),
+         ["cfl must lie in (0, 1], got 0", "dt_max must be finite and positive, got nan"]),
+    ], ids=("params", "step_control"))
+    def test_every_bad_field_in_one_error(self, make, errors):
+        with pytest.raises(ConfigurationError) as exc:
+            make()
+        assert exc.value.errors == errors
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("field", ["b", "kappa", "alpha", "r"])

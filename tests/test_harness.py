@@ -4,13 +4,13 @@ import csv
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from chflow.cli import main
-from chflow.dynamics import integrate
+from chflow.dynamics import Params, StepControl, formulation_errors, integrate
 from chflow import harness, offgrid
 from chflow.harness import (
     PRESETS,
@@ -20,7 +20,7 @@ from chflow.harness import (
     run_scenario,
 )
 from chflow.schema import IDENTITY_COLUMNS, SCHEMA_VERSION, TRAJECTORY_COLUMNS
-from chflow.spectral import RealField, apply_inertia, derivative
+from chflow.spectral import Grid, RealField, apply_inertia, derivative
 
 GOOD_CONFIG = """
 [params]
@@ -198,6 +198,61 @@ class TestConfig:
         # the same stride is fine without a flow diagnostic, or at 4 * dt_max
         assert replace(sc, diagnostics=("casimir",)).validate() == []
         assert replace(sc, snapshots=14).validate() == []
+
+    @pytest.mark.parametrize("section, model, field, value", [
+        ("grid", Grid, "L", -1.0), ("grid", Grid, "L", math.nan), ("grid", Grid, "n", 100),
+        ("params", Params, "b", math.inf), ("params", Params, "alpha", math.nan),
+        ("params", Params, "r", 0.5),
+        ("control", StepControl, "cfl", 0.0), ("control", StepControl, "cfl", 1.5),
+        ("control", StepControl, "dt_max", -0.1), ("control", StepControl, "t_final", math.inf),
+        ("control", StepControl, "gradient_ceiling", math.nan),
+    ])
+    def test_validate_labels_the_constructors_messages(self, section, model, field, value):
+        sc = replace(PRESETS["zero"], **{field: value})
+        with pytest.raises(ConfigurationError) as exc:
+            model(**{f.name: getattr(sc, f.name) for f in fields(model)})
+        assert sc.validate() == [f"{section}.{e}" for e in exc.value.errors]
+
+    @pytest.mark.parametrize("formulation, r", [("bogus", 1.0), ("nonlocal", 2.0)])
+    def test_validate_labels_the_formulation_rule(self, formulation, r):
+        sc = replace(PRESETS["zero"], formulation=formulation, r=r)
+        assert sc.validate() == [f"control.{e}" for e in formulation_errors(formulation, r)]
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_sections_round_trip(self, name, tmp_path):
+        preset = PRESETS[name]
+
+        def text(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, tuple):
+                return ", ".join(value)
+            return repr(value) if isinstance(value, float) else str(value)
+
+        lines = []
+        for section, keys in harness._SECTION_FIELDS.items():
+            if keys is None:
+                spec = dict(getattr(preset, section))
+                items = [(k, v if isinstance(v, str) else repr(v)) for k, v in spec.items()]
+                if section == "u0":
+                    items.append(("momentum", text(preset.u0_is_momentum)))
+            else:
+                items = [(k, text(getattr(preset, k))) for k in keys]
+            lines += [f"[{section}]"] + [f"{k} = {v}" for k, v in items] + [""]
+        path = tmp_path / f"{name}.cfg"
+        path.write_text("\n".join(lines))
+        parsed = parse_config(str(path))
+        for section, keys in harness._SECTION_FIELDS.items():
+            for k in keys or ():
+                assert getattr(parsed, k) == getattr(preset, k), (section, k)
+        assert dict(parsed.u0) == dict(preset.u0) and dict(parsed.rho0) == dict(preset.rho0)
+        assert parsed.u0_is_momentum == preset.u0_is_momentum
+
+    def test_bad_boolean_is_a_configuration_error(self, tmp_path, capsys):
+        path = tmp_path / "maybe.cfg"
+        path.write_text("[control]\ndealias = maybe\n")
+        assert main(["check", str(path)]) == 1
+        assert "[control] dealias: expected bool, got 'maybe'" in capsys.readouterr().err
 
     def test_casimir_rejected_for_b1(self):
         # the conserved density |rho|^(1/(b-1)) is undefined at b = 1
@@ -480,6 +535,12 @@ class TestCli:
 
     def test_run_unknown_preset(self):
         assert main(["run", "--preset", "nope"]) == 1
+
+    def test_bad_override_exits_1_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["run", "--preset", "zero", "--n", "100", "--out", str(out)]) == 1
+        assert "grid.n must be a power of two" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_preset_zero(self, tmp_path, capsys):
         assert main(["run", "--preset", "zero", "--out", str(tmp_path)]) == 0

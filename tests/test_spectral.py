@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chflow.besov import _block_multipliers, _smooth_lowpass, lowpass, lp_norm, sobolev_norm
 from chflow.profiles import band_limited_noise, bump, gaussian
 from chflow.spectral import (
+    ConfigurationError,
     Grid,
     GridMismatchError,
     RealField,
@@ -54,6 +55,12 @@ class TestGrid:
     def test_rejects_non_finite_length(self, L):
         with pytest.raises(ValueError, match="finite"):
             Grid(L, 64)
+
+    def test_every_bad_field_in_one_error(self):
+        with pytest.raises(ConfigurationError) as exc:
+            Grid(-1.0, 100)
+        assert exc.value.errors == ["L must be finite and positive, got -1.0",
+                                    "n must be a power of two >= 16, got 100"]
 
     def test_field_length_mismatch(self):
         g = Grid(1.0, 32)
@@ -191,9 +198,10 @@ class TestInertia:
 
     def test_rejects_small_r_without_override(self, grid_pi):
         f = RealField(grid_pi, np.zeros(grid_pi.n))
-        with pytest.raises(ValueError):
+        # the one statement of the r >= 1 rule, which Params applies too
+        with pytest.raises(ConfigurationError, match=r"^r must be >= 1, got 0.5$"):
             apply_inertia(f, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"^r must be >= 1, got 0.5$"):
             invert_inertia(f, 0.5)
 
     def test_linearity(self, grid20):
