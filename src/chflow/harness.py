@@ -14,6 +14,7 @@ the numeric outputs byte for byte (manifest wall time excluded).
 import inspect
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import besov, characteristics, dynamics, weights
+from . import besov, characteristics, dynamics, floattext, weights
 from .profiles import PROFILES, make_profile
 from .schema import (
     BESOV_COLUMNS,
@@ -93,8 +94,9 @@ class Scenario:
                 model(**kwargs)
             except ConfigurationError as exc:
                 errors += [f"{section}.{e}" for e in exc.errors]
-        if self.snapshots < 2:
-            errors.append(f"control.snapshots must be >= 2, got {self.snapshots}")
+        snapshots_ok = isinstance(self.snapshots, numbers.Integral) and self.snapshots >= 2
+        if not snapshots_ok:
+            errors.append(f"control.snapshots must be an integer >= 2, got {self.snapshots!r}")
         errors += [f"control.{e}" for e in dynamics.formulation_errors(self.formulation, self.r)]
         for label, spec in (("u0", dict(self.u0)), ("rho0", dict(self.rho0))):
             prof = spec.pop("profile", "zero")
@@ -111,6 +113,7 @@ class Scenario:
                         isinstance(val, int) or isinstance(val, float) and val.is_integer()):
                     errors.append(f"{label}.{key} must be an integer for profile "
                                   f"{prof!r}, got {val!r}")
+        errors += [f"decay_{e}" for e in weights.window_errors(self.decay_window)]
         for diag in self.diagnostics:
             if diag not in DIAGNOSTICS:
                 errors.append(f"unknown diagnostic {diag!r}; choose from {sorted(DIAGNOSTICS)}")
@@ -118,7 +121,7 @@ class Scenario:
             errors.append("diagnostic 'casimir' requires b != 1: the conserved "
                           "density |rho|^(1/(b-1)) is undefined for b = 1")
         flow_diags = [d for d in self.diagnostics if d in FLOW_DIAGNOSTICS]
-        if (flow_diags and self.snapshots >= 2 and self.dt_max > 0
+        if (flow_diags and snapshots_ok and self.dt_max > 0
                 and math.isfinite(self.t_final)):
             stride = self.t_final / (self.snapshots - 1)
             if stride > 4.0 * self.dt_max + 1e-12:
@@ -300,12 +303,12 @@ def parse_config(path, base: Scenario = None) -> Scenario:
 
 
 def _atomic_write(path, chunks):
-    """Write the text chunks to a temp file beside path, then rename it."""
+    """Write the byte chunks to a temp file beside path, then rename it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -314,32 +317,65 @@ def _atomic_write(path, chunks):
         raise
 
 
-def _format_column(col):
-    """Text cells of one CSV column.
+def _list_cells(col):
+    """The cells of a list column as an 'S' array: a str as is, None as
+    "nan", anything else as the text of float(v)."""
+    col = list(col)
+    text = floattext.cells(np.array(
+        [np.nan if v is None or isinstance(v, str) else float(v) for v in col]))
+    words = {i: v.encode() for i, v in enumerate(col) if isinstance(v, str)}
+    if words:
+        text = text.astype(f"S{max(text.itemsize, *map(len, words.values()))}")
+        for i, word in words.items():
+            text[i] = word
+    return text
 
-    A float64 array is formatted in one pass, each value as the shortest
-    repr that parses back to the same float64.  Any other column goes cell by
-    cell: a str passes through, None becomes "nan", anything else is
-    repr(float(v)) (never repr of a numpy scalar, which numpy 2 decorates).
+
+def _block_lines(block):
+    """The CSV lines of one block of equal-length columns, as bytes.
+
+    The float64 array columns go through one floattext.cells call; an 'S'
+    array column holds cells already formatted; any other column is a list
+    of cells (_list_cells).
     """
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return list(map(repr, col.tolist()))
-    return [v if isinstance(v, str) else "nan" if v is None else repr(float(v))
-            for v in col]
+    block = list(block)
+    floats = [i for i, col in enumerate(block)
+              if isinstance(col, np.ndarray) and col.dtype == np.float64]
+    texts = dict(zip(floats, floattext.cells(np.stack([block[i] for i in floats])))
+                 if floats else ())
+    cells = [texts[i] if i in texts
+             else col if isinstance(col, np.ndarray) and col.dtype.kind == "S"
+             else _list_cells(col) for i, col in enumerate(block)]
+    if len({len(text) for text in cells}) > 1:
+        raise ValueError("the columns of a block differ in length")
+    rows = len(cells[0])
+    if rows == 0:
+        return b""
+    # each line as fixed-width NUL-padded cells and separators; then the NULs go
+    table = np.zeros((rows, sum(text.itemsize + 1 for text in cells)), dtype=np.uint8)
+    end = 0
+    for text in cells:
+        table[:, end:end + text.itemsize] = text.reshape(rows, 1).view(np.uint8)
+        end += text.itemsize + 1
+        table[:, end - 1] = ord(",")
+    table[:, -1] = ord("\n")
+    flat = table.reshape(-1)
+    return flat[flat != 0].tobytes()
 
 
 def write_csv(path, header, blocks):
     """Write a CSV streamed block by block.
 
-    Each block is a sequence of equal-length columns, one per header name,
-    formatted by _format_column; the file is written one block at a time.
+    Each block is a sequence of equal-length columns, one per header name:
+    a float64 array, a bytes ('S') array of formatted cells, or a list of
+    cells (a str as is, None as "nan", anything else as repr(float(v))).
+    Every number is written by floattext.cells, byte for byte its repr.
+    The file is written one block at a time.
     """
     def chunks():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode()
         for block in blocks:
-            lines = list(map(",".join, zip(*map(_format_column, block), strict=True)))
-            if lines:
-                yield "\n".join(lines) + "\n"
+            yield _block_lines(block)
 
     _atomic_write(path, chunks())
 
@@ -362,7 +398,7 @@ def _jsonable(obj):
 
 def write_json(path, obj):
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(path, (text, "\n"))
+    _atomic_write(path, (text.encode(), b"\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +665,10 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
 
 def _write_trajectory_csv(path, traj):
     """One block per snapshot; x is formatted once, t once per snapshot."""
-    grid = traj.grid
-    u, rho, m = traj.u, traj.rho, traj.m
-    x_text = _format_column(grid.x)
-    t_text = _format_column(traj.times)
-    blocks = (
-        ([t_text[i]] * grid.n, x_text, u[i], rho[i], m[i]) for i in range(len(t_text))
-    )
+    n = traj.grid.n
+    x_text = floattext.cells(traj.grid.x)
+    blocks = ((np.broadcast_to(t, n), x_text, u, rho, m) for t, u, rho, m
+              in zip(floattext.cells(traj.times), traj.u, traj.rho, traj.m))
     write_csv(path, TRAJECTORY_COLUMNS, blocks)
 
 

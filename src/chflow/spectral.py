@@ -11,6 +11,7 @@ is a diagonal multiplier on the same k = 0..n/2 array.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -52,7 +53,9 @@ class Grid:
         errors = []
         if not (math.isfinite(self.L) and self.L > 0):
             errors.append(f"L must be finite and positive, got {self.L}")
-        if self.n < 16 or self.n & (self.n - 1):
+        if not isinstance(self.n, numbers.Integral):
+            errors.append(f"n must be an integer, got {self.n!r}")
+        elif self.n < 16 or self.n & (self.n - 1):
             errors.append(f"n must be a power of two >= 16, got {self.n}")
         raise_errors(errors)
 

@@ -260,6 +260,20 @@ class DecayFit:
     n_points: int
 
 
+def window_errors(window):
+    """The fit window rule: [] when window is None (the default window) or a
+    pair of finite numbers with 0 <= lo < hi, else the message saying why not."""
+    if window is None:
+        return []
+    try:
+        lo, hi = window
+        ok = math.isfinite(lo) and math.isfinite(hi) and 0 <= lo < hi
+    except (TypeError, ValueError):
+        ok = False
+    return [] if ok else [
+        f"window must be None or a pair of finite numbers 0 <= lo < hi, got {window!r}"]
+
+
 def decay_profile(f: RealField, window=None) -> DecayFit:
     """Fit tail decay rates of |f| on a window of |x|.
 
@@ -268,11 +282,10 @@ def decay_profile(f: RealField, window=None) -> DecayFit:
     [0.45L, 0.7L], past the data bulk but clear of the periodic seam.
     """
     grid = f.grid
-    if window is None:
-        window = (0.45 * grid.L, 0.7 * grid.L)
-    lo, hi = window
-    if not 0 <= lo < hi:
-        raise ValueError("window must satisfy 0 <= lo < hi")
+    errors = window_errors(window)
+    if errors:
+        raise ValueError(errors[0])
+    lo, hi = (0.45 * grid.L, 0.7 * grid.L) if window is None else window
     ax = np.abs(grid.x)
     mask = (ax >= lo) & (ax <= hi) & (np.abs(f.samples) > 1e-300)   # log|f| finite
     if not np.any(mask):

@@ -12,6 +12,8 @@ monitor.  :func:`stepwise_integrate` is integrate as it stepped before
 each step's jet was reused, with :func:`stage_by_stage_rk4`: every stage
 transforms its own input and each step's result is transformed again for
 its samples, the bitwise reference for the jet handed from step to step.
+:func:`float_edge_values` lists the float64 values whose text is hardest to
+get right, for the CSV formatter's tests against ``repr``.
 """
 
 import numpy as np
@@ -23,6 +25,32 @@ from chflow import besov, weights
 from chflow.dynamics import Trajectory, get_rhs, rk4, rk4_stages
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, dealias, operators
+
+
+def _float_neighbours(values, count):
+    """The count nearest float64 values on each side of each of values."""
+    below, above = [values], [values]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.concatenate(below[1:] + above[1:])
+
+
+def float_edge_values():
+    """Every power of two (the asymmetric rounding interval), 2**53 and its
+    neighbours, every power of ten and its neighbours, 20 neighbours each of
+    1e16 and 1e-4 (where repr changes layout), the extremes, the non-finite
+    values and zero, each with both signs."""
+    tens = np.array([10.0**e for e in range(-323, 309)])
+    values = np.concatenate([
+        [2.0**e for e in range(-1074, 1024)],
+        [2.0**53], _float_neighbours(np.array([2.0**53]), 2),
+        tens, _float_neighbours(tens, 1),
+        _float_neighbours(np.array([1e16, 1e-4]), 20),
+        [5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308,
+         1.7976931348623157e308, 0.1, 0.2, 0.3, 123.0, 0.0, np.inf, np.nan],
+    ])
+    return np.concatenate([values, -values])
 
 
 @pytest.fixture

@@ -22,6 +22,8 @@ from chflow.harness import (
 from chflow.schema import IDENTITY_COLUMNS, SCHEMA_VERSION, TRAJECTORY_COLUMNS
 from chflow.spectral import Grid, RealField, apply_inertia, derivative
 
+from conftest import float_edge_values
+
 GOOD_CONFIG = """
 [params]
 b = 2.0
@@ -161,6 +163,38 @@ class TestConfig:
         # the ceiling off, L = inf ended as a casimir fail
         errors = replace(PRESETS["zero"], **{field: value}).validate()
         assert len(errors) == 1 and errors[0].startswith(label)
+
+    @pytest.mark.parametrize("window", [
+        (5.0, 2.0), (2.0, 2.0), (-1.0, 2.0), (1.0, math.inf), (math.nan, 2.0),
+        (1.0,), (1.0, 2.0, 3.0), 3.0, ("a", "b"),
+    ])
+    def test_bad_decay_window_fails_at_validate(self, window):
+        # (5.0, 2.0) used to pass validate() and surface after the
+        # integration, as a decay diagnostic error
+        sc = replace(PRESETS["zero"], decay_window=window, diagnostics=("decay",))
+        errors = sc.validate()
+        assert len(errors) == 1 and errors[0].startswith("decay_window must be None or")
+        with pytest.raises(ConfigurationError):
+            sc.build()
+
+    @pytest.mark.parametrize("window", [None, (0.0, 5.0), [9, 14]])
+    def test_good_decay_window_passes_validate(self, window):
+        assert replace(PRESETS["zero"], decay_window=window).validate() == []
+
+    @pytest.mark.parametrize("field, value, label", [
+        ("n", 128.0, "grid.n must be an integer"),     # used to raise TypeError
+        ("n", "128", "grid.n must be an integer"),
+        ("snapshots", 2.5, "control.snapshots must be an integer"),   # used to pass
+        ("snapshots", 11.0, "control.snapshots must be an integer"),
+        ("snapshots", 1, "control.snapshots must be an integer >= 2"),
+    ])
+    def test_non_integer_counts_fail_at_validate(self, field, value, label):
+        errors = replace(PRESETS["zero"], **{field: value}).validate()
+        assert len(errors) == 1 and errors[0].startswith(label)
+
+    def test_numpy_integer_counts_pass_validate(self):
+        sc = replace(PRESETS["zero"], n=np.int64(128), snapshots=np.int32(101))
+        assert sc.validate() == []
 
     def test_infinite_gradient_ceiling_switches_the_ceiling_off(self):
         assert replace(PRESETS["zero"], gradient_ceiling=math.inf).validate() == []
@@ -464,6 +498,24 @@ class TestCsvWriter:
         rows = [row for block in blocks for row in zip(*block)]
         assert _lines(path) == _reference_csv(header, rows)
         assert _lines(path)[1] == "sharp,1.0,0.1,0.005,2.0\n"
+
+    def test_edge_values_in_every_column_kind_match_the_reference(self, tmp_path):
+        values = float_edge_values()
+        n = len(values)
+        mixed = [None, "sharp", np.float64(-0.0), 7, -2**53 - 1, "", np.nan, 1e16]
+        listed = [mixed[i % len(mixed)] if i % 3 else v for i, v in enumerate(values.tolist())]
+        blocks = [
+            (values, listed, values[::-1], np.array([str(v) for v in values]).tolist()),
+            (np.array([]), [], np.array([]), []),
+            (values[:5], [np.float64(v) for v in values[:5]], [int(v) for v in range(5)],
+             ["a", "b", None, "d", "e"]),
+        ]
+        header = ("a", "b", "c", "d")
+        path = tmp_path / "edges.csv"
+        harness.write_csv(str(path), header, blocks)
+        rows = [row for block in blocks for row in zip(*block)]
+        assert len(rows) == n + 5
+        assert _lines(path) == _reference_csv(header, rows)
 
     def test_scenario_files_match_the_row_reference(self, tmp_path, monkeypatch):
         # every table a run writes, against the row-by-row reference of the
