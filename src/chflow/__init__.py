@@ -23,7 +23,6 @@ from .characteristics import (
     check_support_containment,
     check_transport_identity,
     evolve_flow,
-    reconstruct_rho,
     track_support,
 )
 from .dynamics import (
@@ -53,12 +52,6 @@ from .spectral import (
     derivative,
     invert_inertia,
 )
-from .weights import (
-    StandardWeight,
-    admissibility_check,
-    decay_profile,
-    persistence_monitor,
-    weighted_norm,
-)
+from .weights import StandardWeight, decay_profile, persistence_monitor
 
 __version__ = "0.1.0"

@@ -144,57 +144,6 @@ def casimir(rho: RealField, b: float) -> float:
     return float(rho.grid.dx * np.sum(np.abs(rho.samples) ** (1.0 / (b - 1.0))))
 
 
-def reconstruct_rho(flows, traj: Trajectory, b: float):
-    """Rebuild rho(t) from rho_0, the inverse flow, and the u_x history.
-
-    rho(t, x) = rho_0(y) * exp((1-b) * int_0^t u_x(s, phi(s, y)) ds) with
-    y = phi^{-1}(t, x): the slope history is accumulated along each
-    characteristic (trapezoid over snapshots), which is what the transport
-    identity combined with the flow-derivative exponential actually gives;
-    integrating at frozen x instead leaves an O(t^2) model error that no
-    refinement removes.  phi^{-1} comes from monotone cubic interpolation of
-    the (periodically extended) marker set, and rho_0 and the accumulated
-    integral are sampled the same way, so the t = 0 reconstruction is
-    exactly rho_0 on the grid.
-    """
-    # Imported here: scipy.interpolate dominates the package's import time.
-    from scipy.interpolate import PchipInterpolator
-
-    grid = traj.grid
-    times = traj.times
-    x = grid.x
-    period = 2.0 * grid.L
-    rho0 = traj.rho[0]
-    u_coeffs = grid.half_coeffs(traj.u)
-    markers = flows[0].markers
-
-    def periodic_interp(xs, ys, shift_y):
-        return PchipInterpolator(
-            np.concatenate([xs - period, xs, xs + period]),
-            np.concatenate([ys - shift_y, ys, ys + shift_y]),
-        )
-
-    rho0_interp = periodic_interp(x, rho0, 0.0)
-
-    out = []
-    integral = np.zeros_like(markers)   # int u_x(s, phi(s, marker)) ds
-    prev_ux = None
-    for j, fl in enumerate(flows):
-        _, ux_at_phi = evaluate_coeffs(grid, u_coeffs[j], fl.phi, deriv=True)
-        if j > 0:
-            dt = times[j] - times[j - 1]
-            integral = integral + 0.5 * dt * (ux_at_phi + prev_ux)
-        prev_ux = ux_at_phi
-        fl.check()
-        inv = periodic_interp(fl.phi, markers, period)
-        y = inv(x)
-        integral_at_y = periodic_interp(markers, integral, 0.0)(y)
-        out.append(
-            RealField(grid, rho0_interp(y) * np.exp((1.0 - b) * integral_at_y))
-        )
-    return out
-
-
 def check_m_flow_identity(flows, traj: Trajectory, params, along=None):
     """Max deviation of the momentum balance along the flow, per snapshot.
 

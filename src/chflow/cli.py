@@ -2,7 +2,8 @@
 
 Subcommands:
   run    execute a scenario from a config file and/or preset
-  suite  run one of the named experiment suites
+  suite  run one of the named experiment suites (convergence, stability,
+         persistence, friedrichs)
   check  validate a config file without running it
 
 ``run --formulation`` offers the RHS formulations dynamics defines

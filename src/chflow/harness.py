@@ -4,8 +4,8 @@ A Scenario bundles everything a run needs: model constants, grid, step
 control, named initial-data profiles, and the list of diagnostics to
 evaluate.  run_scenario() executes it and writes CSV data plus a JSON
 manifest (atomically: temp file then rename).  run_suite() orchestrates the
-multi-run experiments (convergence, stability, persistence, friedrichs,
-support) and writes a JSON report per suite.
+multi-run experiments (convergence, stability, persistence, friedrichs) and
+writes a JSON report per suite.
 
 Scenarios are deterministic: with a fixed build, re-running one reproduces
 the numeric outputs byte for byte (manifest wall time excluded).
@@ -914,25 +914,11 @@ def friedrichs_suite(out_dir):
     return report
 
 
-def support_suite(out_dir):
-    """Bump-data containment of rho and m supports in the transported interval."""
-    manifest = run_scenario(replace(PRESETS["support"], name="support_suite"), out_dir)
-    inv = manifest["invariants"]["support"]
-    report = {
-        "suite": "support",
-        "containment": inv,
-        "pass": inv.get("status") == "pass",
-    }
-    write_json(os.path.join(out_dir, "support_report.json"), report)
-    return report
-
-
 SUITES = {
     "convergence": convergence_suite,
     "stability": stability_suite,
     "persistence": persistence_suite,
     "friedrichs": friedrichs_suite,
-    "support": support_suite,
 }
 
 

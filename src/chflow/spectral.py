@@ -160,20 +160,19 @@ class Operators:
     """The Fourier multipliers the RHS code shares on one grid.
 
     Every array lives on the rfft half spectrum k = 0..n/2 of real samples:
-    ``ixi`` is i*xi, ``inertia`` the multiplier (1 + xi^2)^r, ``ixi_inertia``
-    their product and ``mask`` the two-thirds mask as floats (the scalar 1.0
-    when products are not dealiased).  ``jet`` stacks (ixi, inertia,
-    ixi_inertia, ixi): applied to the half spectra of (u, u, u, rho) it gives
-    (u_x, m, m_x, rho_x).  ``solve`` stacks (mask / inertia, mask): applied to
-    the half spectra of the summed momentum and density nonlinearities it
-    dealiases both and recovers u_t from m_t.  Build it through
-    :func:`operators`, which caches it.
+    ``ixi`` is i*xi, ``inertia`` the multiplier (1 + xi^2)^r and ``mask`` the
+    two-thirds mask as floats (the scalar 1.0 when products are not
+    dealiased).  ``jet`` stacks (ixi, inertia, ixi * inertia, ixi): applied
+    to the half spectra of (u, u, u, rho) it gives (u_x, m, m_x, rho_x).
+    ``solve`` stacks (mask / inertia, mask): applied to the half spectra of
+    the summed momentum and density nonlinearities it dealiases both and
+    recovers u_t from m_t.  Build it through :func:`operators`, which
+    caches it.
     """
 
     grid: Grid
     ixi: np.ndarray
     inertia: np.ndarray
-    ixi_inertia: np.ndarray
     mask: object
     jet: np.ndarray
     solve: np.ndarray
@@ -196,11 +195,10 @@ def operators(grid: Grid, r: float = 1.0, use_dealias: bool = True) -> Operators
 def _operators(grid: Grid, r: float, use_dealias: bool) -> Operators:
     ixi = 1j * grid.xi
     a_mult = inertia_multiplier(grid, r)
-    ixi_a = ixi * a_mult
     mask = grid.dealias_mask.astype(float) if use_dealias else 1.0
-    jet = np.stack((ixi, a_mult, ixi_a, ixi))
+    jet = np.stack((ixi, a_mult, ixi * a_mult, ixi))
     solve = np.stack((mask / a_mult, mask * np.ones_like(a_mult)))
-    shared = (ixi, a_mult, ixi_a, jet, solve) + ((mask,) if use_dealias else ())
+    shared = (ixi, a_mult, jet, solve) + ((mask,) if use_dealias else ())
     for arr in shared:
         arr.flags.writeable = False
-    return Operators(grid, ixi, a_mult, ixi_a, mask, jet, solve)
+    return Operators(grid, ixi, a_mult, mask, jet, solve)

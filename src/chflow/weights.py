@@ -5,10 +5,7 @@ The standard weight family is
     w(x) = exp(a*|x|^b) * (1 + |x|)^c * log(e + |x|)^d,
 
 optionally one-sided (w = 1 on x <= 0).  A weight is flagged admissible for
-the persistence bound when a >= 0, 0 <= b <= 1 and a*b < 1; the numerical
-check also reports the smallest A with |w'| <= A*w on the grid and whether
-the companion integral of v(x)*exp(-|x|) converges under domain doubling,
-with v the all-positive-parameter member of the same family.
+the persistence bound when a >= 0, 0 <= b <= 1 and a*b < 1.
 """
 
 import math
@@ -57,108 +54,6 @@ class StandardWeight:
             w = np.where(x <= 0.0, 1.0, w)
         return w
 
-    def _slope_term(self, ax):
-        """(log w)' for x > 0 as a function of |x|; the x -> 0+ limit at 0."""
-        if self.a != 0.0 and self.b != 0.0:
-            with np.errstate(divide="ignore"):
-                power = self.a * self.b * np.where(
-                    (ax > 0.0) | (self.b >= 1.0), ax ** (self.b - 1.0), np.inf
-                )
-        else:
-            power = np.zeros_like(ax)
-        return power + self.c / (1.0 + ax) + self.d / ((np.e + ax) * np.log(np.e + ax))
-
-    def log_derivative_magnitude(self, x):
-        """|w'|/w with one-sided limits at x = 0 (the a.e. essential bound)."""
-        x = np.asarray(x, dtype=float)
-        out = np.abs(self._slope_term(np.abs(x)))
-        if self.side == "right":
-            out = np.where(x < 0.0, 0.0, out)
-        return out
-
-    def companion(self) -> "StandardWeight":
-        """Sub-multiplicative companion: same family, all parameters |.|."""
-        return StandardWeight(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-
-@dataclass
-class AdmissibilityReport:
-    admissible: bool
-    smallest_A: float
-    companion_integrals: dict     # half-length -> integral of v * exp(-|x|)
-    companion_converges: bool
-    messages: list
-
-
-def _trapezoid(y, x):
-    """Trapezoid rule, term for term as numpy's (numpy < 2 has no trapezoid)."""
-    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
-
-
-def admissibility_check(w: StandardWeight, L: float = 40.0, n: int = 4096) -> AdmissibilityReport:
-    """Numerical admissibility report on [-L, L].
-
-    Checks the parameter restriction, reports the smallest A with
-    |w'| <= A*w on the grid, and tests convergence of the companion
-    integral by comparing tail increments across domain doublings.
-    """
-    messages = []
-    ok = w.admissible
-    if not ok:
-        messages.append(
-            f"parameter restriction violated: need a>=0, 0<=b<=1, a*b<1 "
-            f"(got a={w.a}, b={w.b})"
-        )
-
-    x = np.linspace(-L, L, n + 1)    # odd count so x = 0 is sampled
-    smallest_A = float(np.max(w.log_derivative_magnitude(x)))
-
-    v = w.companion()
-    integrals = {}
-    for half in (L, 2 * L, 4 * L):
-        xs = np.linspace(-half, half, int(n * half / L) + 1)
-        integrand = v(xs) * np.exp(-np.abs(xs))
-        integrals[half] = _trapezoid(integrand, xs)
-    inc1 = integrals[2 * L] - integrals[L]
-    inc2 = integrals[4 * L] - integrals[2 * L]
-    scale = max(integrals[L], 1e-300)
-    converges = inc2 <= 0.5 * inc1 + 1e-12 * scale
-    if not converges:
-        ok = False
-        messages.append(
-            "companion integral of v*exp(-|x|) keeps growing under domain "
-            f"doubling (increments {inc1:.3e} -> {inc2:.3e})"
-        )
-    return AdmissibilityReport(ok, smallest_A, integrals, converges, messages)
-
-
-def companion_in_lp(w: StandardWeight, p: float, L: float = 40.0, n: int = 4096) -> bool:
-    """Check v*exp(-|x|) in L^p by tail-increment decay under doubling."""
-    v = w.companion()
-    vals = {}
-    for half in (L, 2 * L, 4 * L):
-        xs = np.linspace(-half, half, int(n * half / L) + 1)
-        g = v(xs) * np.exp(-np.abs(xs))
-        if np.isinf(p):
-            vals[half] = float(np.max(g))
-        else:
-            vals[half] = _trapezoid(g**p, xs)
-    if np.isinf(p):
-        return vals[4 * L] <= vals[L] * (1.0 + 1e-9)
-    inc1 = vals[2 * L] - vals[L]
-    inc2 = vals[4 * L] - vals[2 * L]
-    return inc2 <= 0.5 * inc1 + 1e-12 * max(vals[L], 1e-300)
-
-
-def weighted_norm(f: RealField, w: StandardWeight, p: float) -> float:
-    """L^p norm of f * w by grid quadrature (max of |f*w| for p = inf)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    g = np.abs(f.samples * w(f.grid.x))
-    if np.isinf(p):
-        return float(g.max(initial=0.0))
-    return float((f.grid.dx * np.sum(g**p)) ** (1.0 / p))
-
 
 @dataclass
 class PersistenceReport:
@@ -174,8 +69,7 @@ class PersistenceReport:
     weight: StandardWeight
 
 
-def persistence_monitor(traj: Trajectory, battery, ps,
-                        relaxed_admissibility: bool = False) -> dict:
+def persistence_monitor(traj: Trajectory, battery, ps) -> dict:
     """Track the weighted size of (u, u_x, rho) along a run and fit its growth.
 
     Returns one PersistenceReport per (weight, p) key, for every weight of
@@ -183,8 +77,7 @@ def persistence_monitor(traj: Trajectory, battery, ps,
     masked fields and their sup norms are computed once per snapshot, and
     each w(x) once per run.
 
-    Inadmissible weights are rejected unless relaxed_admissibility is set and the
-    p-dependent companion condition holds.  Spectral solutions carry an
+    Inadmissible weights are rejected.  Spectral solutions carry an
     absolute round-off floor of about 1e-16 * max|f|; an exponential weight
     amplifies that floor by exp(a*L), which would dominate the norm with
     pure noise on wide domains.  Samples with |f| <= SIGNAL_FLOOR * max|f|
@@ -197,14 +90,8 @@ def persistence_monitor(traj: Trajectory, battery, ps,
     """
     grid = traj.grid
     for w in battery:
-        if not w.admissible and not (
-            relaxed_admissibility and all(companion_in_lp(w, p, grid.L) for p in ps)
-        ):
-            raise ValueError(
-                "weight is not admissible for the persistence bound; "
-                "pass relaxed_admissibility=True with a p satisfying the companion "
-                "condition to monitor it anyway"
-            )
+        if not w.admissible:
+            raise ValueError(f"weight {w} is not admissible for the persistence bound")
     times = traj.times
     wvals = [w(grid.x) for w in battery]
     Ws = np.empty((len(battery), len(ps), len(times)))

@@ -8,23 +8,27 @@ iterate after another, the bitwise reference for the lagged stack, and
 :func:`physical_friedrichs_iterate` the same loop in physical space, its
 round-off reference.  :func:`per_pair_persistence_monitor` monitors one
 (weight, p) pair per call, the bitwise reference for the one-pass battery
-monitor.  :func:`stepwise_integrate` is integrate as it stepped before
-each step's jet was reused, with :func:`stage_by_stage_rk4`: every stage
-transforms its own input and each step's result is transformed again for
-its samples, the bitwise reference for the jet handed from step to step.
+monitor.  :func:`reconstruct_rho` rebuilds rho from rho_0 along the flow,
+an independent check of the solver's density (acceptance criterion 04).
+:func:`stepwise_integrate` is integrate as it stepped before each step's
+jet was reused, with :func:`stage_by_stage_rk4`: every stage transforms
+its own input and each step's result is transformed again for its
+samples, the bitwise reference for the jet handed from step to step.
 :func:`float_edge_values` lists the float64 values whose text is hardest to
 get right, for the CSV formatter's tests against ``repr``.
 """
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from functools import partial
 
 from chflow import besov, weights
 from chflow.dynamics import Trajectory, get_rhs, rk4, rk4_stages
+from chflow.offgrid import evaluate_coeffs
 from chflow.profiles import band_limited_noise
-from chflow.spectral import Grid, dealias, operators
+from chflow.spectral import Grid, RealField, dealias, operators
 
 
 def _float_neighbours(values, count):
@@ -205,12 +209,11 @@ def _masked_norm(samples, wvals, dx, p):
     return float((dx * np.sum(g**p)) ** (1.0 / p))
 
 
-def per_pair_persistence_monitor(traj, w, p, relaxed_admissibility=False):
+def per_pair_persistence_monitor(traj, w, p):
     """The PersistenceReport of one (weight, p) pair, with u_x, the masks
     and the sup norms recomputed for the pair."""
     if not w.admissible:
-        if not (relaxed_admissibility and weights.companion_in_lp(w, p, traj.grid.L)):
-            raise ValueError("weight is not admissible for the persistence bound")
+        raise ValueError("weight is not admissible for the persistence bound")
     grid = traj.grid
     times = traj.times
     wvals = w(grid.x)
@@ -241,6 +244,54 @@ def per_pair_persistence_monitor(traj, w, p, relaxed_admissibility=False):
     return weights.PersistenceReport(
         times, Ws, sup_norms, M, float(slope), float(intercept), residual, bound_ok, p, w
     )
+
+
+def reconstruct_rho(flows, traj, b):
+    """Rebuild rho(t) from rho_0, the inverse flow, and the u_x history.
+
+    rho(t, x) = rho_0(y) * exp((1-b) * int_0^t u_x(s, phi(s, y)) ds) with
+    y = phi^{-1}(t, x): the slope history is accumulated along each
+    characteristic (trapezoid over snapshots), which is what the transport
+    identity combined with the flow-derivative exponential actually gives;
+    integrating at frozen x instead leaves an O(t^2) model error that no
+    refinement removes.  phi^{-1} comes from monotone cubic interpolation of
+    the (periodically extended) marker set, and rho_0 and the accumulated
+    integral are sampled the same way, so the t = 0 reconstruction is
+    exactly rho_0 on the grid.
+    """
+    grid = traj.grid
+    times = traj.times
+    x = grid.x
+    period = 2.0 * grid.L
+    rho0 = traj.rho[0]
+    u_coeffs = grid.half_coeffs(traj.u)
+    markers = flows[0].markers
+
+    def periodic_interp(xs, ys, shift_y):
+        return PchipInterpolator(
+            np.concatenate([xs - period, xs, xs + period]),
+            np.concatenate([ys - shift_y, ys, ys + shift_y]),
+        )
+
+    rho0_interp = periodic_interp(x, rho0, 0.0)
+
+    out = []
+    integral = np.zeros_like(markers)   # int u_x(s, phi(s, marker)) ds
+    prev_ux = None
+    for j, fl in enumerate(flows):
+        _, ux_at_phi = evaluate_coeffs(grid, u_coeffs[j], fl.phi, deriv=True)
+        if j > 0:
+            dt = times[j] - times[j - 1]
+            integral = integral + 0.5 * dt * (ux_at_phi + prev_ux)
+        prev_ux = ux_at_phi
+        fl.check()
+        inv = periodic_interp(fl.phi, markers, period)
+        y = inv(x)
+        integral_at_y = periodic_interp(markers, integral, 0.0)(y)
+        out.append(
+            RealField(grid, rho0_interp(y) * np.exp((1.0 - b) * integral_at_y))
+        )
+    return out
 
 
 def stage_by_stage_rk4(f, t, y, h):

@@ -17,7 +17,6 @@ from chflow.characteristics import (
     check_m_flow_identity,
     check_transport_identity,
     evolve_flow,
-    reconstruct_rho,
 )
 from chflow.dynamics import (
     Params,
@@ -37,6 +36,8 @@ from chflow.harness import (
 )
 from chflow.profiles import band_limited_noise, gaussian
 from chflow.spectral import Grid, RealField, dealias
+
+from conftest import reconstruct_rho
 
 CH_PARAMS = Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
 

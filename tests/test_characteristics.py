@@ -1,15 +1,11 @@
 """Flow map, transport identities, conservation, and support tracking."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-import chflow
 from chflow.characteristics import (
     FlowDegeneracyError,
     FlowMap,
@@ -18,13 +14,14 @@ from chflow.characteristics import (
     check_support_containment,
     check_transport_identity,
     evolve_flow,
-    reconstruct_rho,
     track_support,
 )
 from chflow.dynamics import Params, State, StepControl, Trajectory, integrate
 from chflow.offgrid import evaluate
 from chflow.profiles import bump, gaussian
 from chflow.spectral import Grid, RealField, invert_inertia
+
+from conftest import reconstruct_rho
 
 CH_PARAMS = Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
 
@@ -270,13 +267,3 @@ class TestSupport:
         flows = evolve_flow(traj)
         with pytest.raises(ValueError, match="support"):
             check_support_containment(flows, traj, CH_PARAMS)
-
-
-def test_import_leaves_scipy_interpolate_unloaded():
-    # only reconstruct_rho needs scipy.interpolate, and it dominates the
-    # package's import time, so a plain import must not load it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chflow.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, chflow; assert 'scipy.interpolate' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -1,9 +1,13 @@
 """Scenario config, run orchestration, manifests, determinism, and the CLI."""
 
+import ast
 import csv
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, replace
 
 import numpy as np
@@ -621,9 +625,57 @@ class TestCli:
     def test_unknown_suite_is_config_error(self, tmp_path):
         assert main(["suite", "bogus", "--out", str(tmp_path)]) == 1
 
+    def test_support_is_a_preset_not_a_suite(self, tmp_path, capsys):
+        # run --preset support reports the containment check; no suite reruns it
+        assert main(["suite", "support", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        for name in ("convergence", "friedrichs", "persistence", "stability"):
+            assert name in err
+        assert not os.listdir(tmp_path)
+
     def test_suite_runs(self, tmp_path, capsys):
         assert main(["suite", "friedrichs", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "friedrichs_report.json").exists()
+
+
+class TestRunsWithoutScipy:
+    """numpy is chflow's only runtime dependency; scipy is for the tests."""
+
+    def test_no_module_imports_scipy(self):
+        src = os.path.dirname(harness.__file__)
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):   # every depth, function bodies included
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                assert all(m.split(".")[0] != "scipy" for m in modules), (name, node.lineno)
+
+    def test_cli_runs_with_scipy_unimportable(self, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+
+            class RefuseScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ModuleNotFoundError(f"No module named {name!r}")
+
+            sys.meta_path.insert(0, RefuseScipy())
+            from chflow.cli import main
+            out = sys.argv[1]
+            assert main(["run", "--preset", "zero", "--out", out + "/zero"]) == 0
+            assert main(["suite", "friedrichs", "--out", out + "/friedrichs"]) == 0
+        """)
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
 
 
 class TestStrictJson:

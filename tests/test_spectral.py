@@ -360,7 +360,7 @@ class TestHalfSpectrum:
         _assert_close(ops.dx(a), full_multiplier(1j * xi, a), grid.xi_max * scale)
         _assert_close(grid.apply_multiplier(a, ops.inertia), full_multiplier(inertia, a),
                       np.max(inertia) * scale)
-        _assert_close(grid.apply_multiplier(a, ops.ixi_inertia),
+        _assert_close(grid.apply_multiplier(a, ops.jet[2]),
                       full_multiplier(1j * xi * inertia, a),
                       grid.xi_max * np.max(inertia) * scale)
 
@@ -411,7 +411,7 @@ class TestHalfSpectrum:
 
     def test_operator_arrays_are_read_only(self, grid20):
         ops = operators(grid20, 1.5, True)
-        for arr in (ops.ixi, ops.inertia, ops.ixi_inertia, ops.mask, ops.jet, ops.solve):
+        for arr in (ops.ixi, ops.inertia, ops.mask, ops.jet, ops.solve):
             assert arr.shape[-1] == grid20.n // 2 + 1
             assert not arr.flags.writeable
 
@@ -420,7 +420,7 @@ class TestHalfSpectrum:
         grid = Grid(L, n)
         ops = operators(grid, 1.5, True)
         arrays = [grid.xi, grid.dealias_mask, grid.half_coeffs(grid.x)]
-        arrays += [ops.ixi, ops.inertia, ops.ixi_inertia, ops.mask, ops.jet, ops.solve]
+        arrays += [ops.ixi, ops.inertia, ops.mask, ops.jet, ops.solve]
         arrays += [_block_multipliers(grid, style) for style in ("sharp", "smooth")]
         for arr in arrays:
             assert arr.shape[-1] == n // 2 + 1

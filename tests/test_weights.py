@@ -1,26 +1,16 @@
-"""Weight family, admissibility, weighted norms, persistence, decay fits."""
+"""Weight family, admissibility, persistence monitor, decay fits."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from chflow.dynamics import Params, State, StepControl, integrate
+from chflow.dynamics import Params, State, StepControl, Trajectory, integrate
 from chflow.harness import NORM_PS, WEIGHT_BATTERY
 from chflow.profiles import bump, gaussian, sech
 from chflow.spectral import Grid, RealField
-from chflow.weights import (
-    StandardWeight,
-    UndefinedFitError,
-    admissibility_check,
-    companion_in_lp,
-    decay_profile,
-    persistence_monitor,
-    weighted_norm,
-)
+from chflow.weights import StandardWeight, UndefinedFitError, decay_profile, persistence_monitor
 
 from conftest import full_multiplier, full_xi, per_pair_persistence_monitor
 
@@ -50,92 +40,15 @@ class TestWeightFamily:
         assert not StandardWeight(a=1.0, b=1.0).admissible
         assert not StandardWeight(a=-0.1, b=1.0).admissible
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        a=st.floats(0.0, 2.0),
-        b=st.floats(0.0, 1.0),
-        c=st.floats(-3.0, 3.0),
-        d=st.floats(-3.0, 3.0),
-        side=st.sampled_from(["both", "right"]),
-        xs=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=16),
-        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=16, max_size=16),
-    )
-    def test_log_derivative_matches_finite_difference(self, a, b, c, d, side, xs, signs):
-        w = StandardWeight(a, b, c, d, side)
-        # away from the kink at 0, where log w is smooth on either side
-        x = np.array(xs) * np.array(signs[: len(xs)])
-        h = 1e-4 * (1.0 + np.abs(x))
-        fd = (np.log(w(x + h)) - np.log(w(x - h))) / (2.0 * h)
-        exact = w.log_derivative_magnitude(x)
-        assert np.all(np.abs(np.abs(fd) - exact) <= 1e-6 * (1.0 + exact))
 
-
-class TestAdmissibilityCheck:
-    def test_constant_weight_A_is_zero(self):
-        rep = admissibility_check(StandardWeight())
-        assert rep.admissible
-        assert rep.smallest_A == 0.0
-
-    def test_quadratic_weight_closed_form(self):
-        # w = (1+|x|)^2: |w'|/w = 2/(1+|x|), largest at x = 0
-        rep = admissibility_check(StandardWeight(c=2.0), L=20.0)
-        assert rep.admissible
-        assert rep.smallest_A == pytest.approx(2.0, rel=1e-9)
-
-    def test_limit_exponential_flagged(self):
-        # a*b = 1: the companion integral of v e^{-|x|} grows with the domain
-        rep = admissibility_check(StandardWeight(a=1.0, b=1.0))
-        assert not rep.admissible
-        assert not rep.companion_converges
-        assert any("companion" in m or "restriction" in m for m in rep.messages)
-
-    def test_limit_exponential_companion_in_lp_only_at_p_inf(self):
-        w = StandardWeight(a=1.0, b=1.0)
-        assert companion_in_lp(w, math.inf)
-        assert not companion_in_lp(w, 1.0)
-
-
-class TestWeightedNorm:
-    def test_unit_weight_is_plain_l2(self, grid20):
-        f = gaussian(grid20, 1.0, 2.0)
-        got = weighted_norm(f, StandardWeight(), 2.0)
-        expect = math.sqrt(grid20.dx * np.sum(f.samples**2))
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_half_exponential_sup(self):
-        g = Grid(20.0, 1024)
-        f = RealField(g, np.exp(-np.abs(g.x)))
-        w = StandardWeight(a=0.5, b=1.0)
-        assert weighted_norm(f, w, math.inf) == pytest.approx(1.0, rel=1e-12)
-
-    def test_bump_against_quadrature_oracle(self):
-        # the bump is centered away from the weight's |x| kink so the grid
-        # quadrature sees a smooth integrand and keeps spectral accuracy
-        g = Grid(20.0, 2048)
-        width, center = 2.0, 5.0
-        f = bump(g, 1.0, width, center)
-        w = StandardWeight(c=2.0)
-        got = weighted_norm(f, w, 1.0)
-
-        def integrand(x):
-            xi = (x - center) / width
-            if abs(xi) >= 1.0:
-                return 0.0
-            return math.exp(-1.0 / (1.0 - xi * xi)) * (1.0 + abs(x)) ** 2
-
-        oracle, _ = quad(integrand, center - width, center + width, limit=200)
-        assert got == pytest.approx(oracle, rel=1e-8)
-
-    def test_monotone_in_the_weight(self, grid20):
-        f = gaussian(grid20, 1.0, 2.0)
-        w1 = StandardWeight(c=1.0)
-        w2 = StandardWeight(c=2.0)
-        for p in (1.0, 2.0, math.inf):
-            assert weighted_norm(f, w1, p) <= weighted_norm(f, w2, p)
-
-    def test_rejects_bad_p(self, grid20):
-        with pytest.raises(ValueError):
-            weighted_norm(gaussian(grid20, 1.0, 1.0), StandardWeight(), 0.5)
+def _rho_only_W(rho, w, p):
+    """The monitor's W on a run that holds u = 0 and rho fixed: ||rho w||_p."""
+    y = np.zeros((2, 2, rho.grid.n))
+    y[:, 1] = rho.samples
+    traj = Trajectory(rho.grid, np.array([0.0, 1.0]), y, Params())
+    W = persistence_monitor(traj, [w], [p])[w, p].W
+    assert W[0] == W[1]
+    return float(W[0])
 
 
 def _short_run(L=40.0, n=2048, t_final=0.4):
@@ -221,27 +134,39 @@ class TestPersistenceMonitor:
         assert np.isfinite(c_prime)
         assert c_prime < 100.0
 
+    def test_W_of_the_unit_weight_is_plain_l2(self, grid20):
+        f = gaussian(grid20, 1.0, 2.0)
+        expect = math.sqrt(grid20.dx * np.sum(f.samples**2))
+        assert _rho_only_W(f, StandardWeight(), 2.0) == pytest.approx(expect, rel=1e-12)
+
+    def test_W_half_exponential_sup(self):
+        g = Grid(20.0, 1024)
+        f = RealField(g, np.exp(-np.abs(g.x)))
+        w = StandardWeight(a=0.5, b=1.0)
+        assert _rho_only_W(f, w, math.inf) == pytest.approx(1.0, rel=1e-12)
+
+    def test_W_of_a_bump_against_quadrature_oracle(self):
+        # the bump is centered away from the weight's |x| kink so the grid
+        # quadrature sees a smooth integrand and keeps spectral accuracy
+        g = Grid(20.0, 2048)
+        width, center = 2.0, 5.0
+        f = bump(g, 1.0, width, center)
+        got = _rho_only_W(f, StandardWeight(c=2.0), 1.0)
+
+        def integrand(x):
+            xi = (x - center) / width
+            if abs(xi) >= 1.0:
+                return 0.0
+            return math.exp(-1.0 / (1.0 - xi * xi)) * (1.0 + abs(x)) ** 2
+
+        oracle, _ = quad(integrand, center - width, center + width, limit=200)
+        assert got == pytest.approx(oracle, rel=1e-8)
+
     def test_inadmissible_weight_rejected_by_default(self):
         traj = _short_run()
         with pytest.raises(ValueError, match="admissible"):
             persistence_monitor(traj, [StandardWeight(c=1.0), StandardWeight(a=1.0, b=1.0)],
                                 [math.inf])
-
-    def test_relaxed_mode_limit_weight(self):
-        # a = b = 1 with p = inf satisfies the companion condition; both the
-        # full-weight and half-weight quantities stay finite along the run
-        traj = _short_run()
-        limit = StandardWeight(a=1.0, b=1.0)
-        rep = persistence_monitor(
-            traj, [limit], [math.inf], relaxed_admissibility=True
-        )[limit, math.inf]
-        assert np.all(np.isfinite(rep.W))
-        half = StandardWeight(a=0.5, b=1.0)
-        rep_half = persistence_monitor(traj, [half], [2.0])[half, 2.0]
-        assert np.all(np.isfinite(rep_half.W))
-        # at p = 2 the limit weight fails the companion condition
-        with pytest.raises(ValueError, match="admissible"):
-            persistence_monitor(traj, [limit], [math.inf, 2.0], relaxed_admissibility=True)
 
 
 class TestDecayProfile:
