@@ -16,12 +16,10 @@ persistence and tail decay.
 from .besov import BesovIndex, besov_norm, besov_norms, lp_decompose, lp_norm, sobolev_norm
 from .characteristics import (
     FlowDegeneracyError,
-    FlowMap,
     SupportInterval,
     casimir,
-    check_m_flow_identity,
+    check_flow_identities,
     check_support_containment,
-    check_transport_identity,
     evolve_flow,
     track_support,
 )

@@ -2,8 +2,10 @@
 
 The flow map phi solves phi_t = u(t, phi(t, x)), phi(0, x) = x, and its
 derivative solves (phi_x)_t = u_x(t, phi) * phi_x, so phi_x stays positive
-while the solution is smooth.  Along the flow the checks below measure, per
-snapshot, how well the discrete solution satisfies
+while the solution is smooth.  evolve_flow returns the flow at the
+snapshots as two (T, n) arrays, phi and phi_x, which the checks below read.
+Along the flow they measure, per snapshot, how well the discrete solution
+satisfies
 
 * the density transport identity   rho(t, phi) * phi_x^(b-1) = rho_0,
 * the momentum balance             m(t, phi) * phi_x^b = m_0 - kappa * I(t)
@@ -31,25 +33,12 @@ class FlowDegeneracyError(RuntimeError):
     """phi stopped being strictly increasing (approach to wavebreaking)."""
 
 
-@dataclass(frozen=True)
-class FlowMap:
-    """Marker positions and flow derivative at one instant."""
+MAX_STRIDE_STEPS = 4   # the most solver steps one snapshot interval may span
 
-    t: float
-    markers: np.ndarray   # initial positions
-    phi: np.ndarray       # current positions (lifted, not wrapped mod 2L)
-    phi_x: np.ndarray
 
-    def check(self):
-        if np.any(np.diff(self.phi) <= 0.0):
-            raise FlowDegeneracyError(
-                f"flow map lost monotonicity at t={self.t:.6g}"
-            )
-        if np.any(self.phi_x <= 0.0):
-            raise FlowDegeneracyError(
-                f"flow derivative lost positivity at t={self.t:.6g}"
-            )
-        return self
+def stride_too_coarse(stride, dt):
+    """Whether snapshots stride apart are too sparse to evolve the flow of steps <= dt."""
+    return stride > MAX_STRIDE_STEPS * dt + 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,24 +62,23 @@ def _uniform_spacing(times):
 
 
 def evolve_flow(traj: Trajectory):
-    """Integrate the marker ODE through the trajectory's snapshots, from
-    markers at the grid points.
+    """The flow at the trajectory's snapshots, from markers at the grid
+    points: (phi, phi_x), each of shape (T, n); row 0 is grid.x and ones.
 
-    One RK4 step per snapshot interval; the velocity and its derivative at
-    marker positions come from trigonometric interpolation of the stored
-    snapshots (midpoint coefficients by cubic interpolation in time, which
-    matches the integrator's order).  Snapshots must be uniform and no
-    coarser than four solver steps.  Returns one FlowMap per snapshot.
+    phi is lifted, not wrapped mod 2L.  One RK4 step per snapshot interval;
+    u and u_x at the markers come from trigonometric interpolation of the
+    stored snapshots (midpoint coefficients by cubic interpolation in time,
+    which matches the integrator's order).  Snapshots must be uniform and
+    no coarser than MAX_STRIDE_STEPS solver steps.  Raises
+    FlowDegeneracyError once phi stops increasing or phi_x turns nonpositive.
     """
-    grid = traj.grid
-    times = traj.times
+    grid, times = traj.grid, traj.times
     stride = _uniform_spacing(times)
-    if traj.max_dt > 0 and stride > 4.0 * traj.max_dt + 1e-12:
+    if traj.max_dt > 0 and stride_too_coarse(stride, traj.max_dt):
         raise ValueError(
-            f"snapshot stride {stride:.3g} exceeds 4x the solver step "
+            f"snapshot stride {stride:.3g} exceeds {MAX_STRIDE_STEPS}x the solver step "
             f"{traj.max_dt:.3g}; store denser output for flow evolution"
         )
-    markers = grid.x.copy()
     series = grid.half_coeffs(traj.u)
 
     def velocity(t, y):
@@ -98,43 +86,52 @@ def evolve_flow(traj: Trajectory):
         u, u_x = evaluate_coeffs(grid, next(stages), y[0], deriv=True)
         return np.stack((u, u_x * y[1]))
 
-    y = np.stack((markers, np.ones_like(markers)))
-    flows = [FlowMap(times[0], markers, y[0], y[1]).check()]
+    phi, phi_x = np.empty((2, len(times), grid.n))
+    y = np.stack((grid.x, np.ones(grid.n)))
+    phi[0], phi_x[0] = y
     for j in range(len(times) - 1):
         h = times[j + 1] - times[j]
         stages = rk4_stages(times, series, j, h)
         y = rk4(velocity, times[j], y, h)
-        flows.append(FlowMap(times[j + 1], markers, y[0], y[1]).check())
-    return flows
+        if np.any(np.diff(y[0]) <= 0.0):
+            raise FlowDegeneracyError(f"flow map lost monotonicity at t={times[j + 1]:.6g}")
+        if np.any(y[1] <= 0.0):
+            raise FlowDegeneracyError(f"flow derivative lost positivity at t={times[j + 1]:.6g}")
+        phi[j + 1], phi_x[j + 1] = y
+    return phi, phi_x
 
 
-def rho_along_flow(flows, traj: Trajectory):
-    """rho and rho_x at every snapshot's flow positions, two arrays of shape
-    (T, markers).
+def check_flow_identities(phi, phi_x, traj: Trajectory, params, momentum=True):
+    """Max deviations per snapshot of the transport identity and, when
+    momentum (which requires alpha identically zero), of the momentum
+    balance: (transport, mflow), mflow None unless momentum.
 
-    One off-grid evaluation per snapshot gives both; the values do not
-    depend on whether the derivative is asked for.  Row 0 is at
-    phi(0) = the markers, the t = 0 reference of both flow identity checks,
-    which share this evaluation when both run.
+    One pass over the flow: each snapshot evaluates rho with rho_x off the
+    grid once, and m once when momentum; the coupling integral accumulates
+    by the trapezoid rule.  The references rho_0 and m_0 at the markers are
+    the t = 0 values on the same interpolation path as the evolved side, so
+    both deviations at t = 0 are exactly zero.
     """
-    grid = traj.grid
-    rows = [evaluate_coeffs(grid, coeffs, fl.phi, deriv=True)
-            for fl, coeffs in zip(flows, grid.half_coeffs(traj.rho))]
-    rho_at, rhox_at = zip(*rows)
-    return np.array(rho_at), np.array(rhox_at)
-
-
-def check_transport_identity(flows, traj: Trajectory, b: float, along=None):
-    """Max deviation of rho(t, phi) * phi_x^(b-1) from rho_0, per snapshot.
-
-    ``along`` is :func:`rho_along_flow` of (flows, traj), computed here when
-    not given.  The reference rho_0 at the markers is its row 0, computed
-    through the same interpolation path as the evolved side, so the
-    deviation at t = 0 is exactly zero.
-    """
-    rho_at = (rho_along_flow(flows, traj) if along is None else along)[0]
-    return np.array([float(np.max(np.abs(r * fl.phi_x ** (b - 1.0) - rho_at[0])))
-                     for fl, r in zip(flows, rho_at)])
+    if momentum and not params.alpha_is_zero():
+        raise ValueError("the momentum flow identity requires alpha == 0")
+    grid, times, b = traj.grid, traj.times, params.b
+    rho_coeffs = grid.half_coeffs(traj.rho)
+    m_coeffs = grid.half_coeffs(traj.m) if momentum else None
+    transport, mflow = np.empty(len(times)), np.empty(len(times)) if momentum else None
+    integral = 0.0     # of rho * rho_x * phi_x^b along the flow, from t = 0
+    for j, (p, p_x) in enumerate(zip(phi, phi_x)):
+        rho_at, rhox_at = evaluate_coeffs(grid, rho_coeffs[j], p, deriv=True)
+        rho0_at = rho_at if j == 0 else rho0_at
+        transport[j] = np.max(np.abs(rho_at * p_x ** (b - 1.0) - rho0_at))
+        if momentum:
+            integrand = rho_at * rhox_at * p_x**b
+            if j > 0:
+                integral = integral + 0.5 * (times[j] - times[j - 1]) * (integrand + prev)
+            prev = integrand
+            m_at = evaluate_coeffs(grid, m_coeffs[j], p)
+            m0_at = m_at if j == 0 else m0_at
+            mflow[j] = np.max(np.abs(m_at * p_x**b - (m0_at - params.kappa * integral)))
+    return transport, mflow
 
 
 def casimir(rho: RealField, b: float) -> float:
@@ -142,41 +139,6 @@ def casimir(rho: RealField, b: float) -> float:
     if b == 1.0:
         raise ValueError("the conserved density is undefined for b = 1")
     return float(rho.grid.dx * np.sum(np.abs(rho.samples) ** (1.0 / (b - 1.0))))
-
-
-def check_m_flow_identity(flows, traj: Trajectory, params, along=None):
-    """Max deviation of the momentum balance along the flow, per snapshot.
-
-    Requires alpha identically zero.  The coupling integral is accumulated
-    with the trapezoid rule over snapshots, with rho and rho_x read off at
-    the markers' positions at each intermediate time: ``along``, which is
-    :func:`rho_along_flow` of (flows, traj), computed here when not given.
-    The reference m_0 at the markers is m at the t = 0 flow positions.
-    """
-    if not params.alpha_is_zero():
-        raise ValueError("the momentum flow identity requires alpha == 0")
-    b = params.b
-    grid = traj.grid
-    rho_at, rhox_at = rho_along_flow(flows, traj) if along is None else along
-    m_coeffs = grid.half_coeffs(traj.m)
-
-    devs = []
-    integral = np.zeros_like(flows[0].phi)
-    prev_integrand = None
-    times = traj.times
-    for j, fl in enumerate(flows):
-        integrand = rho_at[j] * rhox_at[j] * fl.phi_x**b
-        if j > 0:
-            dt = times[j] - times[j - 1]
-            integral = integral + 0.5 * dt * (integrand + prev_integrand)
-        prev_integrand = integrand
-        m_at = evaluate_coeffs(grid, m_coeffs[j], fl.phi)
-        if j == 0:
-            m0_at = m_at
-        lhs = m_at * fl.phi_x**b
-        rhs = m0_at - params.kappa * integral
-        devs.append(float(np.max(np.abs(lhs - rhs))))
-    return np.array(devs)
 
 
 def track_support(field: RealField, eps_supp: float = None):
@@ -216,11 +178,12 @@ def _marker_index(markers, x0):
     return int(np.argmin(np.abs(markers - x0)))
 
 
-def check_support_containment(flows, traj: Trajectory, params) -> ContainmentReport:
+def check_support_containment(phi, traj: Trajectory, params) -> ContainmentReport:
     """Verify rho (and m, when alpha == 0) stay in the transported interval.
 
-    The reference intervals are [phi(t, beta) - 2dx, phi(t, gamma) + 2dx]
-    where [beta, gamma] bounds the initial support: the rho check uses the
+    phi is the marker positions evolve_flow returns.  The reference
+    intervals are [phi(t, beta) - 2dx, phi(t, gamma) + 2dx] where
+    [beta, gamma] bounds the initial support: the rho check uses the
     support of rho_0; the m check uses the hull of the supports of m_0 and
     rho_0, since the coupling source lives on the support of rho.  When
     m_0 vanishes, m is born from that source alone: its interval is rho_0's
@@ -228,12 +191,12 @@ def check_support_containment(flows, traj: Trajectory, params) -> ContainmentRep
     """
     grid = traj.grid
     slack = 2.0 * grid.dx
-    markers = flows[0].markers
+    markers = phi[0]
     eps_rel = 1e-10   # support threshold, relative to the largest |f|
 
     def contained(rows, eps, i_lo, i_hi):
         sups = [track_support(RealField(grid, f), eps) for f in rows]
-        ivls = [(fl.phi[i_lo] - slack, fl.phi[i_hi] + slack) for fl in flows]
+        ivls = [(lo - slack, hi + slack) for lo, hi in zip(phi[:, i_lo], phi[:, i_hi])]
         ok = [s is None or (s.beta >= lo and s.gamma <= hi) for s, (lo, hi) in zip(sups, ivls)]
         return sups, ivls, np.array(ok)
 
@@ -247,7 +210,7 @@ def check_support_containment(flows, traj: Trajectory, params) -> ContainmentRep
     )
 
     check_m = params.alpha_is_zero()
-    m_sup, ivl_m, m_ok = [None] * len(flows), [None] * len(flows), np.ones(len(flows), bool)
+    m_sup, ivl_m, m_ok = [None] * len(phi), [None] * len(phi), np.ones(len(phi), bool)
     if check_m:
         m = traj.m
         eps_m = eps_rel * np.max(np.abs(m[0]))

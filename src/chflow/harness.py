@@ -11,7 +11,6 @@ Scenarios are deterministic: with a fixed build, re-running one reproduces
 the numeric outputs byte for byte (manifest wall time excluded).
 """
 
-import inspect
 import json
 import math
 import numbers
@@ -24,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import besov, characteristics, dynamics, floattext, weights
-from .profiles import PROFILES, make_profile
+from .profiles import make_profile, profile_errors
 from .schema import (
     BESOV_COLUMNS,
     DECAY_COLUMNS,
@@ -98,21 +97,8 @@ class Scenario:
         if not snapshots_ok:
             errors.append(f"control.snapshots must be an integer >= 2, got {self.snapshots!r}")
         errors += [f"control.{e}" for e in dynamics.formulation_errors(self.formulation, self.r)]
-        for label, spec in (("u0", dict(self.u0)), ("rho0", dict(self.rho0))):
-            prof = spec.pop("profile", "zero")
-            if prof not in PROFILES:
-                errors.append(f"{label}.profile {prof!r} unknown; choose from {sorted(PROFILES)}")
-                continue
-            signature = inspect.signature(PROFILES[prof]).parameters
-            takes = list(signature)[1:]   # after grid
-            for key, val in spec.items():
-                if key not in takes:
-                    errors.append(f"{label}.{key} is not a parameter of profile {prof!r}; "
-                                  f"it takes {takes}")
-                elif signature[key].annotation is int and not (
-                        isinstance(val, int) or isinstance(val, float) and val.is_integer()):
-                    errors.append(f"{label}.{key} must be an integer for profile "
-                                  f"{prof!r}, got {val!r}")
+        for label, spec in (("u0", self.u0), ("rho0", self.rho0)):
+            errors += [f"{label}.{e}" for e in profile_errors(spec)]
         errors += [f"decay_{e}" for e in weights.window_errors(self.decay_window)]
         for diag in self.diagnostics:
             if diag not in DIAGNOSTICS:
@@ -124,10 +110,11 @@ class Scenario:
         if (flow_diags and snapshots_ok and self.dt_max > 0
                 and math.isfinite(self.t_final)):
             stride = self.t_final / (self.snapshots - 1)
-            if stride > 4.0 * self.dt_max + 1e-12:
+            if characteristics.stride_too_coarse(stride, self.dt_max):
+                steps = characteristics.MAX_STRIDE_STEPS
                 errors.append(
                     f"control.snapshots: stride t_final/(snapshots-1) = {stride:.3g} "
-                    f"exceeds 4x dt_max = {4.0 * self.dt_max:.3g}, the most the "
+                    f"exceeds {steps}x dt_max = {steps * self.dt_max:.3g}, the most the "
                     f"flow diagnostics {flow_diags} allow"
                 )
         return errors
@@ -281,7 +268,8 @@ def parse_config(path, base: Scenario = None) -> Scenario:
                         section, key, _FIELD_TYPES["u0_is_momentum"], val)
                 else:
                     errors.append("[rho0] momentum: only [u0] takes momentum")
-            updates[section] = tuple(sorted(spec.items()))
+            if spec:      # a section without profile keys keeps the base's profile
+                updates[section] = tuple(sorted(spec.items()))
             continue
         for key, val in cp.items(section):
             if key in keys:
@@ -317,37 +305,31 @@ def _atomic_write(path, chunks):
         raise
 
 
-def _list_cells(col):
-    """The cells of a list column as an 'S' array: a str as is, None as
-    "nan", anything else as the text of float(v)."""
-    col = list(col)
-    text = floattext.cells(np.array(
-        [np.nan if v is None or isinstance(v, str) else float(v) for v in col]))
-    words = {i: v.encode() for i, v in enumerate(col) if isinstance(v, str)}
-    if words:
-        text = text.astype(f"S{max(text.itemsize, *map(len, words.values()))}")
-        for i, word in words.items():
-            text[i] = word
-    return text
-
-
 def _block_lines(block):
     """The CSV lines of one block of equal-length columns, as bytes.
 
-    The float64 array columns go through one floattext.cells call; an 'S'
-    array column holds cells already formatted; any other column is a list
-    of cells (_list_cells).
+    An 'S' array column holds cells already formatted.  Every other column
+    is numeric: a float64 array, or a list of cells, where a str stands as
+    is and None as "nan".  All numeric cells of the block go through one
+    floattext.cells call, and the str cells are then written in place.
     """
-    block = list(block)
-    floats = [i for i, col in enumerate(block)
-              if isinstance(col, np.ndarray) and col.dtype == np.float64]
-    texts = dict(zip(floats, floattext.cells(np.stack([block[i] for i in floats])))
-                 if floats else ())
-    cells = [texts[i] if i in texts
-             else col if isinstance(col, np.ndarray) and col.dtype.kind == "S"
-             else _list_cells(col) for i, col in enumerate(block)]
-    if len({len(text) for text in cells}) > 1:
+    cells, numeric, words = list(block), [], {}
+    for i, col in enumerate(cells):
+        if isinstance(col, np.ndarray) and col.dtype.kind == "S":
+            continue
+        if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+            col = list(col)
+            words[i] = {row: v.encode() for row, v in enumerate(col) if isinstance(v, str)}
+            cells[i] = [np.nan if v is None or isinstance(v, str) else float(v) for v in col]
+        numeric.append(i)
+    if len({len(col) for col in cells}) > 1:
         raise ValueError("the columns of a block differ in length")
+    for i, text in zip(numeric, floattext.cells(np.array([cells[i] for i in numeric]))):
+        if words.get(i):
+            text = text.astype(f"S{max(text.itemsize, *map(len, words[i].values()))}")
+            for row, word in words[i].items():
+                text[row] = word
+        cells[i] = text
     rows = len(cells[0])
     if rows == 0:
         return b""
@@ -407,8 +389,8 @@ def write_json(path, obj):
 
 
 class _RunContext:
-    """Lazily shared per-run artifacts: the flow maps, and rho and rho_x
-    along them, are computed once."""
+    """Lazily shared per-run artifacts: the flow, and the deviations of the
+    flow identities along it, are computed once."""
 
     def __init__(self, scenario, grid, params, traj):
         self.scenario = scenario
@@ -418,12 +400,15 @@ class _RunContext:
         self.identity_rows = {}
 
     @cached_property
-    def flows(self):
+    def flow(self):
         return characteristics.evolve_flow(self.traj)
 
     @cached_property
-    def rho_along(self):
-        return characteristics.rho_along_flow(self.flows, self.traj)
+    def flow_devs(self):
+        # m is evaluated along the flow only for an mflow check that can run
+        momentum = "mflow" in self.scenario.diagnostics and self.params.alpha_is_zero()
+        return characteristics.check_flow_identities(*self.flow, self.traj, self.params,
+                                                     momentum)
 
 
 def _gate(value, tol, detail):
@@ -449,9 +434,7 @@ def _diag_casimir(ctx, out):
 
 
 def _diag_transport(ctx, out):
-    devs = characteristics.check_transport_identity(
-        ctx.flows, ctx.traj, ctx.params.b, ctx.rho_along
-    )
+    devs = ctx.flow_devs[0]
     ctx.identity_rows["transport_dev"] = devs
     return _gate(float(np.max(devs)), 1e-4, "max deviation of the density transport identity"), []
 
@@ -459,9 +442,7 @@ def _diag_transport(ctx, out):
 def _diag_mflow(ctx, out):
     if not ctx.params.alpha_is_zero():
         return {"status": "skipped", "detail": "requires alpha == 0"}, []
-    devs = characteristics.check_m_flow_identity(
-        ctx.flows, ctx.traj, ctx.params, ctx.rho_along
-    )
+    devs = ctx.flow_devs[1]
     ctx.identity_rows["mflow_dev"] = devs
     detail = "max deviation of the momentum balance along the flow"
     return _gate(float(np.max(devs)), 1e-4, detail), []
@@ -469,9 +450,7 @@ def _diag_mflow(ctx, out):
 
 def _diag_support(ctx, out):
     try:
-        report = characteristics.check_support_containment(
-            ctx.flows, ctx.traj, ctx.params
-        )
+        report = characteristics.check_support_containment(ctx.flow[0], ctx.traj, ctx.params)
     except ValueError as exc:
         return {"status": "skipped", "detail": str(exc)}, []
     rows = {

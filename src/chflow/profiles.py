@@ -1,5 +1,7 @@
 """Named initial-data profiles used by scenarios and tests."""
 
+import inspect
+
 import numpy as np
 
 from .spectral import Grid, RealField
@@ -67,12 +69,35 @@ PROFILES = {
 }
 
 
-def make_profile(grid: Grid, spec: dict) -> RealField:
-    """Build a profile from a {'profile': name, **params} mapping."""
+def _parameters(name):
+    """The parameters of profile name after grid, by name."""
+    return dict(list(inspect.signature(PROFILES[name]).parameters.items())[1:])
+
+
+def profile_errors(spec) -> list:
+    """Every reason a {'profile': name, **params} spec builds no profile:
+    an unknown name, a key that is no parameter, an int parameter that is
+    not integral."""
     spec = dict(spec)
     name = spec.pop("profile", "zero")
     if name not in PROFILES:
-        raise ValueError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    if name == "mode" and "k" in spec:
-        spec["k"] = int(spec["k"])
-    return PROFILES[name](grid, **spec)
+        return [f"profile {name!r} unknown; choose from {sorted(PROFILES)}"]
+    takes = _parameters(name)
+    errors = []
+    for key, val in spec.items():
+        if key not in takes:
+            errors.append(f"{key} is not a parameter of profile {name!r}; it takes {list(takes)}")
+        elif takes[key].annotation is int and not (
+                isinstance(val, int) or isinstance(val, float) and val.is_integer()):
+            errors.append(f"{key} must be an integer for profile {name!r}, got {val!r}")
+    return errors
+
+
+def make_profile(grid: Grid, spec: dict) -> RealField:
+    """Build a profile from a spec that profile_errors passes; an int
+    parameter given as an integral float is cast by its annotation."""
+    spec = dict(spec)
+    name = spec.pop("profile", "zero")
+    takes = _parameters(name)
+    return PROFILES[name](grid, **{key: int(val) if takes[key].annotation is int else val
+                                   for key, val in spec.items()})

@@ -246,7 +246,7 @@ def per_pair_persistence_monitor(traj, w, p):
     )
 
 
-def reconstruct_rho(flows, traj, b):
+def reconstruct_rho(flow, traj, b):
     """Rebuild rho(t) from rho_0, the inverse flow, and the u_x history.
 
     rho(t, x) = rho_0(y) * exp((1-b) * int_0^t u_x(s, phi(s, y)) ds) with
@@ -257,7 +257,8 @@ def reconstruct_rho(flows, traj, b):
     refinement removes.  phi^{-1} comes from monotone cubic interpolation of
     the (periodically extended) marker set, and rho_0 and the accumulated
     integral are sampled the same way, so the t = 0 reconstruction is
-    exactly rho_0 on the grid.
+    exactly rho_0 on the grid.  flow is (phi, phi_x) as evolve_flow
+    returns it.
     """
     grid = traj.grid
     times = traj.times
@@ -265,7 +266,8 @@ def reconstruct_rho(flows, traj, b):
     period = 2.0 * grid.L
     rho0 = traj.rho[0]
     u_coeffs = grid.half_coeffs(traj.u)
-    markers = flows[0].markers
+    phi, _ = flow
+    markers = phi[0]
 
     def periodic_interp(xs, ys, shift_y):
         return PchipInterpolator(
@@ -278,14 +280,13 @@ def reconstruct_rho(flows, traj, b):
     out = []
     integral = np.zeros_like(markers)   # int u_x(s, phi(s, marker)) ds
     prev_ux = None
-    for j, fl in enumerate(flows):
-        _, ux_at_phi = evaluate_coeffs(grid, u_coeffs[j], fl.phi, deriv=True)
+    for j, p in enumerate(phi):
+        _, ux_at_phi = evaluate_coeffs(grid, u_coeffs[j], p, deriv=True)
         if j > 0:
             dt = times[j] - times[j - 1]
             integral = integral + 0.5 * dt * (ux_at_phi + prev_ux)
         prev_ux = ux_at_phi
-        fl.check()
-        inv = periodic_interp(fl.phi, markers, period)
+        inv = periodic_interp(p, markers, period)
         y = inv(x)
         integral_at_y = periodic_interp(markers, integral, 0.0)(y)
         out.append(

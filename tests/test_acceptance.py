@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from chflow.besov import BesovIndex, besov_norm, k_max, lp_decompose
-from chflow.characteristics import (
-    check_m_flow_identity,
-    check_transport_identity,
-    evolve_flow,
-)
+from chflow.characteristics import check_flow_identities, evolve_flow
 from chflow.dynamics import (
     Params,
     State,
@@ -135,10 +131,10 @@ def test_criterion_02_casimir_conservation():
 
 
 def test_criterion_03_transport_identity(identity_fine, identity_coarse):
-    traj_f, flows_f = identity_fine
-    traj_c, flows_c = identity_coarse
-    dev_f = check_transport_identity(flows_f, traj_f, CH_PARAMS.b)
-    dev_c = check_transport_identity(flows_c, traj_c, CH_PARAMS.b)
+    traj_f, flow_f = identity_fine
+    traj_c, flow_c = identity_coarse
+    dev_f, _ = check_flow_identities(*flow_f, traj_f, CH_PARAMS, momentum=False)
+    dev_c, _ = check_flow_identities(*flow_c, traj_c, CH_PARAMS, momentum=False)
     ok = (
         dev_f[0] == 0.0
         and float(np.max(dev_f)) < 1e-4
@@ -152,8 +148,8 @@ def test_criterion_03_transport_identity(identity_fine, identity_coarse):
 
 
 def test_criterion_04_representation_formula(identity_fine):
-    traj, flows = identity_fine
-    rec = reconstruct_rho(flows, traj, CH_PARAMS.b)
+    traj, flow = identity_fine
+    rec = reconstruct_rho(flow, traj, CH_PARAMS.b)
     i_half = int(np.argmin(np.abs(traj.times - 0.5)))
     assert traj.times[i_half] == pytest.approx(0.5, abs=1e-12)
     err = float(
@@ -166,10 +162,10 @@ def test_criterion_04_representation_formula(identity_fine):
 
 
 def test_criterion_05_momentum_flow_identity(identity_fine, identity_coarse):
-    traj_f, flows_f = identity_fine
-    traj_c, flows_c = identity_coarse
-    dev_f = check_m_flow_identity(flows_f, traj_f, CH_PARAMS)
-    dev_c = check_m_flow_identity(flows_c, traj_c, CH_PARAMS)
+    traj_f, flow_f = identity_fine
+    traj_c, flow_c = identity_coarse
+    _, dev_f = check_flow_identities(*flow_f, traj_f, CH_PARAMS)
+    _, dev_c = check_flow_identities(*flow_c, traj_c, CH_PARAMS)
     ok = float(np.max(dev_f)) < 1e-4 and float(np.max(dev_f)) < float(np.max(dev_c))
     _report(
         5, "momentum-flow-identity", ok,

@@ -8,11 +8,9 @@ from scipy.integrate import quad, simpson
 
 from chflow.characteristics import (
     FlowDegeneracyError,
-    FlowMap,
     casimir,
-    check_m_flow_identity,
+    check_flow_identities,
     check_support_containment,
-    check_transport_identity,
     evolve_flow,
     track_support,
 )
@@ -43,33 +41,33 @@ class TestEvolveFlow:
     def test_zero_velocity_identity_flow(self, grid20):
         times = np.linspace(0.0, 1.0, 9)
         traj = _const_trajectory(grid20, 0.0, times)
-        flows = evolve_flow(traj)
-        for fl in flows:
-            assert np.array_equal(fl.phi, grid20.x)
-            assert np.all(fl.phi_x == 1.0)
+        phi, phi_x = evolve_flow(traj)
+        for p, p_x in zip(phi, phi_x):
+            assert np.array_equal(p, grid20.x)
+            assert np.all(p_x == 1.0)
 
     def test_constant_velocity_translates(self, grid20):
         c = 0.7
         times = np.linspace(0.0, 1.0, 9)
         traj = _const_trajectory(grid20, c, times)
-        flows = evolve_flow(traj)
-        for fl in flows:
-            assert np.max(np.abs(fl.phi - (grid20.x + c * fl.t))) < 1e-12
-            assert np.max(np.abs(fl.phi_x - 1.0)) < 1e-12
+        phi, phi_x = evolve_flow(traj)
+        for t, p, p_x in zip(times, phi, phi_x):
+            assert np.max(np.abs(p - (grid20.x + c * t))) < 1e-12
+            assert np.max(np.abs(p_x - 1.0)) < 1e-12
 
     def test_phi_x_matches_exponential_quadrature(self):
         # the flow derivative solves d(phi_x)/dt = u_x(t, phi) phi_x, so
         # phi_x = exp(int u_x(s, phi(s)) ds); check against Simpson quadrature
         g = Grid(20.0, 256)
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.3, 1.5), 0.2, 1e-3)
-        flows = evolve_flow(traj)
-        ux_series = np.empty((len(flows), g.n))
-        for i, (fl, u) in enumerate(zip(flows, traj.u)):
-            _, dvals = evaluate(RealField(g, u), fl.phi, deriv=True)
+        phi, phi_x = evolve_flow(traj)
+        ux_series = np.empty((len(phi), g.n))
+        for i, (p, u) in enumerate(zip(phi, traj.u)):
+            _, dvals = evaluate(RealField(g, u), p, deriv=True)
             ux_series[i] = dvals
         integral = simpson(ux_series, x=traj.times, axis=0)
         expect = np.exp(integral)
-        got = flows[-1].phi_x
+        got = phi_x[-1]
         assert np.max(np.abs(got - expect) / expect) < 1e-8
 
     def test_rejects_sparse_snapshots(self, grid20):
@@ -79,35 +77,34 @@ class TestEvolveFlow:
         with pytest.raises(ValueError, match="stride"):
             evolve_flow(traj)
 
-    def test_monotonicity_guard(self):
-        with pytest.raises(FlowDegeneracyError):
-            FlowMap(0.0, np.array([0.0, 1.0]), np.array([1.0, 0.5]),
-                    np.array([1.0, 1.0])).check()
-        with pytest.raises(FlowDegeneracyError):
-            FlowMap(0.0, np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                    np.array([1.0, -0.1])).check()
+    def test_monotonicity_guard(self, grid20):
+        # u = -5 tanh(4x) squeezes the markers into x = 0; one RK4 step of
+        # 0.5 through the steep compression carries them past each other
+        times = np.linspace(0.0, 1.0, 3)
+        y = np.zeros((len(times), 2, grid20.n))
+        y[:, 0] = -5.0 * np.tanh(4.0 * grid20.x)
+        traj = Trajectory(grid20, times, y, CH_PARAMS)
+        with pytest.raises(FlowDegeneracyError, match="monotonicity at t=0.5"):
+            evolve_flow(traj)
 
 
 class TestTransportIdentity:
     def test_exact_zero_at_t0(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.5, 2.0), gaussian(grid20, 0.4, 1.5),
                     0.05, 5e-3)
-        flows = evolve_flow(traj)
-        devs = check_transport_identity(flows, traj, b=2.0)
+        devs, _ = check_flow_identities(*evolve_flow(traj), traj, CH_PARAMS, momentum=False)
         assert devs[0] == 0.0
 
     def test_zero_rho_stays_zero(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.5, 2.0),
                     RealField(grid20, np.zeros(grid20.n)), 0.2, 2e-3)
-        flows = evolve_flow(traj)
-        devs = check_transport_identity(flows, traj, b=2.0)
+        devs, _ = check_flow_identities(*evolve_flow(traj), traj, CH_PARAMS, momentum=False)
         assert np.max(devs) < 1e-12
 
     def test_smooth_run_deviation_small(self):
         g = Grid(20.0, 512)
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.4, 1.5), 0.5, 5e-3)
-        flows = evolve_flow(traj)
-        devs = check_transport_identity(flows, traj, b=2.0)
+        devs, _ = check_flow_identities(*evolve_flow(traj), traj, CH_PARAMS, momentum=False)
         assert np.max(devs) < 1e-5
 
 
@@ -118,10 +115,10 @@ class TestSupBoundAlongFlow:
         g = Grid(20.0, 512)
         b = 2.0
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.4, 1.5), 0.5, 5e-3)
-        flows = evolve_flow(traj)
+        phi, _ = evolve_flow(traj)
         m1 = 0.0
-        for fl, u in zip(flows, traj.u):
-            _, ux_at_phi = evaluate(RealField(g, u), fl.phi, deriv=True)
+        for p, u in zip(phi, traj.u):
+            _, ux_at_phi = evaluate(RealField(g, u), p, deriv=True)
             m1 = max(m1, float(np.max(-(b - 1.0) * ux_at_phi)))
         rho0_max = np.max(np.abs(traj.rho[0]))
         for t, rho in zip(traj.times, traj.rho):
@@ -159,8 +156,7 @@ class TestReconstructRho:
     def test_exact_at_t0(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.5, 2.0), gaussian(grid20, 0.4, 1.5),
                     0.05, 5e-3)
-        flows = evolve_flow(traj)
-        rec = reconstruct_rho(flows, traj, b=2.0)
+        rec = reconstruct_rho(evolve_flow(traj), traj, b=2.0)
         assert np.array_equal(rec[0].samples, traj.rho[0])
 
     def test_frozen_zero_velocity(self, grid20):
@@ -169,16 +165,14 @@ class TestReconstructRho:
         y = np.zeros((len(times), 2, grid20.n))
         y[:, 1] = rho.samples
         traj = Trajectory(grid20, times, y, CH_PARAMS)
-        flows = evolve_flow(traj)
-        rec = reconstruct_rho(flows, traj, b=2.0)
+        rec = reconstruct_rho(evolve_flow(traj), traj, b=2.0)
         for r in rec:
             assert np.max(np.abs(r.samples - rho.samples)) < 1e-12
 
     def test_matches_solver_on_smooth_run(self):
         g = Grid(20.0, 512)
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.4, 1.5), 0.5, 5e-3)
-        flows = evolve_flow(traj)
-        rec = reconstruct_rho(flows, traj, b=2.0)
+        rec = reconstruct_rho(evolve_flow(traj), traj, b=2.0)
         err = np.max(np.abs(rec[-1].samples - traj.rho[-1]))
         assert err < 1e-4
 
@@ -187,16 +181,15 @@ class TestMFlowIdentity:
     def test_exact_zero_at_t0(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.5, 2.0), gaussian(grid20, 0.4, 1.5),
                     0.05, 5e-3)
-        flows = evolve_flow(traj)
-        devs = check_m_flow_identity(flows, traj, CH_PARAMS)
+        _, devs = check_flow_identities(*evolve_flow(traj), traj, CH_PARAMS)
         assert devs[0] == 0.0
 
     def test_requires_zero_alpha(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.5, 2.0), gaussian(grid20, 0.4, 1.5),
                     0.05, 5e-3, params=Params(b=2.0, kappa=1.0, alpha=0.5, r=1.0))
-        flows = evolve_flow(traj)
+        flow = evolve_flow(traj)
         with pytest.raises(ValueError, match="alpha"):
-            check_m_flow_identity(flows, traj, Params(b=2.0, kappa=1.0, alpha=0.5))
+            check_flow_identities(*flow, traj, Params(b=2.0, kappa=1.0, alpha=0.5))
 
     def test_pure_transport_when_kappa_zero(self):
         # kappa = 0, rho = 0: m phi_x^b is carried unchanged along the flow
@@ -204,15 +197,13 @@ class TestMFlowIdentity:
         params = Params(b=2.0, kappa=0.0, alpha=0.0, r=1.0)
         traj = _run(g, gaussian(g, 0.5, 2.0), RealField(g, np.zeros(g.n)),
                     0.5, 5e-3, params=params)
-        flows = evolve_flow(traj)
-        devs = check_m_flow_identity(flows, traj, params)
+        _, devs = check_flow_identities(*evolve_flow(traj), traj, params)
         assert np.max(devs) < 1e-5
 
     def test_coupled_run_small_deviation(self):
         g = Grid(20.0, 512)
         traj = _run(g, gaussian(g, 0.5, 2.0), gaussian(g, 0.4, 1.5), 0.5, 5e-3)
-        flows = evolve_flow(traj)
-        devs = check_m_flow_identity(flows, traj, CH_PARAMS)
+        _, devs = check_flow_identities(*evolve_flow(traj), traj, CH_PARAMS)
         assert np.max(devs) < 1e-4
 
 
@@ -243,8 +234,8 @@ class TestSupport:
         u0 = invert_inertia(m0, 1.0)
         rho0 = bump(g, 0.5, 2.0)
         traj = _run(g, u0, rho0, 0.5, 5e-3)
-        flows = evolve_flow(traj)
-        report = check_support_containment(flows, traj, CH_PARAMS)
+        phi, _ = evolve_flow(traj)
+        report = check_support_containment(phi, traj, CH_PARAMS)
         assert report.checked_m
         assert report.all_contained
 
@@ -253,8 +244,8 @@ class TestSupport:
         # of rho, so rho_0's support is the reference interval of both
         g = Grid(20.0, 256)
         traj = _run(g, RealField(g, np.zeros(g.n)), bump(g, 0.5, 2.0), 0.2, 5e-3)
-        flows = evolve_flow(traj)
-        report = check_support_containment(flows, traj, CH_PARAMS)
+        phi, _ = evolve_flow(traj)
+        report = check_support_containment(phi, traj, CH_PARAMS)
         assert report.checked_m
         assert report.m_support[0] is None
         assert all(s is not None for s in report.m_support[1:])
@@ -264,6 +255,6 @@ class TestSupport:
     def test_empty_rho_rejected(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.3, 2.0),
                     RealField(grid20, np.zeros(grid20.n)), 0.05, 5e-3)
-        flows = evolve_flow(traj)
+        phi, _ = evolve_flow(traj)
         with pytest.raises(ValueError, match="support"):
-            check_support_containment(flows, traj, CH_PARAMS)
+            check_support_containment(phi, traj, CH_PARAMS)

@@ -15,7 +15,7 @@ import pytest
 
 from chflow.cli import main
 from chflow.dynamics import Params, StepControl, formulation_errors, integrate
-from chflow import harness, offgrid
+from chflow import characteristics, harness, offgrid
 from chflow.harness import (
     PRESETS,
     ConfigurationError,
@@ -23,6 +23,7 @@ from chflow.harness import (
     parse_config,
     run_scenario,
 )
+from chflow.profiles import make_profile, mode, profile_errors
 from chflow.schema import IDENTITY_COLUMNS, SCHEMA_VERSION, TRAJECTORY_COLUMNS
 from chflow.spectral import Grid, RealField, apply_inertia, derivative
 
@@ -151,6 +152,25 @@ class TestConfig:
         assert "configuration error: [rho0] momentum" in capsys.readouterr().err
         path.write_text("[u0]\nmomentum = true\n")
         assert parse_config(str(path)).u0_is_momentum
+
+    @pytest.mark.parametrize("text, field", [
+        ("[u0]\nmomentum = true\n", "u0"),
+        ("[rho0]\n", "rho0"),
+    ], ids=("momentum-only", "empty"))
+    def test_section_without_profile_keys_keeps_the_base_profile(self, tmp_path, text, field):
+        path = tmp_path / "keep.cfg"
+        path.write_text(text)
+        base = PRESETS["2cch"]
+        sc = parse_config(str(path), base)
+        assert getattr(sc, field) == getattr(base, field)
+        assert sc.u0_is_momentum == (field == "u0")
+
+    def test_integer_profile_parameters(self, grid20):
+        assert profile_errors((("profile", "mode"), ("k", 2.5))) == [
+            "k must be an integer for profile 'mode', got 2.5"]
+        assert profile_errors({"profile": "mode", "k": 3.0}) == []
+        built = make_profile(grid20, {"profile": "mode", "k": 3.0, "amp": 0.5})
+        assert np.array_equal(built.samples, mode(grid20, 3, 0.5).samples)
 
     @pytest.mark.parametrize("field, value, label", [
         ("L", math.inf, "grid.L"), ("L", math.nan, "grid.L"),
@@ -440,21 +460,41 @@ class TestRunScenario:
         # the flow map takes 4 kernel calls per snapshot interval; then rho
         # and rho_x along the flow are evaluated once for both checks (T
         # calls) and m once per snapshot (T calls)
-        kernel = offgrid.trig_eval
-        points = []
-
-        def counting(re, im, pts, xi1, want_deriv):
-            points.append(len(pts))
-            return kernel(re, im, pts, xi1, want_deriv)
-
-        monkeypatch.setattr(offgrid, "trig_eval", counting)
+        calls = _count_calls(monkeypatch, offgrid, "trig_eval")
         sc = _small_scenario(diagnostics=("transport", "mflow"))
         manifest = run_scenario(sc, str(tmp_path))
         assert manifest["invariants"]["transport"]["status"] == "pass"
         assert manifest["invariants"]["mflow"]["status"] == "pass"
         T = sc.snapshots
-        assert len(points) == 4 * (T - 1) + 2 * T
-        assert set(points) == {sc.n}
+        assert len(calls) == 4 * (T - 1) + 2 * T
+        assert {len(args[2]) for args in calls} == {sc.n}
+
+    @pytest.mark.parametrize("preset, evaluations", [("support", 2), ("zero", 1)])
+    def test_flow_checks_take_one_pass(self, tmp_path, monkeypatch, preset, evaluations):
+        # one flow evolution of 4 kernel calls per snapshot interval, then one
+        # pass over the snapshots: rho with rho_x at each, and m only when the
+        # scenario checks mflow (support does, zero checks transport alone)
+        calls = _count_calls(monkeypatch, offgrid, "trig_eval")
+        flows = _count_calls(monkeypatch, characteristics, "evolve_flow")
+        sc = PRESETS[preset]
+        manifest = run_scenario(sc, str(tmp_path))
+        assert {d["status"] for d in manifest["invariants"].values()} == {"pass"}
+        T = sc.snapshots
+        assert len(flows) == 1
+        assert len(calls) == 4 * (T - 1) + evaluations * T
+        assert {len(args[2]) for args in calls} == {sc.n}
+
+
+def _count_calls(monkeypatch, module, name):
+    """The positional arguments of every call of module.name, as a list."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def test_suites_run_in_one_process(tmp_path):
