@@ -18,14 +18,19 @@ Off-grid values of u, u_x, rho, m come from trigonometric interpolation
 by a Gaussian-gridding NUFFT (see chflow.offgrid), which matches the exact
 mode sum to round-off (about 1e-13 relative to sum_k |c_k|), so spatial
 evaluation adds no interpolation error beyond that for band-limited fields.
+Each set of coefficients is spread onto the fine grid once, and fields
+read at the same points share one kernel call: the flow spreads each RK4
+step's midpoint and end velocity together and reads the end grid again as
+the next step's start, and the checks read rho and m at a snapshot's
+markers in one call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import offgrid
 from .dynamics import Trajectory, rk4, rk4_stages
-from .offgrid import evaluate_coeffs
 from .spectral import RealField
 
 
@@ -68,9 +73,10 @@ def evolve_flow(traj: Trajectory):
     phi is lifted, not wrapped mod 2L.  One RK4 step per snapshot interval;
     u and u_x at the markers come from trigonometric interpolation of the
     stored snapshots (midpoint coefficients by cubic interpolation in time,
-    which matches the integrator's order).  Snapshots must be uniform and
-    no coarser than MAX_STRIDE_STEPS solver steps.  Raises
-    FlowDegeneracyError once phi stops increasing or phi_x turns nonpositive.
+    which matches the integrator's order), each spread once.  Snapshots
+    must be uniform and no coarser than MAX_STRIDE_STEPS solver steps.
+    Raises FlowDegeneracyError once phi stops increasing or phi_x turns
+    nonpositive.
     """
     grid, times = traj.grid, traj.times
     stride = _uniform_spacing(times)
@@ -82,16 +88,20 @@ def evolve_flow(traj: Trajectory):
     series = grid.half_coeffs(traj.u)
 
     def velocity(t, y):
-        # (phi, phi_x)' = (u, u_x * phi_x) at phi, from the stage's coefficients
-        u, u_x = evaluate_coeffs(grid, next(stages), y[0], deriv=True)
+        # (phi, phi_x)' = (u, u_x * phi_x) at phi, from the stage's fine grid
+        (u,), (u_x,) = offgrid.evaluate_spread(grid, next(stages), y[0], True)
         return np.stack((u, u_x * y[1]))
 
     phi, phi_x = np.empty((2, len(times), grid.n))
     y = np.stack((grid.x, np.ones(grid.n)))
     phi[0], phi_x[0] = y
+    end = offgrid.spread(series[:1])
     for j in range(len(times) - 1):
         h = times[j + 1] - times[j]
-        stages = rk4_stages(times, series, j, h)
+        _, mid, _, _ = rk4_stages(times, series, j, h)
+        fine = offgrid.spread(np.stack((mid, series[j + 1])))
+        stages = iter((end, fine[:1], fine[:1], fine[1:]))
+        end = fine[1:]
         y = rk4(velocity, times[j], y, h)
         if np.any(np.diff(y[0]) <= 0.0):
             raise FlowDegeneracyError(f"flow map lost monotonicity at t={times[j + 1]:.6g}")
@@ -106,21 +116,23 @@ def check_flow_identities(phi, phi_x, traj: Trajectory, params, momentum=True):
     momentum (which requires alpha identically zero), of the momentum
     balance: (transport, mflow), mflow None unless momentum.
 
-    One pass over the flow: each snapshot evaluates rho with rho_x off the
-    grid once, and m once when momentum; the coupling integral accumulates
-    by the trapezoid rule.  The references rho_0 and m_0 at the markers are
-    the t = 0 values on the same interpolation path as the evolved side, so
-    both deviations at t = 0 are exactly zero.
+    One pass over the flow: each snapshot spreads rho, and m when
+    momentum, and evaluates them with rho_x at the markers in one kernel
+    call; the coupling integral accumulates by the trapezoid rule.  The
+    references rho_0 and m_0 at the markers are the t = 0 values on the
+    same interpolation path as the evolved side, so both deviations at
+    t = 0 are exactly zero.
     """
     if momentum and not params.alpha_is_zero():
         raise ValueError("the momentum flow identity requires alpha == 0")
     grid, times, b = traj.grid, traj.times, params.b
-    rho_coeffs = grid.half_coeffs(traj.rho)
-    m_coeffs = grid.half_coeffs(traj.m) if momentum else None
+    coeffs = [grid.half_coeffs(traj.rho)] + ([grid.half_coeffs(traj.m)] if momentum else [])
     transport, mflow = np.empty(len(times)), np.empty(len(times)) if momentum else None
     integral = 0.0     # of rho * rho_x * phi_x^b along the flow, from t = 0
     for j, (p, p_x) in enumerate(zip(phi, phi_x)):
-        rho_at, rhox_at = evaluate_coeffs(grid, rho_coeffs[j], p, deriv=True)
+        fine = offgrid.spread(np.stack([c[j] for c in coeffs]))
+        vals, dvals = offgrid.evaluate_spread(grid, fine, p, True)
+        rho_at, rhox_at = vals[0], dvals[0]
         rho0_at = rho_at if j == 0 else rho0_at
         transport[j] = np.max(np.abs(rho_at * p_x ** (b - 1.0) - rho0_at))
         if momentum:
@@ -128,7 +140,7 @@ def check_flow_identities(phi, phi_x, traj: Trajectory, params, momentum=True):
             if j > 0:
                 integral = integral + 0.5 * (times[j] - times[j - 1]) * (integrand + prev)
             prev = integrand
-            m_at = evaluate_coeffs(grid, m_coeffs[j], p)
+            m_at = vals[1]
             m0_at = m_at if j == 0 else m0_at
             mflow[j] = np.max(np.abs(m_at * p_x**b - (m0_at - params.kappa * integral)))
     return transport, mflow

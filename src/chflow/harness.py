@@ -237,7 +237,12 @@ def parse_config(path, base: Scenario = None) -> Scenario:
 
     cp = configparser.ConfigParser()
     cp.optionxform = str          # keep key case (grid L vs l)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        # items() interpolates, so a stray '%' fails here, not in the loop
+        sections = {section: cp.items(section) for section in cp.sections()}
+    except configparser.Error as exc:   # duplicates, lines without '=', ...
+        raise ConfigurationError([str(exc)]) from None
     errors = []
     if not read:
         raise ConfigurationError([f"config file {path!r} not found or unreadable"])
@@ -251,14 +256,14 @@ def parse_config(path, base: Scenario = None) -> Scenario:
         except ValueError:
             errors.append(f"[{section}] {key}: expected {kind.__name__}, got {text!r}")
 
-    for section in cp.sections():
+    for section, items in sections.items():
         if section not in _SECTION_FIELDS:
             errors.append(f"unknown section [{section}]")
             continue
         keys = _SECTION_FIELDS[section]
         if keys is None:
             spec = {}
-            for key, val in cp.items(section):
+            for key, val in items:
                 if key == "profile":
                     spec[key] = val.strip()
                 elif key != "momentum":
@@ -271,7 +276,7 @@ def parse_config(path, base: Scenario = None) -> Scenario:
             if spec:      # a section without profile keys keeps the base's profile
                 updates[section] = tuple(sorted(spec.items()))
             continue
-        for key, val in cp.items(section):
+        for key, val in items:
             if key in keys:
                 updates[key] = convert(section, key, _FIELD_TYPES[key], val)
             else:

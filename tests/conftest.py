@@ -16,6 +16,11 @@ its own input and each step's result is transformed again for its
 samples, the bitwise reference for the jet handed from step to step.
 :func:`float_edge_values` lists the float64 values whose text is hardest to
 get right, for the CSV formatter's tests against ``repr``.
+:func:`stagewise_evolve_flow` and :func:`fieldwise_flow_identities` are the
+flow and its checks with one ``evaluate_coeffs`` call per RK4 stage and per
+field, each spreading its own coefficients, the bitwise references for the
+flow that spreads each coefficient set once and the checks that read rho and
+m in one call.
 """
 
 import numpy as np
@@ -349,3 +354,44 @@ def stepwise_integrate(state0, params, ctrl, formulation, output_times):
             times.append(t)
             ys.append(np.stack((u, rho)))
     return Trajectory(grid, times, ys, params, max(dts), min(dts), len(dts))
+
+
+def stagewise_evolve_flow(traj):
+    """evolve_flow with one evaluate_coeffs call per RK4 stage: (phi, phi_x)."""
+    grid, times = traj.grid, traj.times
+    series = grid.half_coeffs(traj.u)
+
+    def velocity(t, y):
+        u, u_x = evaluate_coeffs(grid, next(stages), y[0], deriv=True)
+        return np.stack((u, u_x * y[1]))
+
+    phi, phi_x = np.empty((2, len(times), grid.n))
+    y = np.stack((grid.x, np.ones(grid.n)))
+    phi[0], phi_x[0] = y
+    for j in range(len(times) - 1):
+        h = times[j + 1] - times[j]
+        stages = rk4_stages(times, series, j, h)
+        y = rk4(velocity, times[j], y, h)
+        phi[j + 1], phi_x[j + 1] = y
+    return phi, phi_x
+
+
+def fieldwise_flow_identities(phi, phi_x, traj, params, momentum=True):
+    """check_flow_identities with one evaluate_coeffs call per field and
+    snapshot, rho with rho_x and then m: (transport, mflow or None)."""
+    grid, times, b = traj.grid, traj.times, params.b
+    rho_coeffs, m_coeffs = grid.half_coeffs(traj.rho), grid.half_coeffs(traj.m)
+    transport, mflow = np.empty(len(times)), np.empty(len(times))
+    integral = 0.0
+    for j, (p, p_x) in enumerate(zip(phi, phi_x)):
+        rho_at, rhox_at = evaluate_coeffs(grid, rho_coeffs[j], p, deriv=True)
+        m_at = evaluate_coeffs(grid, m_coeffs[j], p)
+        if j == 0:
+            rho0_at, m0_at = rho_at, m_at
+        transport[j] = np.max(np.abs(rho_at * p_x ** (b - 1.0) - rho0_at))
+        integrand = rho_at * rhox_at * p_x**b
+        if j > 0:
+            integral = integral + 0.5 * (times[j] - times[j - 1]) * (integrand + prev)
+        prev = integrand
+        mflow[j] = np.max(np.abs(m_at * p_x**b - (m0_at - params.kappa * integral)))
+    return transport, mflow if momentum else None

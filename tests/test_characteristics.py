@@ -1,6 +1,7 @@
 """Flow map, transport identities, conservation, and support tracking."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from chflow.offgrid import evaluate
 from chflow.profiles import bump, gaussian
 from chflow.spectral import Grid, RealField, invert_inertia
 
-from conftest import reconstruct_rho
+from chflow.harness import PRESETS
+
+from conftest import fieldwise_flow_identities, reconstruct_rho, stagewise_evolve_flow
 
 CH_PARAMS = Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
 
@@ -69,6 +72,27 @@ class TestEvolveFlow:
         expect = np.exp(integral)
         got = phi_x[-1]
         assert np.max(np.abs(got - expect) / expect) < 1e-8
+
+    @pytest.mark.parametrize("preset", ["2cch", "hkmetric"])
+    def test_spreading_once_matches_per_stage_evaluation(self, preset):
+        # the flow spreads each step's coefficients once and the checks read
+        # rho and m in one call; both equal one evaluation per stage and per
+        # field, bit for bit
+        sc = replace(PRESETS[preset], t_final=0.1, snapshots=11)
+        _, params, ctrl, state0 = sc.build()
+        traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
+        phi, phi_x = evolve_flow(traj)
+        ref_phi, ref_phi_x = stagewise_evolve_flow(traj)
+        assert np.array_equal(phi, ref_phi) and np.array_equal(phi_x, ref_phi_x)
+        assert np.any(phi[-1] != phi[0])
+        for momentum in (True, False):
+            transport, mflow = check_flow_identities(phi, phi_x, traj, params, momentum)
+            ref_transport, ref_mflow = fieldwise_flow_identities(phi, phi_x, traj, params, momentum)
+            assert np.array_equal(transport, ref_transport)
+            if momentum:
+                assert np.array_equal(mflow, ref_mflow)
+            else:
+                assert mflow is None
 
     def test_rejects_sparse_snapshots(self, grid20):
         traj = _run(grid20, gaussian(grid20, 0.3, 2.0),

@@ -82,6 +82,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[grid]\nn = 64\nn = 128\n", "option 'n' in section 'grid' already exists"),
+        ("[grid]\nn = 64\n\n[grid]\nL = 3\n", "section 'grid' already exists"),
+        ("n = 64\n", "no section headers"),
+        ("[grid]\nn 64\n", "parsing errors"),
+        ("[run]\nname = 5%\n", "'%' must be followed by"),
+    ], ids=["duplicate-key", "duplicate-section", "no-header", "no-equals", "stray-percent"])
+    def test_malformed_file_is_a_configuration_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "malformed.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(str(path))
+        assert len(exc.value.errors) == 1 and message in exc.value.errors[0]
+        assert main(["check", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_structural_errors_all_listed(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(
@@ -457,23 +473,27 @@ class TestRunScenario:
         assert m_running[-1] == pytest.approx(sups.max(), rel=1e-12)
 
     def test_flow_checks_share_one_rho_evaluation(self, tmp_path, monkeypatch):
-        # the flow map takes 4 kernel calls per snapshot interval; then rho
-        # and rho_x along the flow are evaluated once for both checks (T
-        # calls) and m once per snapshot (T calls)
+        # the flow map takes 4 one-row kernel calls per snapshot interval;
+        # then one call per snapshot reads rho, rho_x and m at the markers
+        # for both checks, from 2 spread rows; nothing is spread twice
         calls = _count_calls(monkeypatch, offgrid, "trig_eval")
+        spreads = _count_calls(monkeypatch, offgrid, "spread")
         sc = _small_scenario(diagnostics=("transport", "mflow"))
         manifest = run_scenario(sc, str(tmp_path))
         assert manifest["invariants"]["transport"]["status"] == "pass"
         assert manifest["invariants"]["mflow"]["status"] == "pass"
         T = sc.snapshots
-        assert len(calls) == 4 * (T - 1) + 2 * T
+        assert len(calls) == 4 * (T - 1) + T
         assert {len(args[2]) for args in calls} == {sc.n}
+        assert [len(args[0]) for args in calls[4 * (T - 1):]] == [2] * T
+        assert sum(len(args[0]) for args in spreads) == 1 + 2 * (T - 1) + 2 * T
 
-    @pytest.mark.parametrize("preset, evaluations", [("support", 2), ("zero", 1)])
-    def test_flow_checks_take_one_pass(self, tmp_path, monkeypatch, preset, evaluations):
-        # one flow evolution of 4 kernel calls per snapshot interval, then one
-        # pass over the snapshots: rho with rho_x at each, and m only when the
-        # scenario checks mflow (support does, zero checks transport alone)
+    @pytest.mark.parametrize("preset, rows", [("support", 2), ("zero", 1)])
+    def test_flow_checks_take_one_pass(self, tmp_path, monkeypatch, preset, rows):
+        # one flow evolution of 4 one-row kernel calls per snapshot interval,
+        # then one pass over the snapshots of one call each: rho with rho_x,
+        # and m in a second row only when the scenario checks mflow (support
+        # does, zero checks transport alone)
         calls = _count_calls(monkeypatch, offgrid, "trig_eval")
         flows = _count_calls(monkeypatch, characteristics, "evolve_flow")
         sc = PRESETS[preset]
@@ -481,8 +501,9 @@ class TestRunScenario:
         assert {d["status"] for d in manifest["invariants"].values()} == {"pass"}
         T = sc.snapshots
         assert len(flows) == 1
-        assert len(calls) == 4 * (T - 1) + evaluations * T
+        assert len(calls) == 4 * (T - 1) + T
         assert {len(args[2]) for args in calls} == {sc.n}
+        assert [len(args[0]) for args in calls] == [1] * (4 * (T - 1)) + [rows] * T
 
 
 def _count_calls(monkeypatch, module, name):

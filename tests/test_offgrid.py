@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chflow.offgrid import BLOCK, evaluate
+from chflow.offgrid import BLOCK, evaluate, evaluate_coeffs, evaluate_spread, spread
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, RealField, derivative
 
@@ -151,3 +151,39 @@ def test_blocks_do_not_change_values(deriv):
         assert np.array_equal(whole[1], np.concatenate([d for _, d in single]))
     else:
         assert np.array_equal(whole, np.concatenate(single))
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+def test_rows_share_the_weights(deriv):
+    # a stack of rows is weighed once per block and the weights serve every
+    # row; each row equals its own one-row evaluation, bit for bit
+    g = Grid(7.0, 256)
+    samples = np.stack([band_limited_noise(g, seed=s, kmax_frac=0.4).samples for s in (5, 6, 7)])
+    coeffs = g.half_coeffs(samples)
+    pts = np.random.default_rng(3).uniform(-30.0, 30.0, 2 * BLOCK + 37)
+    vals, dvals = evaluate_spread(g, spread(coeffs), pts, deriv)
+    assert vals.shape == (len(coeffs), len(pts))
+    assert (dvals is not None) == deriv
+    for row, c in enumerate(coeffs):
+        single = evaluate_coeffs(g, c, pts, deriv)
+        if deriv:
+            assert np.array_equal(vals[row], single[0])
+            assert np.array_equal(dvals[row], single[1])
+        else:
+            assert np.array_equal(vals[row], single)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("shape", [None, (), (1, 2), (2, 3), (2, 1, 3)])
+def test_any_point_shape(deriv, shape):
+    # scalars and arrays of any shape are evaluated as their raveled points
+    # and come back in their own shape, bit for bit the 1-D values
+    g = Grid(7.0, 64)
+    f = band_limited_noise(g, seed=8, kmax_frac=0.4)
+    flat = np.random.default_rng(4).uniform(-20.0, 20.0, int(np.prod(shape or ())))
+    pts = float(flat[0]) if shape is None else flat.reshape(shape)
+    ref = evaluate(f, flat, deriv)
+    for out in (evaluate(f, pts, deriv), evaluate_coeffs(g, g.half_coeffs(f.samples), pts, deriv)):
+        for got, want in zip(out, ref) if deriv else [(out, ref)]:
+            assert np.shape(got) == np.shape(pts)
+            assert np.array_equal(np.ravel(got), want)
