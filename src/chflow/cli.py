@@ -6,10 +6,13 @@ Subcommands:
          persistence, friedrichs)
   check  validate a config file without running it
 
-``run --formulation`` offers the RHS formulations dynamics defines
-(``dynamics.FORMULATIONS``).  A bad field fails before anything is written:
-``run_scenario`` builds the scenario, which validates it, before it creates
-the output directory.
+A bad field fails before anything is written: ``run_scenario`` builds the
+scenario, which validates it, before it creates the output directory.
+
+``run`` prints one line per diagnostic: ``name: pass (value=...)`` or
+``name: skipped``; a failed check adds its value and tolerance,
+``name: fail (value=..., tolerance=...)``, and a diagnostic that raised its
+exception type and message, ``name: error (ErrorType: message)``.
 
 Exit codes: 0 completed (a recorded blow-up still counts as completed, and
 ``suite`` exits 0 whether it prints pass or FAIL), 1 configuration error,
@@ -18,10 +21,10 @@ Exit codes: 0 completed (a recorded blow-up still counts as completed, and
 """
 
 import argparse
+import numbers
 import sys
 from dataclasses import replace
 
-from .dynamics import FORMULATIONS
 from .harness import (
     PRESETS,
     SUITES,
@@ -50,9 +53,6 @@ def build_parser():
     p_run.add_argument("--tfinal", dest="t_final", metavar="TFINAL", type=float,
                        help="override final time")
     p_run.add_argument("--cfl", type=float, help="override Courant factor")
-    p_run.add_argument(
-        "--formulation", choices=FORMULATIONS, help="override RHS formulation"
-    )
 
     p_suite = sub.add_parser("suite", help="run an experiment suite")
     p_suite.add_argument("name", help=f"one of {sorted(SUITES)}")
@@ -74,9 +74,27 @@ def _scenario_from_args(args) -> Scenario:
             )
         base = PRESETS[args.preset]
     scenario = parse_config(args.config, base=base) if args.config else base
-    fields = ("n", "L", "t_final", "cfl", "formulation")
+    fields = ("n", "L", "t_final", "cfl")
     overrides = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
     return replace(scenario, **overrides)
+
+
+def _number(value):
+    return f"{value:.3e}" if isinstance(value, numbers.Real) else str(value)
+
+
+def _summary_detail(entry):
+    """What a diagnostic's summary line adds to its status: why it did not
+    pass, or the value it passed with."""
+    status = entry.get("status")
+    if status == "error":
+        return f" ({entry.get('error_type')}: {entry.get('detail')})"
+    if status == "fail":
+        value, tol = (_number(entry.get(key)) for key in ("value", "tolerance"))
+        return f" (value={value}, tolerance={tol})"
+    if entry.get("value") is not None:
+        return f" (value={_number(entry['value'])})"
+    return ""
 
 
 def main(argv=None) -> int:
@@ -86,17 +104,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             scenario = _scenario_from_args(args)
             manifest = run_scenario(scenario, args.out)
-            statuses = {
-                name: entry.get("status", "?")
-                for name, entry in manifest["invariants"].items()
-            }
             print(f"outcome: {manifest['outcome']}")
-            for name, status in statuses.items():
-                entry = manifest["invariants"][name]
-                extra = ""
-                if "value" in entry and entry["value"] is not None:
-                    extra = f" (value={entry['value']:.3e})"
-                print(f"  {name}: {status}{extra}")
+            for name, entry in manifest["invariants"].items():
+                print(f"  {name}: {entry.get('status', '?')}{_summary_detail(entry)}")
             print(f"wrote {len(manifest['outputs']) + 1} files to {args.out}")
             return 0
         if args.command == "suite":

@@ -3,26 +3,29 @@
 The evolved unknowns are (u, rho), carried by the time steppers as their
 rfft half spectra y_hat of shape (..., 2, n/2+1); the momentum
 m = (1 - d^2/dx^2)^r u is recomputed from u inside every RHS call so the
-two representations cannot drift apart.  Two RHS formulations are provided:
+two representations cannot drift apart.  The steppers advance the ``m``
+form (any r >= 1):
 
-* ``m`` form (any r >= 1):
       m_t = alpha*u_x - b*u_x*m - u*m_x - kappa*rho*rho_x,
       rho_t = -u*rho_x - (b-1)*u_x*rho,
-  with du/dt recovered through the inverse inertia operator.
 
-* ``nonlocal`` form (r = 1 only):
+with du/dt recovered through the inverse inertia operator.  The
+``nonlocal`` form (r = 1 and a constant alpha only),
+
       u_t + u*u_x = -d/dx G * P(u, rho),
       P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u,
-  where G is the kernel of (1 - d^2/dx^2)^(-1).
+
+with G the kernel of (1 - d^2/dx^2)^(-1), is the reference rhs_nonlocal
+checks the m form against; no stepper advances it.
 
 Dealiasing (two-thirds rule) is linear, so each equation's products are
 summed pointwise and the sum is dealiased once (Orszag, J. Atmos. Sci. 28,
-1971); for band-limited states the two formulations agree to round-off, and
-that equivalence is one of the artifact's checks.  All transforms are real
+1971); for band-limited states the two forms agree to round-off, and that
+equivalence is one of the artifact's checks.  All transforms are real
 (rfft/irfft on the half spectrum).  An RHS evaluation takes y_hat and
 returns dy_hat with two transforms: one irfft of the jet (u, its
-derivatives, rho, rho_x) and one rfft of the summed products.  The jet
-may also be handed in: integrate_ensemble transforms each step's result
+derivatives, rho, rho_x) and one rfft of the summed products.  The m form's
+jet may also be handed in: integrate_ensemble transforms each step's result
 into its jet once, reads the snapshots, the gradient check and the CFL
 step from its first rows, and passes it to the next step's first stage, so
 a step makes 8 FFT calls (4 rfft, 3 irfft inside the stages, 1 irfft of
@@ -49,7 +52,7 @@ from .spectral import (
 
 
 class FormulationError(ConfigurationError):
-    """Requested RHS formulation is not valid for these parameters."""
+    """The nonlocal form is not valid for these parameters."""
 
 
 class BlowUpError(RuntimeError):
@@ -239,11 +242,6 @@ def _m_jet(ops: Operators, y_hat):
     return _jet(y_hat, ops.grid.n, ops.jet[:3], ops.jet[3:])
 
 
-def _nonlocal_jet(ops: Operators, y_hat):
-    """The jet (u, rho, u_x, rho_x) the nonlocal form reads, one irfft."""
-    return _jet(y_hat, ops.grid.n, ops.jet[:1], ops.jet[3:])
-
-
 def _m_form(ops: Operators, params: Params, t, y_hat, jet=None):
     """Momentum-form RHS of the half spectra of the stacked (u, rho); valid
     for any r >= 1.
@@ -276,19 +274,19 @@ def _m_form(ops: Operators, params: Params, t, y_hat, jet=None):
     return dy_hat
 
 
-def _nonlocal(ops: Operators, params: Params, t, y_hat, jet=None):
+def _nonlocal(ops: Operators, params: Params, t, y_hat):
     """Nonlocal (Green's function) RHS of the half spectra of the stacked
-    (u, rho).
+    (u, rho), the reference the m form is checked against.
 
     Stated for r = 1 and constant alpha: the reduction of the alpha term
     into the pressure P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u
-    uses alpha*u_x = d/dx(alpha*u).  One irfft gives (u, rho, u_x, rho_x),
-    unless that jet of y_hat is given; the quadratic part of P and the two
-    transport products are dealiased in one rfft.
+    uses alpha*u_x = d/dx(alpha*u).  One irfft gives (u, rho, u_x, rho_x);
+    the quadratic part of P and the two transport products are dealiased in
+    one rfft.  The Nyquist entry of the result may keep an imaginary part,
+    which the irfft of every caller drops.
     """
-    raise_errors(formulation_errors("nonlocal", params.r, params.alpha), FormulationError)
-    if jet is None:
-        jet = _nonlocal_jet(ops, y_hat)
+    raise_errors(nonlocal_errors(params.r, params.alpha), FormulationError)
+    jet = _jet(y_hat, ops.grid.n, ops.jet[:1], ops.jet[3:])
     u, rho, u_x, rho_x = (jet[..., i, :] for i in range(4))
     quad = (
         0.5 * params.b * u * u
@@ -301,7 +299,7 @@ def _nonlocal(ops: Operators, params: Params, t, y_hat, jet=None):
     p_hat = prods_hat[..., 0, :] - float(params.alpha) * y_hat[..., 0, :]
     nl_hat = prods_hat[..., 1:, :]
     nl_hat[..., 0, :] += (ops.ixi / ops.inertia) * p_hat
-    dy_hat = _real_nyquist(-nl_hat)
+    dy_hat = -nl_hat
     _check_finite(t, u_x, dy_hat[..., 0, :])
     return dy_hat
 
@@ -323,29 +321,19 @@ def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
     return _on_state(_nonlocal, state, params, use_dealias)
 
 
-_RHS = {"m": _m_form, "nonlocal": _nonlocal}
-# the jet each formulation's RHS reads, rows (u, rho, u_x) first
-_JETS = {"m": _m_jet, "nonlocal": _nonlocal_jet}
-FORMULATIONS = tuple(_RHS)
+# step_rk4 reads its RHS from this table at call time, so a tracer that
+# wraps the entry (perfbench/spans.py) sees every stage evaluation
+_RHS = {"m": _m_form}
 
 
-def formulation_errors(formulation, r=1.0, alpha=0.0):
-    """Why the RHS formulation cannot run with inertia exponent r and this
-    alpha, one message per reason; [] when it can.  The m form runs with
-    any parameters, the nonlocal form with r = 1 and a constant alpha."""
-    if formulation not in _RHS:
-        return [f"formulation must be {' or '.join(map(repr, _RHS))}, got {formulation!r}"]
-    if formulation == "m":
-        return []
-    errors = [] if r == 1.0 else [f"formulation 'nonlocal' requires r = 1, got r = {r}"]
+def nonlocal_errors(r=1.0, alpha=0.0):
+    """Why the nonlocal form cannot be evaluated with inertia exponent r
+    and this alpha, one message per reason; [] when it can: it needs r = 1
+    and a constant alpha."""
+    errors = [] if r == 1.0 else [f"the nonlocal form requires r = 1, got r = {r}"]
     if isinstance(alpha, RealField):
-        errors.append("formulation 'nonlocal' requires a constant alpha")
+        errors.append("the nonlocal form requires a constant alpha")
     return errors
-
-
-def get_rhs(formulation: str):
-    raise_errors(formulation_errors(formulation), FormulationError)
-    return _RHS[formulation]
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +371,17 @@ def rk4(f, t, y, h, k1=None):
     return (y + (h / 6.0) * acc).view(dtype)
 
 
-def step_rk4(state, params: Params, dt, formulation: str = "m",
-             use_dealias: bool = True, jet=None):
-    """One classical four-stage Runge-Kutta step of a State, or of every
-    member of a Stack at once (dt then has shape (B, 1, 1), one per member).
-    A Stack is stepped in its half spectra; a State is transformed to them
-    and back.  A Stack's jet, the samples the formulation's RHS reads
-    (u, rho, u_x first), saves the first stage its irfft; it is dropped
-    once that stage is evaluated, so a caller that hands over its only
-    reference frees it before the second stage."""
+def step_rk4(state, params: Params, dt, use_dealias: bool = True, jet=None):
+    """One classical four-stage Runge-Kutta step of the m form, for a State
+    or for every member of a Stack at once (dt then has shape (B, 1, 1),
+    one per member).  A Stack is stepped in its half spectra; a State is
+    transformed to them and back.  A Stack's jet, the samples _m_jet gives
+    of its spectra, saves the first stage its irfft; it is dropped once
+    that stage is evaluated, so a caller that hands over its only reference
+    frees it before the second stage."""
     if (np.asarray(dt) <= 0).any():
         raise ValueError("dt must be positive")
-    rhs = partial(get_rhs(formulation), operators(state.grid, params.r, use_dealias), params)
+    rhs = partial(_RHS["m"], operators(state.grid, params.r, use_dealias), params)
     if isinstance(state, Stack):
         k1 = None if jet is None else rhs(state.t, state.y, jet)
         del jet
@@ -405,15 +392,14 @@ def step_rk4(state, params: Params, dt, formulation: str = "m",
 
 
 def integrate_ensemble(states0, params: Params, ctrl: StepControl,
-                       formulation: str = "m", output_times=None,
-                       dt_max=None) -> list:
+                       output_times=None, dt_max=None) -> list:
     """Advance every state of states0 to ctrl.t_final, recording snapshots;
     returns one Trajectory per state.
 
     The members share a grid and a start time and are advanced as one
     (B, 2, n/2+1) stack of half spectra, one step_rk4 call per step.  After
-    each step one irfft gives the formulation's jet of the new spectra
-    (see _JETS): its rows (u, rho, u_x) give the snapshots, the gradient
+    each step one irfft gives the m form's jet of the new spectra
+    (see _m_jet): its rows (u, rho, u_x) give the snapshots, the gradient
     check and the next step's max|u|, and the whole jet is the next step's
     first RHS input, so no stage transforms the same spectra twice.  Each
     member takes its own step dt = min(dt_max[i], cfl*dx / max(1, max|u|)),
@@ -444,10 +430,8 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
         raise ValueError(f"dt_max needs one value per member: {len(dt_max)} for {B}")
     if not all(math.isfinite(d) and d > 0 for d in dt_max):
         raise ValueError(f"every dt_max must be finite and positive, got {dt_max}")
-    # a formulation these parameters cannot run fails before any work
-    raise_errors(formulation_errors(formulation, params.r, params.alpha), FormulationError)
     ops = operators(grid, params.r, ctrl.dealias)
-    jet_of = partial(_JETS[formulation], ops)
+    jet_of = partial(_m_jet, ops)
     if output_times is None:
         output_times = np.linspace(t0, ctrl.t_final, 17)
     output_times = np.asarray(output_times, dtype=float)
@@ -506,8 +490,7 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
             t_new.append(t_target if hit[row] else t[row] + dt[row])
         try:
             y_new = step_rk4(Stack(grid, np.array(t)[:, None, None], y_hat), params,
-                             np.array(dt)[:, None, None], formulation, ctrl.dealias,
-                             jet.pop()).y
+                             np.array(dt)[:, None, None], ctrl.dealias, jet.pop()).y
         except BlowUpError as exc:
             raise blowup(exc.member, exc.t, exc.max_gradient) from exc
 
@@ -539,10 +522,10 @@ def integrate_ensemble(states0, params: Params, ctrl: StepControl,
 
 
 def integrate(state0: State, params: Params, ctrl: StepControl,
-              formulation: str = "m", output_times=None) -> Trajectory:
+              output_times=None) -> Trajectory:
     """Advance one state to ctrl.t_final: the one-member case of
     :func:`integrate_ensemble`, whose step rule and blow-up report it shares."""
-    return integrate_ensemble([state0], params, ctrl, formulation, output_times)[0]
+    return integrate_ensemble([state0], params, ctrl, output_times)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +711,7 @@ class StabilityResult:
 
 
 def stability_pairs(datasets, perturbation: RealField, eps_list, params: Params,
-                    ctrl: StepControl, s: float = 3.0, formulation: str = "m",
-                    output_times=None) -> list:
+                    ctrl: StepControl, s: float = 3.0, output_times=None) -> list:
     """Run each (u0, rho0) of datasets against (u0 + eps*pert, rho0) for
     each eps; returns one StabilityResult per dataset.
 
@@ -749,7 +731,7 @@ def stability_pairs(datasets, perturbation: RealField, eps_list, params: Params,
         starts.append(State(0.0, u0, rho0))
         starts += [State(0.0, RealField(u0.grid, u0.samples + eps * perturbation.samples), rho0)
                    for eps in eps_arr]
-    runs = integrate_ensemble(starts, params, ctrl, formulation, output_times)
+    runs = integrate_ensemble(starts, params, ctrl, output_times)
     r = params.r
     idx_du = besov.BesovIndex(s - 1.0)
     idx_drho = besov.BesovIndex(s - 2.0 * r)

@@ -66,7 +66,6 @@ class Scenario:
     dealias: bool = True
     snapshots: int = 101
     gradient_ceiling: float = 1e6
-    formulation: str = "m"
     # initial data
     u0: tuple = (("profile", "zero"),)
     rho0: tuple = (("profile", "zero"),)
@@ -86,7 +85,7 @@ class Scenario:
     def validate(self):
         """Every reason this scenario cannot run, one message per field: the
         constructors' own messages prefixed with their section, then the
-        rules that span objects (formulation, profiles, diagnostics)."""
+        rules that span objects (profiles, diagnostics)."""
         errors = []
         for section, model, kwargs in self._models():
             try:
@@ -96,7 +95,6 @@ class Scenario:
         snapshots_ok = isinstance(self.snapshots, numbers.Integral) and self.snapshots >= 2
         if not snapshots_ok:
             errors.append(f"control.snapshots must be an integer >= 2, got {self.snapshots!r}")
-        errors += [f"control.{e}" for e in dynamics.formulation_errors(self.formulation, self.r)]
         for label, spec in (("u0", self.u0), ("rho0", self.rho0)):
             errors += [f"{label}.{e}" for e in profile_errors(spec)]
         errors += [f"decay_{e}" for e in weights.window_errors(self.decay_window)]
@@ -199,13 +197,13 @@ PRESETS = {
 # Config files: INI-style sections of key = value pairs
 # ---------------------------------------------------------------------------
 
-# the Scenario fields each section sets; [u0] and [rho0] hold free-form
-# profile parameters, and [u0] the u0_is_momentum flag as `momentum`
+# the Scenario fields each section sets: the fields of the model it builds
+# (see Scenario._models), and snapshots in [control]; [u0] and [rho0] hold
+# free-form profile parameters, and [u0] the u0_is_momentum flag as `momentum`
 _SECTION_FIELDS = {
-    "params": ("b", "kappa", "alpha", "r"),
-    "grid": ("L", "n"),
-    "control": ("cfl", "dt_max", "t_final", "dealias", "snapshots", "formulation",
-                "gradient_ceiling"),
+    "params": tuple(f.name for f in fields(dynamics.Params)),
+    "grid": tuple(f.name for f in fields(Grid)),
+    "control": tuple(f.name for f in fields(dynamics.StepControl)) + ("snapshots",),
     "u0": None,
     "rho0": None,
     "run": ("name", "diagnostics"),
@@ -296,13 +294,18 @@ def parse_config(path, base: Scenario = None) -> Scenario:
 
 
 def _atomic_write(path, chunks):
-    """Write the byte chunks to a temp file beside path, then rename it."""
+    """Write the byte chunks to a temp file beside path, then rename it.
+    The file gets the mode a plain open() would give it, 0o666 less the
+    umask; mkstemp creates the temp file 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
+        umask = os.umask(0)      # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -478,15 +481,14 @@ def _diag_formulation(ctx, out):
     if ctx.params.r != 1.0:
         return {"status": "skipped", "detail": "requires r == 1"}, []
     traj = ctx.traj
-    ops = operators(ctx.grid, ctx.params.r)
-    rhs_m, rhs_nonlocal = dynamics.get_rhs("m"), dynamics.get_rhs("nonlocal")
     worst = 0.0
     for i in np.linspace(0, len(traj.times) - 1, 5).astype(int):
-        t, y_hat = traj.times[i], np.fft.rfft(traj.y[i])
-        for a, b in zip(*(np.fft.irfft(rhs(ops, ctx.params, t, y_hat), ctx.grid.n)
-                          for rhs in (rhs_m, rhs_nonlocal))):
-            scale = max(np.max(np.abs(a)), 1e-300)
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+        state = dynamics.State(traj.times[i], RealField(ctx.grid, traj.u[i]),
+                               RealField(ctx.grid, traj.rho[i]))
+        for a, b in zip(dynamics.rhs_m_form(state, ctx.params),
+                        dynamics.rhs_nonlocal(state, ctx.params)):
+            scale = max(np.max(np.abs(a.samples)), 1e-300)
+            worst = max(worst, float(np.max(np.abs(a.samples - b.samples))) / scale)
     return _gate(worst, 1e-10, "relative sup difference of the two RHS formulations"), []
 
 
@@ -599,9 +601,7 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
     blowup = None
     outcome = "completed"
     try:
-        traj = dynamics.integrate(
-            state0, params, ctrl, scenario.formulation, scenario.output_times()
-        )
+        traj = dynamics.integrate(state0, params, ctrl, scenario.output_times())
     except dynamics.BlowUpError as exc:
         outcome = "blowup"
         blowup = {"t": exc.t, "max_gradient": exc.max_gradient}
@@ -670,7 +670,7 @@ def _write_identity_csv(path, traj, columns):
 
 def _integrate(scenario, output_times):
     _, params, ctrl, state0 = scenario.build()
-    return dynamics.integrate(state0, params, ctrl, scenario.formulation, output_times)
+    return dynamics.integrate(state0, params, ctrl, output_times)
 
 
 def convergence_suite(out_dir):
@@ -695,7 +695,7 @@ def convergence_suite(out_dir):
     _, params, ctrl, state0 = replace(base, n=512).build()
     dt_max = (base.dt_max,) + dts + (dts[-1] / 8.0,)
     at512 = dynamics.integrate_ensemble([state0] * len(dt_max), params, ctrl,
-                                        base.formulation, out_times, dt_max)
+                                        out_times, dt_max)
     trajs = [_integrate(replace(base, n=256), out_times), at512[0],
              _integrate(replace(base, n=1024), out_times)]
     fine = trajs[-1]
@@ -872,8 +872,7 @@ def friedrichs_suite(out_dir):
     ctrl = dynamics.StepControl(cfl=1.0, dt_max=5e-4, t_final=0.1)
     iterates = dynamics.friedrichs_iterate(u0, rho0, params, K, ctrl)
     direct = dynamics.integrate(
-        dynamics.State(0.0, u0, rho0), params, ctrl, "m",
-        output_times=iterates[1].times,
+        dynamics.State(0.0, u0, rho0), params, ctrl, output_times=iterates[1].times,
     )
     idx = besov.BesovIndex(s - 1.0)
     errs = []

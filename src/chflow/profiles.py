@@ -1,6 +1,8 @@
 """Named initial-data profiles used by scenarios and tests."""
 
 import inspect
+import math
+import numbers
 
 import numpy as np
 
@@ -76,8 +78,9 @@ def _parameters(name):
 
 def profile_errors(spec) -> list:
     """Every reason a {'profile': name, **params} spec builds no profile:
-    an unknown name, a key that is no parameter, an int parameter that is
-    not integral."""
+    an unknown name, a key that is no parameter, a parameter that is not a
+    finite number, an int parameter that is not integral, a width that is
+    not positive."""
     spec = dict(spec)
     name = spec.pop("profile", "zero")
     if name not in PROFILES:
@@ -87,9 +90,12 @@ def profile_errors(spec) -> list:
     for key, val in spec.items():
         if key not in takes:
             errors.append(f"{key} is not a parameter of profile {name!r}; it takes {list(takes)}")
-        elif takes[key].annotation is int and not (
-                isinstance(val, int) or isinstance(val, float) and val.is_integer()):
+        elif not (isinstance(val, numbers.Real) and math.isfinite(val)):
+            errors.append(f"{key} must be a finite number for profile {name!r}, got {val!r}")
+        elif takes[key].annotation is int and not float(val).is_integer():
             errors.append(f"{key} must be an integer for profile {name!r}, got {val!r}")
+        elif key == "width" and not val > 0:
+            errors.append(f"width must be positive for profile {name!r}, got {val!r}")
     return errors
 
 

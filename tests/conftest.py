@@ -13,7 +13,9 @@ an independent check of the solver's density (acceptance criterion 04).
 :func:`stepwise_integrate` is integrate as it stepped before each step's
 jet was reused, with :func:`stage_by_stage_rk4`: every stage transforms
 its own input and each step's result is transformed again for its
-samples, the bitwise reference for the jet handed from step to step.
+samples, the bitwise reference for the jet handed from step to step.  It
+steps either RHS of :data:`RHS_FORMS`, so the nonlocal form, which
+integrate does not advance, can be run for the integration-level check.
 :func:`float_edge_values` lists the float64 values whose text is hardest to
 get right, for the CSV formatter's tests against ``repr``.
 :func:`stagewise_evolve_flow` and :func:`fieldwise_flow_identities` are the
@@ -30,7 +32,7 @@ from scipy.interpolate import PchipInterpolator
 from functools import partial
 
 from chflow import besov, weights
-from chflow.dynamics import Trajectory, get_rhs, rk4, rk4_stages
+from chflow.dynamics import Trajectory, _m_form, _nonlocal, rk4, rk4_stages
 from chflow.offgrid import evaluate_coeffs
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, RealField, dealias, operators
@@ -320,14 +322,20 @@ def stage_by_stage_rk4(f, t, y, h):
     return (y + (h / 6.0) * acc).view(dtype)
 
 
-def stepwise_integrate(state0, params, ctrl, formulation, output_times):
-    """One state advanced by the step rule of integrate, one member of a
-    stack at a time: every RHS evaluation transforms its own input, and
-    after each step one irfft of (u, rho, u_x) gives the snapshot, the
-    gradient check and the next step's max|u|."""
+# the RHS forms stepwise_integrate steps, by name: the m form integrate
+# advances, and the nonlocal form it is checked against
+RHS_FORMS = {"m": _m_form, "nonlocal": _nonlocal}
+
+
+def stepwise_integrate(state0, params, ctrl, form, output_times):
+    """One state advanced by the step rule of integrate with the RHS
+    RHS_FORMS[form], one member of a stack at a time: every RHS evaluation
+    transforms its own input, and after each step one irfft of
+    (u, rho, u_x) gives the snapshot, the gradient check and the next
+    step's max|u|."""
     grid = state0.grid
     ops = operators(grid, params.r, ctrl.dealias)
-    f = partial(get_rhs(formulation), ops, params)
+    f = partial(RHS_FORMS[form], ops, params)
     y = np.stack([(state0.u.samples, state0.rho.samples)])
     y_hat = np.fft.rfft(y)
     if ctrl.dealias:

@@ -80,7 +80,7 @@ class TestEvolveFlow:
         # field, bit for bit
         sc = replace(PRESETS[preset], t_final=0.1, snapshots=11)
         _, params, ctrl, state0 = sc.build()
-        traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
+        traj = integrate(state0, params, ctrl, sc.output_times())
         phi, phi_x = evolve_flow(traj)
         ref_phi, ref_phi_x = stagewise_evolve_flow(traj)
         assert np.array_equal(phi, ref_phi) and np.array_equal(phi_x, ref_phi_x)

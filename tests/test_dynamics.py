@@ -107,13 +107,6 @@ class TestRhs:
         with pytest.raises(FormulationError):
             rhs_nonlocal(st, Params(r=2.0))
 
-    def test_integrate_rejects_a_formulation_before_any_step(self, grid20):
-        # integrate checks the formulation against the parameters up front
-        st = _random_state(grid20, seed=3)
-        with pytest.raises(FormulationError) as exc:
-            integrate(st, Params(r=2.0), StepControl(t_final=0.01), "nonlocal")
-        assert exc.value.errors == dynamics.formulation_errors("nonlocal", 2.0)
-
     @settings(max_examples=60, deadline=None)
     @given(
         log2n=st.integers(5, 9),
@@ -452,13 +445,14 @@ class TestIntegrate:
 
     def test_integration_agrees_across_formulations(self, grid20):
         # the RHS-level equivalence must survive a full run: same data,
-        # same steps, the two formulations track each other to round-off
+        # same steps, the nonlocal form stepped by the same rule tracks the
+        # m form integrate advances to round-off
         st = _state(grid20, u=gaussian(grid20, 0.5, 2.0).samples,
                     rho=gaussian(grid20, 0.4, 1.5).samples)
         ctrl = StepControl(cfl=1.0, dt_max=2e-3, t_final=0.1)
         times = [0.0, 0.05, 0.1]
-        a = integrate(st, CH_PARAMS, ctrl, formulation="m", output_times=times)
-        b = integrate(st, CH_PARAMS, ctrl, formulation="nonlocal", output_times=times)
+        a = integrate(st, CH_PARAMS, ctrl, output_times=times)
+        b = stepwise_integrate(st, CH_PARAMS, ctrl, "nonlocal", times)
         for ua, ub, rho_a, rho_b in zip(a.u, b.u, a.rho, b.rho):
             assert np.max(np.abs(ua - ub)) < 1e-11
             assert np.max(np.abs(rho_a - rho_b)) < 1e-11
@@ -525,15 +519,13 @@ class TestEnsemble:
     @given(
         log2n=st.integers(5, 9),
         amps=st.lists(st.floats(0.2, 2.5), min_size=1, max_size=5),
-        formulation=st.sampled_from(["m", "nonlocal"]),
         dealias_on=st.booleans(),
         alpha_kind=st.sampled_from(["zero", "constant", "field"]),
         n_out=st.integers(2, 5),
     )
-    def test_members_equal_serial_runs(self, log2n, amps, formulation, dealias_on,
-                                       alpha_kind, n_out):
+    def test_members_equal_serial_runs(self, log2n, amps, dealias_on, alpha_kind, n_out):
         grid = Grid(8.0, 2**log2n)
-        if alpha_kind == "field" and formulation == "m":
+        if alpha_kind == "field":
             alpha = RealField(grid, 0.4 + 0.2 * np.cos(np.pi * grid.x / grid.L))
         else:
             alpha = 0.0 if alpha_kind == "zero" else 0.4
@@ -542,10 +534,10 @@ class TestEnsemble:
         times = np.linspace(0.0, ctrl.t_final, n_out)
         states = [State(0.0, gaussian(grid, a, 1.5, 0.5 * i), gaussian(grid, 0.3, 1.2))
                   for i, a in enumerate(amps)]
-        runs = integrate_ensemble(states, params, ctrl, formulation, times)
+        runs = integrate_ensemble(states, params, ctrl, times)
         assert len(runs) == len(states)
         for st_, run in zip(states, runs):
-            _assert_same_run(run, integrate(st_, params, ctrl, formulation, times))
+            _assert_same_run(run, integrate(st_, params, ctrl, times))
 
     def test_members_finish_at_different_step_counts(self):
         grid = Grid(8.0, 128)
@@ -558,8 +550,7 @@ class TestEnsemble:
         for st_, run in zip(states, runs):
             _assert_same_run(run, integrate(st_, CH_PARAMS, ctrl, output_times=times))
 
-    @pytest.mark.parametrize("formulation", ["m", "nonlocal"])
-    def test_per_member_dt_max_equals_own_integrate(self, formulation):
+    def test_per_member_dt_max_equals_own_integrate(self):
         # member 0 has max|u| > 1 and a dt_max of 1, so its CFL step binds;
         # the others take their own dt_max, and all four leave the stack at
         # different ticks
@@ -569,10 +560,10 @@ class TestEnsemble:
         states = [State(0.0, gaussian(grid, a, 1.5), gaussian(grid, 0.4, 1.2))
                   for a in (1.6, 0.7, 0.5, 0.3)]
         times = [0.0, 0.1, 0.25]
-        runs = integrate_ensemble(states, CH_PARAMS, ctrl, formulation, times, dt_max)
+        runs = integrate_ensemble(states, CH_PARAMS, ctrl, times, dt_max)
         for st_, d, run in zip(states, dt_max, runs):
             alone = dataclasses.replace(ctrl, dt_max=d)
-            _assert_same_run(run, integrate(st_, CH_PARAMS, alone, formulation, times))
+            _assert_same_run(run, integrate(st_, CH_PARAMS, alone, times))
         assert runs[0].max_dt < 0.5 * grid.dx < dt_max[0]
         assert runs[1].max_dt == dt_max[1]
         assert len({run.steps for run in runs}) == len(runs)
@@ -629,19 +620,18 @@ class TestEnsemble:
 class TestHalfSpectrumState:
     """The steppers carry the rfft half spectrum of (u, rho)."""
 
-    @pytest.mark.parametrize("rhs", [rhs_m_form, rhs_nonlocal])
+    @pytest.mark.parametrize("rhs", [rhs_m_form])
     def test_undealiased_run_matches_physical_stepping(self, rhs):
         # A narrow Gaussian reaches the Nyquist mode, where the constant-alpha
-        # term and the pressure's i*xi/inertia leave an imaginary part; the
-        # carried spectrum must drop it as the irfft of a physical step does.
+        # term's i*xi/inertia leaves an imaginary part; the carried spectrum
+        # must drop it as the irfft of a physical step does.
         grid = Grid(np.pi, 64)
         params = Params(b=2.5, kappa=0.8, alpha=0.7, r=1.0)
         st = _state(grid, u=gaussian(grid, 0.5, 0.15).samples,
                     rho=gaussian(grid, 0.4, 0.2, 0.3).samples)
         times = np.linspace(0.0, 0.04, 21)
         ctrl = StepControl(cfl=1.0, dt_max=2e-3, t_final=0.04, dealias=False)
-        formulation = "m" if rhs is rhs_m_form else "nonlocal"
-        traj = integrate(st, params, ctrl, formulation, output_times=times)
+        traj = integrate(st, params, ctrl, output_times=times)
         assert traj.steps == len(times) - 1
 
         def f(t, y):
@@ -688,16 +678,16 @@ class TestHalfSpectrumState:
         assert fft_calls == ["irfft", "rfft"]
 
     @pytest.mark.parametrize("use_dealias", [True, False])
-    @pytest.mark.parametrize("formulation", ["m", "nonlocal"])
-    def test_integrate_matches_stage_by_stage_stepping(self, grid20, formulation, use_dealias):
+    @pytest.mark.parametrize("form", ["m"])
+    def test_integrate_matches_stage_by_stage_stepping(self, grid20, form, use_dealias):
         # the jet each step hands to the next one changes no bit of a run
         params = Params(b=2.5, kappa=0.8, alpha=0.3, r=1.0)
         ctrl = StepControl(cfl=0.8, dt_max=4e-3, t_final=0.06, dealias=use_dealias)
         st = _random_state(grid20, 5, amp=1.5)
         times = np.linspace(0.0, 0.06, 4)
-        traj = integrate(st, params, ctrl, formulation, times)
+        traj = integrate(st, params, ctrl, times)
         assert traj.steps > 3 * len(times)
-        _assert_same_run(traj, stepwise_integrate(st, params, ctrl, formulation, times))
+        _assert_same_run(traj, stepwise_integrate(st, params, ctrl, form, times))
 
     def test_rk4_takes_a_precomputed_k1(self):
         rng = np.random.default_rng(3)
@@ -711,16 +701,15 @@ class TestHalfSpectrumState:
         assert np.array_equal(rk4(f, 0.3, y, 0.1), ref)
         assert np.array_equal(rk4(f, 0.3, y, 0.1, f(0.3, y)), ref)
 
-    @pytest.mark.parametrize("formulation", ["m", "nonlocal"])
-    def test_step_rk4_takes_the_jet(self, grid20, fft_calls, formulation):
+    def test_step_rk4_takes_the_jet(self, grid20, fft_calls):
         ops = operators(grid20)
         y_hat = np.fft.rfft(np.stack([_state_rows(_random_state(grid20, s)) for s in (1, 2)]))
         stack = dynamics.Stack(grid20, np.zeros((2, 1, 1)), y_hat)
         dt = np.full((2, 1, 1), 1e-2)
-        jet = dynamics._JETS[formulation](ops, y_hat)
+        jet = dynamics._m_jet(ops, y_hat)
         fft_calls.clear()
-        plain = step_rk4(stack, CH_PARAMS, dt, formulation)
-        with_jet = step_rk4(stack, CH_PARAMS, dt, formulation, jet=jet)
+        plain = step_rk4(stack, CH_PARAMS, dt)
+        with_jet = step_rk4(stack, CH_PARAMS, dt, jet=jet)
         assert len(fft_calls) == 8 + 7
         assert np.array_equal(plain.y, with_jet.y) and np.array_equal(plain.t, with_jet.t)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chflow.cli import main
-from chflow.dynamics import Params, StepControl, formulation_errors, integrate
+from chflow.dynamics import Params, StepControl, integrate
 from chflow import characteristics, harness, offgrid
 from chflow.harness import (
     PRESETS,
@@ -114,28 +114,34 @@ class TestConfig:
         path = tmp_path / "bad2.cfg"
         path.write_text(
             "[grid]\nL = -3\nn = 100\n\n[params]\nr = 0.5\n\n"
-            "[control]\nformulation = weird\n"
+            "[control]\ncfl = 2.0\n"
         )
         with pytest.raises(ConfigurationError) as exc:
             parse_config(str(path))
         text = "\n".join(exc.value.errors)
-        for token in ("grid.L", "grid.n", "params.r", "formulation"):
+        for token in ("grid.L", "grid.n", "params.r", "control.cfl"):
             assert token in text
 
     def test_validation_collects_all_fields(self):
-        sc = Scenario(L=-1.0, n=100, r=0.2, cfl=-0.3, formulation="bogus",
+        sc = Scenario(L=-1.0, n=100, r=0.2, cfl=-0.3, dt_max=-1.0,
                       diagnostics=("nope",))
         errors = sc.validate()
         joined = " ".join(errors)
         for token in ("grid.L", "grid.n", "params.r", "control.cfl",
-                      "formulation", "nope"):
+                      "control.dt_max", "nope"):
             assert token in joined
         with pytest.raises(ConfigurationError):
             sc.build()
 
-    def test_nonlocal_requires_r1(self):
-        sc = Scenario(formulation="nonlocal", r=2.0)
-        assert any("nonlocal" in e for e in sc.validate())
+    def test_formulation_is_no_control_key(self, tmp_path, capsys):
+        # the m form is the only RHS a run advances; there is nothing to choose
+        path = tmp_path / "formulation.cfg"
+        path.write_text("[control]\nformulation = m\n")
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(str(path))
+        assert exc.value.errors == ["unknown key 'formulation' in section [control]"]
+        assert main(["check", str(path)]) == 1
+        assert "unknown key 'formulation'" in capsys.readouterr().err
 
     def test_unknown_profile_rejected(self):
         sc = Scenario(u0=(("profile", "wiggle"),))
@@ -245,6 +251,31 @@ class TestConfig:
         assert main(["check", str(path)]) == 1
         assert "control.t_final must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile, key, value, message", [
+        ("gaussian", "amp", math.nan,
+         "amp must be a finite number for profile 'gaussian', got nan"),
+        ("gaussian", "width", 0.0, "width must be positive for profile 'gaussian', got 0.0"),
+        ("gaussian", "width", math.inf,
+         "width must be a finite number for profile 'gaussian', got inf"),
+        ("gaussian", "center", -math.inf,
+         "center must be a finite number for profile 'gaussian', got -inf"),
+        ("bump", "width", 0.0, "width must be positive for profile 'bump', got 0.0"),
+        ("sech", "width", 0.0, "width must be positive for profile 'sech', got 0.0"),
+    ])
+    def test_profile_values_fail_at_validate(self, tmp_path, capsys, profile, key, value,
+                                             message):
+        # each of these used to pass check, and run then made the output
+        # directory and ended with an internal error (exit 2)
+        sc = replace(PRESETS["2cch"], u0=(("profile", profile), (key, value)))
+        assert sc.validate() == [f"u0.{message}"]
+        path = tmp_path / "profile.cfg"
+        path.write_text(f"[u0]\nprofile = {profile}\n{key} = {value}\n")
+        assert main(["check", str(path)]) == 1
+        assert f"u0.{message}" in capsys.readouterr().err
+        out = tmp_path / "never"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("k, ok", [("2", True), ("2.0", True), ("1.5", False)])
     def test_int_profile_parameters_must_be_integers(self, tmp_path, capsys, k, ok):
         path = tmp_path / "mode.cfg"
@@ -286,11 +317,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError) as exc:
             model(**{f.name: getattr(sc, f.name) for f in fields(model)})
         assert sc.validate() == [f"{section}.{e}" for e in exc.value.errors]
-
-    @pytest.mark.parametrize("formulation, r", [("bogus", 1.0), ("nonlocal", 2.0)])
-    def test_validate_labels_the_formulation_rule(self, formulation, r):
-        sc = replace(PRESETS["zero"], formulation=formulation, r=r)
-        assert sc.validate() == [f"control.{e}" for e in formulation_errors(formulation, r)]
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_sections_round_trip(self, name, tmp_path):
@@ -461,7 +487,7 @@ class TestRunScenario:
             m_running = np.array([float(row["M_running"]) for row in csv.DictReader(fh)])
 
         _, params, ctrl, state0 = sc.build()
-        traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
+        traj = integrate(state0, params, ctrl, sc.output_times())
         sups = np.array([
             np.max(np.abs(u)) + np.max(np.abs(derivative(RealField(traj.grid, u), 1).samples))
             + np.max(np.abs(rho))
@@ -611,7 +637,7 @@ class TestCsvWriter:
         assert besov_styles == {"style", "sharp", "smooth"}
 
         _, params, ctrl, state0 = sc.build()
-        traj = integrate(state0, params, ctrl, sc.formulation, sc.output_times())
+        traj = integrate(state0, params, ctrl, sc.output_times())
         assert isinstance(traj.times[1], np.float64)
         x = traj.grid.x
         rows = []
@@ -682,6 +708,46 @@ class TestCli:
         assert capsys.readouterr().err == (
             "internal error: TypeError: integrate() got an unexpected keyword argument 'ampl'\n"
         )
+
+    def test_formulation_is_no_run_option(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "zero", "--formulation", "m", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --formulation m" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_error_line_names_the_exception(self, tmp_path, monkeypatch, capsys):
+        def broken(ctx, out):
+            raise ZeroDivisionError("no mass to normalise")
+
+        monkeypatch.setitem(harness.DIAGNOSTICS, "casimir", broken)
+        assert main(["run", "--preset", "zero", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  casimir: error (ZeroDivisionError: no mass to normalise)\n" in out
+        assert "  transport: pass (value=0.000e+00)\n" in out
+
+    def test_fail_line_gives_value_and_tolerance(self, tmp_path, monkeypatch, capsys):
+        def failing(ctx, out):
+            return harness._gate(0.25, 1e-6, "a drift too large"), []
+
+        monkeypatch.setitem(harness.DIAGNOSTICS, "casimir", failing)
+        assert main(["run", "--preset", "zero", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  casimir: fail (value=2.500e-01, tolerance=1.000e-06)\n" in out
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_output_files_honour_the_umask(self, tmp_path, umask, mode):
+        # the files get the mode a plain open() gives, not mkstemp's 0o600
+        previous = os.umask(umask)
+        try:
+            assert main(["run", "--preset", "zero", "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(previous)
+        names = sorted(os.listdir(tmp_path))
+        assert "zero_manifest.json" in names and "zero_trajectory.csv" in names
+        for name in names:
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode, name
 
     def test_unknown_suite_is_config_error(self, tmp_path):
         assert main(["suite", "bogus", "--out", str(tmp_path)]) == 1
