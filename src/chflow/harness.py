@@ -101,6 +101,9 @@ class Scenario:
         for diag in self.diagnostics:
             if diag not in DIAGNOSTICS:
                 errors.append(f"unknown diagnostic {diag!r}; choose from {sorted(DIAGNOSTICS)}")
+        repeated = sorted({d for d in self.diagnostics if self.diagnostics.count(d) > 1})
+        if repeated:
+            errors.append(f"diagnostics name one more than once: {repeated}")
         if self.b == 1.0 and "casimir" in self.diagnostics:
             errors.append("diagnostic 'casimir' requires b != 1: the conserved "
                           "density |rho|^(1/(b-1)) is undefined for b = 1")
@@ -400,12 +403,18 @@ class _RunContext:
     """Lazily shared per-run artifacts: the flow, and the deviations of the
     flow identities along it, are computed once."""
 
-    def __init__(self, scenario, grid, params, traj):
+    def __init__(self, scenario, grid, params, traj, completed):
         self.scenario = scenario
         self.grid = grid
         self.params = params
         self.traj = traj
+        self.completed = completed
         self.identity_rows = {}
+
+    def skip(self, diag):
+        """Why diag is skipped: its first _SKIPS row that fails; None if none."""
+        return next((detail for diags, holds, detail in _SKIPS
+                     if diag in diags and not holds(self)), None)
 
     @cached_property
     def flow(self):
@@ -413,16 +422,16 @@ class _RunContext:
 
     @cached_property
     def flow_devs(self):
-        # m is evaluated along the flow only for an mflow check that can run
-        momentum = "mflow" in self.scenario.diagnostics and self.params.alpha_is_zero()
+        # m is evaluated along the flow only for an mflow check that runs
+        momentum = "mflow" in self.scenario.diagnostics and self.skip("mflow") is None
         return characteristics.check_flow_identities(*self.flow, self.traj, self.params,
                                                      momentum)
 
 
-def _gate(value, tol, detail):
-    """Summary of an upper-bound diagnostic: it passes when value < tol."""
+def _gate(value, tol, detail, ok=None):
+    """Summary of a gated diagnostic: it passes when ok, by default if value < tol."""
     return {
-        "status": "pass" if value < tol else "fail",
+        "status": "pass" if (value < tol if ok is None else ok) else "fail",
         "value": value,
         "tolerance": tol,
         "detail": detail,
@@ -448,8 +457,6 @@ def _diag_transport(ctx, out):
 
 
 def _diag_mflow(ctx, out):
-    if not ctx.params.alpha_is_zero():
-        return {"status": "skipped", "detail": "requires alpha == 0"}, []
     devs = ctx.flow_devs[1]
     ctx.identity_rows["mflow_dev"] = devs
     detail = "max deviation of the momentum balance along the flow"
@@ -457,29 +464,19 @@ def _diag_mflow(ctx, out):
 
 
 def _diag_support(ctx, out):
-    try:
-        report = characteristics.check_support_containment(ctx.flow[0], ctx.traj, ctx.params)
-    except ValueError as exc:
-        return {"status": "skipped", "detail": str(exc)}, []
-    rows = {
-        "supp_left": [s.beta if s else np.nan for s in report.rho_support],
-        "supp_right": [s.gamma if s else np.nan for s in report.rho_support],
-        "flow_left": [iv[0] for iv in report.flow_interval_rho],
-        "flow_right": [iv[1] for iv in report.flow_interval_rho],
-    }
-    ctx.identity_rows.update(rows)
+    report = characteristics.check_support_containment(ctx.flow[0], ctx.traj, ctx.params)
+    ctx.identity_rows.update(
+        supp_left=[s.beta if s else np.nan for s in report.rho_support],
+        supp_right=[s.gamma if s else np.nan for s in report.rho_support],
+        flow_left=[iv[0] for iv in report.flow_interval_rho],
+        flow_right=[iv[1] for iv in report.flow_interval_rho],
+    )
     frac = float(np.mean(report.rho_ok & report.m_ok))
-    return {
-        "status": "pass" if report.all_contained else "fail",
-        "value": frac,
-        "tolerance": 1.0,
-        "detail": "fraction of snapshots with rho (and m) support contained",
-    }, []
+    detail = "fraction of snapshots with rho (and m) support contained"
+    return _gate(frac, 1.0, detail, report.all_contained), []
 
 
 def _diag_formulation(ctx, out):
-    if ctx.params.r != 1.0:
-        return {"status": "skipped", "detail": "requires r == 1"}, []
     traj = ctx.traj
     worst = 0.0
     for i in np.linspace(0, len(traj.times) - 1, 5).astype(int):
@@ -515,15 +512,9 @@ def _diag_persistence(ctx, out):
         write_csv(os.path.join(out, name), PERSISTENCE_COLUMNS, [columns])
         files.append(name)
     worst_resid = max(r.residual for r in reports.values())
-    all_ok = all(r.bound_ok for r in reports.values())
-    tol = math.log(1.05)
-    status = "pass" if (all_ok and worst_resid < tol) else "fail"
-    return {
-        "status": status,
-        "value": worst_resid,
-        "tolerance": tol,
-        "detail": "worst affine-fit residual of log W_p over the weight battery",
-    }, files
+    ok = all(r.bound_ok for r in reports.values()) and worst_resid < weights.RESIDUAL_TOL
+    detail = "worst affine-fit residual of log W_p over the weight battery"
+    return _gate(worst_resid, weights.RESIDUAL_TOL, detail, ok), files
 
 
 def _diag_decay(ctx, out):
@@ -542,12 +533,8 @@ def _diag_decay(ctx, out):
         fits[:, i] = (fit.a_hat, fit.c_hat, fit.window[0], fit.window[1], fit.residual_exp)
     name = f"{ctx.scenario.name}_decay.csv"
     write_csv(os.path.join(out, name), DECAY_COLUMNS, [(ctx.traj.times, *fits)])
-    return {
-        "status": "pass" if min_a >= 0.9 else "fail",
-        "value": float(min_a),
-        "tolerance": 0.9,
-        "detail": "minimum fitted exponential tail rate over snapshots",
-    }, [name]
+    detail = "minimum fitted exponential tail rate over snapshots"
+    return _gate(float(min_a), 0.9, detail, min_a >= 0.9), [name]
 
 
 def _diag_besov(ctx, out):
@@ -576,6 +563,7 @@ def _diag_besov(ctx, out):
     }, [name]
 
 
+# name -> fn(ctx, out), looked up at call time: perfbench/spans.py and tests wrap entries
 DIAGNOSTICS = {
     "casimir": _diag_casimir,
     "transport": _diag_transport,
@@ -590,6 +578,16 @@ DIAGNOSTICS = {
 # Diagnostics that evolve the flow map, which needs snapshots no coarser
 # than four solver steps.
 FLOW_DIAGNOSTICS = ("transport", "mflow", "support")
+
+# Why a diagnostic is skipped: rows (diagnostics, holds(ctx), detail) checked in
+# order.  An empty rho_0 is the one case check_support_containment raises for.
+_SKIPS = (
+    (set(DIAGNOSTICS) - {"casimir"}, lambda ctx: ctx.completed, "run ended in blow-up"),
+    (("mflow",), lambda ctx: ctx.params.alpha_is_zero(), "requires alpha == 0"),
+    (("formulation",), lambda ctx: ctx.params.r == 1.0, "requires r == 1"),
+    (("support",), lambda ctx: np.any(ctx.traj.rho[0]),
+     "rho_0 has empty support; nothing to contain"),
+)
 
 
 def run_scenario(scenario: Scenario, out_dir: str) -> dict:
@@ -614,10 +612,10 @@ def run_scenario(scenario: Scenario, out_dir: str) -> dict:
         _write_trajectory_csv(os.path.join(out_dir, name), traj)
         files.append(name)
 
-        ctx = _RunContext(scenario, grid, params, traj)
+        ctx = _RunContext(scenario, grid, params, traj, outcome == "completed")
         for diag in scenario.diagnostics:
-            if outcome == "blowup" and diag != "casimir":
-                invariants[diag] = {"status": "skipped", "detail": "run ended in blow-up"}
+            if detail := ctx.skip(diag):
+                invariants[diag] = {"status": "skipped", "detail": detail}
                 continue
             try:
                 summary, extra = DIAGNOSTICS[diag](ctx, out_dir)
@@ -837,7 +835,7 @@ def persistence_suite(out_dir):
                 np.max(np.abs(rep.W - rep2.W) / np.maximum(np.abs(rep.W), 1e-300))
             )
         l_stable = shift <= 0.01
-        ok = rep.bound_ok and rep.residual < math.log(1.05) and l_stable
+        ok = rep.bound_ok and rep.residual < weights.RESIDUAL_TOL and l_stable
         all_ok = all_ok and ok
         worst_resid = max(worst_resid, rep.residual)
         worst_lshift = max(worst_lshift, shift)

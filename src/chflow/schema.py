@@ -40,8 +40,8 @@ MANIFEST_KEYS = (
     "scenario",
     "outcome",        # "completed" or "blowup"
     "blowup",         # null or {t, max_gradient}
-    "invariants",     # per-diagnostic {status, value, tolerance, detail};
-                      # an "error" status carries error_type and detail
+    "invariants",     # per-diagnostic {status, value, tolerance, detail}; an
+                      # "error" adds error_type, a "skipped" has only its detail
     "outputs",        # file names written next to the manifest
     "wall_time_s",    # informational; not covered by determinism guarantees
 )

@@ -276,6 +276,13 @@ class TestConfig:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_int_past_the_float_range_fails_at_validate(self):
+        # math.isfinite used to raise OverflowError on such an int
+        sc = Scenario(u0=(("profile", "gaussian"), ("amp", 10**400)))
+        assert sc.validate() == [
+            f"u0.amp must be a finite number for profile 'gaussian', got {10**400!r}"]
+        assert replace(sc, u0=(("profile", "gaussian"), ("amp", 10**300))).validate() == []
+
     @pytest.mark.parametrize("k, ok", [("2", True), ("2.0", True), ("1.5", False)])
     def test_int_profile_parameters_must_be_integers(self, tmp_path, capsys, k, ok):
         path = tmp_path / "mode.cfg"
@@ -362,6 +369,16 @@ class TestConfig:
             sc.build()
         assert replace(sc, diagnostics=("transport",)).validate() == []
         assert replace(sc, b=2.0).validate() == []
+
+    def test_diagnostic_named_twice_rejected(self, tmp_path, capsys):
+        # a repeated name used to run the diagnostic twice and list its
+        # files twice in the manifest's outputs
+        sc = replace(PRESETS["decay"], diagnostics=("decay", "casimir", "decay"))
+        assert sc.validate() == ["diagnostics name one more than once: ['decay']"]
+        path = tmp_path / "twice.cfg"
+        path.write_text("[run]\ndiagnostics = casimir, casimir\n")
+        assert main(["check", str(path)]) == 1
+        assert "diagnostics name one more than once: ['casimir']" in capsys.readouterr().err
 
 
 def _small_scenario(**over):
@@ -463,6 +480,30 @@ class TestRunScenario:
         sc = _small_scenario(name="drift", alpha=0.4)
         manifest = run_scenario(sc, str(tmp_path))
         assert manifest["invariants"]["mflow"]["status"] == "skipped"
+
+    @pytest.mark.parametrize("scenario, skipped, detail", [
+        (replace(_burst_scenario(), diagnostics=tuple(harness.DIAGNOSTICS)),
+         tuple(d for d in harness.DIAGNOSTICS if d != "casimir"), "run ended in blow-up"),
+        (_small_scenario(name="drift", alpha=0.4), ("mflow",), "requires alpha == 0"),
+        (_small_scenario(name="high", r=2.0, dt_max=2e-3, snapshots=26), ("formulation",),
+         "requires r == 1"),
+        (_small_scenario(name="empty", rho0=(("profile", "zero"),), diagnostics=("support",)),
+         ("support",), "rho_0 has empty support; nothing to contain"),
+    ], ids=("blowup", "alpha", "r", "empty-rho0"))
+    def test_skip_details(self, tmp_path, scenario, skipped, detail):
+        with np.errstate(all="ignore"):
+            invariants = run_scenario(scenario, str(tmp_path))["invariants"]
+        assert {d: e for d, e in invariants.items() if e["status"] == "skipped"} == {
+            d: {"status": "skipped", "detail": detail} for d in skipped}
+
+    def test_support_check_fault_is_an_error(self, tmp_path, monkeypatch):
+        # only an empty rho_0 skips the check; any other ValueError is a fault
+        def broken(phi, traj, params):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(characteristics, "check_support_containment", broken)
+        entry = run_scenario(PRESETS["support"], str(tmp_path))["invariants"]["support"]
+        assert entry == {"status": "error", "error_type": "ValueError", "detail": "boom"}
 
     def test_raising_diagnostic_records_exception_type(self, tmp_path, monkeypatch):
         def broken(ctx, out):
