@@ -100,14 +100,10 @@ def lp_decompose(f: RealField, style: str = "sharp") -> DyadicDecomposition:
                                tuple(range(-1, len(blocks) - 1)), style)
 
 
-def lowpass(f: RealField, j: int, style: str = "sharp") -> RealField:
-    """Cumulative low-pass S_j f = sum of blocks k < j."""
+def lowpass(f: RealField, j: int) -> RealField:
+    """Cumulative low-pass S_j f = sum of the sharp blocks k < j."""
     grid = f.grid
-    if style == "sharp":
-        mult = (grid.xi < 2.0**j).astype(float)
-    else:
-        mult = _smooth_lowpass(grid.xi / 2.0**j)
-    return RealField(grid, grid.apply_multiplier(f.samples, mult))
+    return RealField(grid, grid.apply_multiplier(f.samples, (grid.xi < 2.0**j).astype(float)))
 
 
 def lp_norm(f: RealField, p: float) -> float:

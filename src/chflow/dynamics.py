@@ -555,33 +555,23 @@ def lagrange4(series, weights):
     return sum(wi * series[lo + a] for a, wi in enumerate(w))
 
 
-def rk4_stages(times, series, j, h, mid_weights=None):
+def rk4_stages(times, series, j, h):
     """The values of series at the four stages of the rk4 step of size h
     from times[j], in rk4's call order: series[j], the midpoint value twice
     (cubic in time; the mean of the two ends with fewer than four
-    snapshots), series[j + 1].  mid_weights are the midpoint's
-    cubic_weights, when the caller has computed them already."""
+    snapshots), series[j + 1]."""
     if len(times) > 3:
-        mid = lagrange4(series, mid_weights or cubic_weights(times, times[j] + 0.5 * h))
+        mid = lagrange4(series, cubic_weights(times, times[j] + 0.5 * h))
     else:
         mid = 0.5 * (series[j] + series[j + 1])
     return iter((series[j], mid, mid, series[j + 1]))
 
 
-# Iterate k+1 lags iterate k by this many steps, and the frozen rows of each
-# iterate are kept in a rolling window of _WINDOW rows (see friedrichs_iterate).
+# Iterate k+1 lags iterate k by this many steps, and the frozen sources of
+# each iterate are kept in a rolling window of _WINDOW rows; its frozen
+# coefficient u_k is read from the iterate block (see friedrichs_iterate).
 _LAG = 3
 _WINDOW = 8
-
-
-class _Window:
-    """A series whose row i lives in slot i % len(rows) of a rolling buffer."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __getitem__(self, i):
-        return self.rows[i % len(self.rows)]
 
 
 def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
@@ -605,14 +595,17 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     takes step j = g - 3(k-1) when 0 <= j < nsteps, so the run is
     nsteps + 3(K-1) stacked rk4 steps.  Step j reads the frozen rows
     lo..lo+3 of iterate k-1, lo = min(max(j-1, 0), nsteps-3), hence rows up
-    to max(j+2, 3), which the lag of 3 has written by the tick before.
-    After each tick one irfft of the new spectra gives the snapshots and the
-    jet of the frozen rows, and one rfft their sources; the frozen
-    coefficient u_k (samples) and the two sources (half spectra) go into a
+    to max(j+2, 3), which the lag of 3 has written by the tick before; the
+    four rows of every iterate on the tick are interpolated in one
+    :func:`lagrange4` call per field.  The snapshots of iterates 0..K are
+    one (K+1, T, 2, n) block whose row 0 is the zero iterate, and the
+    frozen coefficient u_k is read from it.  After each tick one irfft of
+    the new spectra gives the snapshots and the jet of the frozen rows, and
+    one rfft their two sources (half spectra), which alone go into a
     rolling window of 8 rows per iterate: from the oldest row a step reads
     to the newest row written are at most 5 rows, so the window holds every
-    row still to be read, and the frozen rows never take a (K, T, ...)
-    array.  Every iterate equals the one computed after its predecessor has
+    row still to be read, and the sources never take a (K, T, ...) array.
+    Every iterate equals the one computed after its predecessor has
     finished, bit for bit.
     """
     if K < 1:
@@ -625,16 +618,18 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     if nsteps < 3:
         raise ValueError("need at least three steps for midpoint interpolation")
     times = dt * np.arange(nsteps + 1)
-    mid_weights = [cubic_weights(times, t + 0.5 * dt) for t in times[:-1]]
+    # the midpoint of step j is sum_a mid_w[a, j] * row mid_rows[a, j]
+    lo, w = zip(*(cubic_weights(times, t + 0.5 * dt) for t in times[:-1]))
+    mid_rows, mid_w = np.array(lo) + np.arange(4)[:, None], np.array(w).T
     ops = operators(grid, params.r, ctrl.dealias)
     n, nh = grid.n, grid.n // 2 + 1
     alpha = params.alpha_samples(grid)
 
     def frozen(jet, y_hat):
-        """Frozen coefficient u_k (R, n) and the half spectra of the two
-        sources (R, 2, n/2+1) of the rows of y_hat with samples jet; the m
-        source is carried as its u_t share, (m source) / inertia."""
-        uk, rk, uk_x, mk, rk_x = (jet[:, i] for i in range(5))
+        """The half spectra of the two sources (R, 2, n/2+1) of the rows
+        of y_hat with samples jet; the m source is carried as its u_t
+        share, (m source) / inertia."""
+        _, rk, uk_x, mk, rk_x = (jet[:, i] for i in range(5))
         # the alpha u_{k,x} source enters as in _m_form
         nl_m = params.b * uk_x * mk + params.kappa * rk * rk_x
         if isinstance(alpha, np.ndarray):
@@ -642,30 +637,26 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
         src_hat = -ops.solve * np.fft.rfft(np.stack((nl_m, (params.b - 1.0) * uk_x * rk), axis=1))
         if not isinstance(alpha, np.ndarray) and alpha != 0.0:
             src_hat[:, 0] += alpha * (ops.ixi / ops.inertia) * y_hat[:, 0]
-        return uk, _real_nyquist(src_hat)
+        return _real_nyquist(src_hat)
 
     def rhs_lin(t, y_hat):
-        cu = np.stack([next(s) for s, _ in stages])
-        src = np.stack([next(s) for _, s in stages])
+        cu, src = next(stages)
         grads = np.fft.irfft(ops.jet[2:] * y_hat, n)   # m_x, rho_x
         return src - ops.solve * np.fft.rfft(cu[:, None] * grads)
 
     def advance(level, row, y_hat):
         """Write snapshot row[i] of iterate level[i] + 1 from its spectra
-        y_hat[i], and the frozen rows of the iterates that feed another."""
+        y_hat[i], and the frozen sources of the iterates that feed another."""
         jet = _jet(y_hat, n, ops.jet[:2], ops.jet[3:])   # u, rho, u_x, m, rho_x
-        ys[level, row] = jet[:, :2]
+        ys[level + 1, row] = jet[:, :2]
         feed = level < K - 1
         if feed.any():
-            slot = (level[feed] + 1, row[feed] % _WINDOW)
-            win_u[slot], win_src[slot] = frozen(jet[feed], y_hat[feed])
+            win_src[level[feed] + 1, row[feed] % _WINDOW] = frozen(jet[feed], y_hat[feed])
 
-    # ys[k - 1] is iterate k; win_u[k], win_src[k] hold the frozen rows of
-    # iterate k (zero for iterate 0)
-    ys = np.empty((K, nsteps + 1, 2, n))
-    win_u = np.zeros((K, _WINDOW, n))
+    # ys[k] is iterate k; win_src[k] holds the frozen sources of iterate k
+    # (zero for iterate 0)
+    ys = np.zeros((K + 1, nsteps + 1, 2, n))
     win_src = np.zeros((K, _WINDOW, 2, nh), complex)
-    series = [(_Window(wu), _Window(ws)) for wu, ws in zip(win_u, win_src)]
     y_hat = np.stack([np.fft.rfft(np.stack((besov.lowpass(u0, k).samples,
                                             besov.lowpass(rho0, k).samples)))
                       for k in range(1, K + 1)])
@@ -676,14 +667,17 @@ def friedrichs_iterate(u0: RealField, rho0: RealField, params: Params,
     for g in range(nsteps + _LAG * (K - 1)):
         level = np.array([i for i in range(K) if 0 <= g - _LAG * i < nsteps])
         j = g - _LAG * level
-        stages = [[rk4_stages(times, s, ji, dt, mid_weights[ji]) for s in series[i]]
-                  for i, ji in zip(level, j)]
+        # the frozen rows of iterate level[i] at the stages of its step j[i]
+        rows, w = mid_rows[:, j], mid_w[:, j]
+        mid = (lagrange4(ys[level, rows, 0], (0, w[..., None])),
+               lagrange4(win_src[level, rows % _WINDOW], (0, w[..., None, None])))
+        ends = [(ys[level, r, 0], win_src[level, r % _WINDOW]) for r in (j, j + 1)]
+        stages = iter((ends[0], mid, mid, ends[1]))
         y_new = rk4(rhs_lin, 0.0, y_hat[level], dt)
         y_hat[level] = y_new
         advance(level, j + 1, y_new)
 
-    zero = Trajectory(grid, times, np.zeros((nsteps + 1, 2, n)), params)
-    return [zero] + [Trajectory(grid, times, y, params) for y in ys]
+    return [Trajectory(grid, times, y, params) for y in ys]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from chflow.dynamics import (
     friedrichs_iterate,
     integrate,
     integrate_ensemble,
+    lagrange4,
     rhs_m_form,
     rhs_nonlocal,
     rk4,
@@ -874,6 +875,22 @@ class TestFriedrichs:
         assert len(members) == nsteps + 3 * (K - 1)
         assert sum(members) == K * nsteps
         assert max(members) == min(K, -(-nsteps // 3))
+
+    @pytest.mark.parametrize("K, nsteps", [(2, 4), (6, 50)])
+    def test_one_interpolation_per_field_per_tick(self, grid20, monkeypatch, K, nsteps):
+        # each tick interpolates the midpoint coefficient and sources of
+        # every iterate on it in one lagrange4 call per field
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return lagrange4(*args)
+
+        monkeypatch.setattr(dynamics, "lagrange4", counting)
+        ctrl = StepControl(cfl=1.0, dt_max=1e-3, t_final=nsteps * 1e-3)
+        friedrichs_iterate(gaussian(grid20, 0.6, 1.5), gaussian(grid20, 0.4, 1.5),
+                           CH_PARAMS, K, ctrl)
+        assert len(calls) == 2 * (nsteps + 3 * (K - 1))
 
     def test_frozen_rows_stay_in_a_window(self, grid20):
         # beyond the returned iterates, the memory a run needs does not grow

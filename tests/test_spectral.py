@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chflow.besov import _block_multipliers, _smooth_lowpass, lowpass, lp_norm, sobolev_norm
+from chflow.besov import _block_multipliers, lowpass, lp_norm, sobolev_norm
 from chflow.profiles import band_limited_noise, bump, gaussian
 from chflow.spectral import (
     ConfigurationError,
@@ -377,8 +377,7 @@ class TestHalfSpectrum:
         paths = [
             (apply_inertia(f, r), inertia),
             (invert_inertia(f, r), 1.0 / inertia),
-            (lowpass(f, j, "sharp"), (np.abs(xi) < 2.0**j).astype(float)),
-            (lowpass(f, j, "smooth"), _smooth_lowpass(xi / 2.0**j)),
+            (lowpass(f, j), (np.abs(xi) < 2.0**j).astype(float)),
             (dealias(f), mask.astype(float)),
         ] + [(derivative(f, order), (1j * xi) ** order) for order in (1, 2, 3)]
         for got, mult in paths:
