@@ -477,15 +477,16 @@ def _diag_support(ctx, out):
 
 
 def _diag_formulation(ctx, out):
-    traj = ctx.traj
-    worst = 0.0
-    for i in np.linspace(0, len(traj.times) - 1, 5).astype(int):
-        state = dynamics.State(traj.times[i], RealField(ctx.grid, traj.u[i]),
-                               RealField(ctx.grid, traj.rho[i]))
-        for a, b in zip(dynamics.rhs_m_form(state, ctx.params),
-                        dynamics.rhs_nonlocal(state, ctx.params)):
-            scale = max(np.max(np.abs(a.samples)), 1e-300)
-            worst = max(worst, float(np.max(np.abs(a.samples - b.samples))) / scale)
+    # five sampled snapshots as one stack through each RHS form, as
+    # rhs_m_form and rhs_nonlocal evaluate one state: one rfft in, one irfft out
+    traj, grid = ctx.traj, ctx.grid
+    rows = np.linspace(0, len(traj.times) - 1, 5).astype(int)
+    y_hat = np.fft.rfft(traj.y[rows])
+    ops = operators(grid, ctx.params.r)
+    a, b = (np.fft.irfft(rhs(ops, ctx.params, traj.times[rows, None, None], y_hat), grid.n)
+            for rhs in (dynamics._m_form, dynamics._nonlocal))
+    scale = np.maximum(np.abs(a).max(axis=-1), 1e-300)
+    worst = float(np.max(np.abs(a - b).max(axis=-1) / scale))
     return _gate(worst, 1e-10, "relative sup difference of the two RHS formulations"), []
 
 
@@ -519,34 +520,41 @@ def _diag_persistence(ctx, out):
 
 def _diag_decay(ctx, out):
     grid, traj = ctx.grid, ctx.traj
+    (lo, hi), cols = weights.fit_window(grid, ctx.scenario.decay_window)
+    # |u| + |u_x| + |rho| on the window columns only, in C order; u_x of
+    # the whole run is dropped before the other columns are taken
+    g = np.abs(np.compress(cols, operators(grid).dx(traj.u), axis=-1))
+    g += np.abs(np.compress(cols, traj.u, axis=-1))
+    g += np.abs(np.compress(cols, traj.rho, axis=-1))
+    a_hat, c_hat, residual, _, _ = weights.decay_fits(np.abs(grid.x[cols]), g)
     # columns a_hat, c_hat, window_lo, window_hi, residual; NaN where no fit
-    fits = np.full((5, len(traj.times)), np.nan)
-    min_a = np.inf
-    rows = zip(traj.u, operators(grid).dx(traj.u), traj.rho)
-    for i, (u, u_x, rho) in enumerate(rows):
-        g = RealField(grid, np.abs(u) + np.abs(u_x) + np.abs(rho))
-        try:
-            fit = weights.decay_profile(g, window=ctx.scenario.decay_window)
-        except weights.UndefinedFitError:
-            continue
-        min_a = min(min_a, fit.a_hat)
-        fits[:, i] = (fit.a_hat, fit.c_hat, fit.window[0], fit.window[1], fit.residual_exp)
+    fitted = ~np.isnan(a_hat)
+    bounds = [np.where(fitted, v, np.nan) for v in (lo, hi)]
     name = f"{ctx.scenario.name}_decay.csv"
-    write_csv(os.path.join(out, name), DECAY_COLUMNS, [(ctx.traj.times, *fits)])
+    write_csv(os.path.join(out, name), DECAY_COLUMNS,
+              [(traj.times, a_hat, c_hat, *bounds, residual)])
+    min_a = float(a_hat[fitted].min(initial=np.inf))
     detail = "minimum fitted exponential tail rate over snapshots"
-    return _gate(float(min_a), 0.9, detail, min_a >= 0.9), [name]
+    return _gate(min_a, 0.9, detail, min_a >= 0.9), [name]
 
 
 def _diag_besov(ctx, out):
-    u_final = RealField(ctx.grid, ctx.traj.u[-1])
+    # the blocks of both cutoff styles from one rfft of u(t_final) and one
+    # irfft; each block's L2 norm as lp_norm takes it, whose scalar power
+    # can round apart from the array one
+    grid = ctx.grid
+    styles = ("sharp", "smooth")
+    mults = [besov._block_multipliers(grid, style) for style in styles]
+    blocks = np.fft.irfft(np.concatenate(mults) * np.fft.rfft(ctx.traj.u[-1]), grid.n)
+    sums = grid.dx * np.sum(np.abs(blocks) ** 2.0, axis=-1)
     s = 2.0
     columns = ([], [], [], [])     # style, k, block_norm, weighted_term
     norms = {}
-    for style in ("sharp", "smooth"):
-        dec = besov.lp_decompose(u_final, style)
+    rows = iter(sums)
+    for style, m in zip(styles, mults):
         total = 0.0
-        for k, block in zip(dec.k_values, dec.blocks):
-            bn = besov.lp_norm(block, 2.0)
+        for k in range(-1, len(m) - 1):
+            bn = float(next(rows) ** 0.5)
             term = 2.0 ** (k * s) * bn
             total += term**2
             for col, v in zip(columns, (style, k, bn, term)):

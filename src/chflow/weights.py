@@ -6,6 +6,12 @@ The standard weight family is
 
 optionally one-sided (w = 1 on x <= 0).  A weight is flagged admissible for
 the persistence bound when a >= 0, 0 <= b <= 1 and a*b < 1.
+
+Tail decay rates come from a centred least-squares fit of log|f| on a
+window of |x|, made for every row of a (rows, m) block at once by
+:func:`decay_fits`; :func:`decay_profile` is its one-row case.  Samples
+with |f| <= 1e-300 stay out of their row's fit, and a row needs at least
+two usable samples, at distinct |x|, to be fitted.
 """
 
 import math
@@ -24,7 +30,7 @@ SIGNAL_FLOOR = 1e-12
 
 
 class UndefinedFitError(ValueError):
-    """The requested fit window contains no usable (nonzero) samples."""
+    """The fit window holds fewer than two usable samples at distinct |x|."""
 
 
 @dataclass(frozen=True)
@@ -161,31 +167,70 @@ def window_errors(window):
         f"window must be None or a pair of finite numbers 0 <= lo < hi, got {window!r}"]
 
 
-def decay_profile(f: RealField, window=None) -> DecayFit:
-    """Fit tail decay rates of |f| on a window of |x|.
-
-    Least squares of log|f| against |x| gives the exponential rate, against
-    log(1+|x|) the algebraic rate.  The window defaults to
-    [0.45L, 0.7L], past the data bulk but clear of the periodic seam.
-    """
-    grid = f.grid
+def fit_window(grid, window=None):
+    """The fit window (lo, hi), by default [0.45L, 0.7L], past the data bulk
+    but clear of the periodic seam, and the mask of the grid points with
+    lo <= |x| <= hi."""
     errors = window_errors(window)
     if errors:
         raise ValueError(errors[0])
     lo, hi = (0.45 * grid.L, 0.7 * grid.L) if window is None else window
     ax = np.abs(grid.x)
-    mask = (ax >= lo) & (ax <= hi) & (np.abs(f.samples) > 1e-300)   # log|f| finite
-    if not np.any(mask):
-        raise UndefinedFitError("no usable samples in the fit window")
-    xw = ax[mask]
-    yw = np.log(np.abs(f.samples[mask]))
+    return (lo, hi), (ax >= lo) & (ax <= hi)
 
-    def fit(xcol):
-        A = np.vstack([xcol, np.ones_like(xcol)]).T
-        coef, *_ = np.linalg.lstsq(A, yw, rcond=None)
-        res = float(np.sqrt(np.mean((A @ coef - yw) ** 2)))
-        return float(coef[0]), res
 
-    slope_exp, res_exp = fit(xw)
-    slope_alg, res_alg = fit(np.log1p(xw))
-    return DecayFit(-slope_exp, -slope_alg, res_exp, res_alg, (lo, hi), int(mask.sum()))
+def decay_fits(x, a):
+    """Tail decay fits of every row of a = |f| (shape (rows, m)) against the
+    window abscissae x = |x| (shape (m,)).
+
+    Returns the arrays (a_hat, c_hat, residual_exp, residual_alg, n_points)
+    of :class:`DecayFit`, one entry per row: the negated least-squares
+    slopes of log|f| against |x| and against log(1+|x|), in the centred
+    closed form, their rms residuals and the number of samples fitted.
+    Samples with |f| <= 1e-300 stay out of their row's fit; a row with
+    fewer than two of them at distinct |x| gets NaN fits.
+    """
+    # C order: each row then sums as its own 1-D array would, so one row
+    # fits alone exactly as it does within a block
+    a = np.ascontiguousarray(a)
+    usable = a > 1e-300                                # log|f| finite
+    skip = ~usable
+    count = usable.sum(axis=-1)
+    d = np.where(usable, x, np.nan)
+    spread = (np.fmax.reduce(d, axis=-1, initial=-np.inf)
+              > np.fmin.reduce(d, axis=-1, initial=np.inf))
+    # the centred log|f| and abscissae, zero where a sample is not usable
+    dy = np.where(usable, a, 1.0)
+    np.log(dy, out=dy)
+    fits = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dy -= dy.sum(axis=-1, keepdims=True) / count[:, None]
+        np.copyto(dy, 0.0, where=skip)
+        for xcol in (x, np.log1p(x)):
+            np.copyto(d, xcol)
+            np.copyto(d, 0.0, where=skip)
+            d -= d.sum(axis=-1, keepdims=True) / count[:, None]
+            np.copyto(d, 0.0, where=skip)
+            slope = np.sum(d * dy, axis=-1) / np.sum(d * d, axis=-1)
+            d *= -slope[:, None]
+            d += dy
+            res = np.sqrt(np.sum(d * d, axis=-1) / count)
+            fits.append((np.where(spread, -slope, np.nan), np.where(spread, res, np.nan)))
+    (a_hat, res_exp), (c_hat, res_alg) = fits
+    return a_hat, c_hat, res_exp, res_alg, count
+
+
+def decay_profile(f: RealField, window=None) -> DecayFit:
+    """Fit tail decay rates of |f| on a window of |x| (see :func:`fit_window`):
+    the one-row case of :func:`decay_fits`.
+
+    Least squares of log|f| against |x| gives the exponential rate, against
+    log(1+|x|) the algebraic rate.
+    """
+    bounds, cols = fit_window(f.grid, window)
+    a_hat, c_hat, res_exp, res_alg, count = (
+        v[0] for v in decay_fits(np.abs(f.grid.x[cols]), np.abs(f.samples[cols])[None]))
+    if math.isnan(a_hat):
+        raise UndefinedFitError("fewer than two usable samples in the fit window")
+    return DecayFit(float(a_hat), float(c_hat), float(res_exp), float(res_alg), bounds,
+                    int(count))

@@ -6,7 +6,10 @@ complex FFT, as an independent reference for the half-spectrum paths.
 :func:`serial_friedrichs_iterate` is the Friedrichs iteration run one
 iterate after another, the bitwise reference for the lagged stack, and
 :func:`physical_friedrichs_iterate` the same loop in physical space, its
-round-off reference.  :func:`per_pair_persistence_monitor` monitors one
+round-off reference.  :func:`svd_decay_fit` fits one row's tail decay
+with two SVD least-squares solves, the round-off reference for the
+closed-form row fits of ``weights.decay_fits``.
+:func:`per_pair_persistence_monitor` monitors one
 (weight, p) pair per call, the bitwise reference for the one-pass battery
 monitor.  :func:`reconstruct_rho` rebuilds rho from rho_0 along the flow,
 an independent check of the solver's density (acceptance criterion 04).
@@ -205,6 +208,24 @@ def physical_friedrichs_iterate(u0, rho0, params, K, ctrl):
             ys[j + 1] = rk4(rhs_lin, times[j], ys[j], dt)
         iterates.append(Trajectory(grid, times, ys, params))
     return iterates
+
+
+def svd_decay_fit(x, a):
+    """(a_hat, c_hat, residual_exp, residual_alg, n_points) of one row a = |f|
+    against the abscissae x, from np.linalg.lstsq on the samples a > 1e-300;
+    None when no sample is usable."""
+    usable = a > 1e-300
+    if not usable.any():
+        return None
+    xw, yw = x[usable], np.log(a[usable])
+
+    def fit(xcol):
+        A = np.vstack([xcol, np.ones_like(xcol)]).T
+        coef, *_ = np.linalg.lstsq(A, yw, rcond=None)
+        return -float(coef[0]), float(np.sqrt(np.mean((A @ coef - yw) ** 2)))
+
+    (a_hat, res_exp), (c_hat, res_alg) = fit(xw), fit(np.log1p(xw))
+    return a_hat, c_hat, res_exp, res_alg, int(usable.sum())
 
 
 def _masked_norm(samples, wvals, dx, p):

@@ -14,8 +14,16 @@ import numpy as np
 import pytest
 
 from chflow.cli import main
-from chflow.dynamics import Params, StepControl, integrate
-from chflow import characteristics, harness, offgrid
+from chflow.dynamics import (
+    Params,
+    State,
+    StepControl,
+    Trajectory,
+    integrate,
+    rhs_m_form,
+    rhs_nonlocal,
+)
+from chflow import besov, characteristics, harness, offgrid, weights
 from chflow.harness import (
     PRESETS,
     ConfigurationError,
@@ -583,6 +591,87 @@ def _count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _context(sc, traj=None):
+    """The diagnostics' context of sc, by default over its own integrated run."""
+    grid, params, ctrl, state0 = sc.build()
+    if traj is None:
+        traj = integrate(state0, params, ctrl, sc.output_times())
+    return harness._RunContext(sc, grid, params, traj, True)
+
+
+def _csv_rows(path):
+    return list(csv.reader(open(path)))[1:]
+
+
+class TestGridDiagnostics:
+    """formulation, besov and decay take the whole run in batched passes;
+    each equals its per-snapshot (or per-block) evaluation."""
+
+    @pytest.mark.parametrize("name", ["2cch", "chb"])   # chb: constant alpha != 0
+    def test_formulation_equals_the_per_snapshot_comparison(self, name, tmp_path):
+        sc = replace(PRESETS[name], t_final=0.2, snapshots=21)
+        ctx = _context(sc)
+        worst = 0.0
+        for i in np.linspace(0, len(ctx.traj.times) - 1, 5).astype(int):
+            state = State(ctx.traj.times[i], RealField(ctx.grid, ctx.traj.u[i]),
+                          RealField(ctx.grid, ctx.traj.rho[i]))
+            for a, b in zip(rhs_m_form(state, ctx.params), rhs_nonlocal(state, ctx.params)):
+                scale = max(np.max(np.abs(a.samples)), 1e-300)
+                worst = max(worst, float(np.max(np.abs(a.samples - b.samples))) / scale)
+        summary, files = harness.DIAGNOSTICS["formulation"](ctx, str(tmp_path))
+        assert worst > 0.0 and files == []
+        assert summary["value"] == worst
+        assert summary["status"] == "pass"
+
+    def test_besov_rows_equal_the_per_block_norms(self, tmp_path):
+        sc = replace(PRESETS["2cch"], t_final=0.2, snapshots=21)
+        ctx = _context(sc)
+        summary, files = harness.DIAGNOSTICS["besov"](ctx, str(tmp_path))
+        u_final = RealField(ctx.grid, ctx.traj.u[-1])
+        rows, norms = [], {}
+        for style in ("sharp", "smooth"):
+            dec = besov.lp_decompose(u_final, style)
+            total = 0.0
+            for k, block in zip(dec.k_values, dec.blocks):
+                bn = besov.lp_norm(block, 2.0)
+                term = 2.0 ** (2.0 * k) * bn
+                total += term**2
+                rows.append([style, repr(float(k)), repr(bn), repr(term)])
+            norms[style] = math.sqrt(total)
+        assert _csv_rows(tmp_path / files[0]) == rows
+        assert summary["value"] == abs(norms["sharp"] - norms["smooth"]) / norms["sharp"]
+
+    def test_decay_rows_are_the_per_snapshot_profiles(self, tmp_path):
+        # snapshot 1 leaves the window empty, 2 holds one usable sample
+        # there and 3 two at the same |x|: no fit, a NaN row
+        sc = replace(PRESETS["decay"], n=512, decay_window=(9.0, 14.0))
+        grid = sc.build()[0]
+        (lo, hi), cols = weights.fit_window(grid, sc.decay_window)
+        j = np.flatnonzero(cols & (grid.x < 0))[4]
+        y = np.zeros((5, 2, grid.n))
+        y[0, 0] = np.exp(-0.7 * np.abs(grid.x))
+        y[2, 1, j] = 0.3
+        y[3, 1, [j, grid.n - j]] = 0.3
+        y[4, 1] = (1.0 + np.abs(grid.x)) ** -3.0
+        traj = Trajectory(grid, np.linspace(0.0, 0.4, 5), y, Params())
+        summary, files = harness.DIAGNOSTICS["decay"](_context(sc, traj), str(tmp_path))
+        rows = _csv_rows(tmp_path / files[0])
+        u_x = harness.operators(grid).dx(traj.u)
+        fits = []
+        for i, row in enumerate(rows):
+            g = RealField(grid, np.abs(traj.u[i]) + np.abs(u_x[i]) + np.abs(traj.rho[i]))
+            if i in (1, 2, 3):
+                with pytest.raises(weights.UndefinedFitError):
+                    weights.decay_profile(g, sc.decay_window)
+                assert row[1:] == ["nan"] * 5
+                continue
+            fit = weights.decay_profile(g, sc.decay_window)
+            fits.append(fit.a_hat)
+            assert row[1:] == [repr(v) for v in (fit.a_hat, fit.c_hat, lo, hi,
+                                                 fit.residual_exp)]
+        assert summary["value"] == min(fits)
 
 
 def test_suites_run_in_one_process(tmp_path):

@@ -10,9 +10,16 @@ from chflow.dynamics import Params, State, StepControl, Trajectory, integrate
 from chflow.harness import NORM_PS, WEIGHT_BATTERY
 from chflow.profiles import bump, gaussian, sech
 from chflow.spectral import Grid, RealField
-from chflow.weights import StandardWeight, UndefinedFitError, decay_profile, persistence_monitor
+from chflow.weights import (
+    StandardWeight,
+    UndefinedFitError,
+    decay_fits,
+    decay_profile,
+    fit_window,
+    persistence_monitor,
+)
 
-from conftest import full_multiplier, full_xi, per_pair_persistence_monitor
+from conftest import full_multiplier, full_xi, per_pair_persistence_monitor, svd_decay_fit
 
 
 class TestWeightFamily:
@@ -194,8 +201,75 @@ class TestDecayProfile:
         f = RealField(g, np.where(np.abs(g.x) < 5.0, 1.0, 0.0))
         with pytest.raises(UndefinedFitError):
             decay_profile(f, window=(10.0, 20.0))
+        with pytest.raises(UndefinedFitError):       # no grid point in the window
+            decay_profile(f, window=(50.0, 60.0))
 
     def test_bad_window_rejected(self):
         g = Grid(40.0, 2048)
         with pytest.raises(ValueError):
             decay_profile(RealField(g, np.ones(g.n)), window=(5.0, 2.0))
+
+    def test_one_usable_sample_rejected(self):
+        # a lone sample gives no slope; neither do two at the same |x|
+        g = Grid(40.0, 2048)
+        _, cols = fit_window(g, (10.0, 20.0))
+        j = np.flatnonzero(cols)[5]
+        one = np.zeros(g.n)
+        one[j] = 0.5
+        with pytest.raises(UndefinedFitError):
+            decay_profile(RealField(g, one), window=(10.0, 20.0))
+        mirrored = one.copy()
+        mirrored[g.n - j] = 0.25       # x[n - j] = -x[j]
+        with pytest.raises(UndefinedFitError):
+            decay_profile(RealField(g, mirrored), window=(10.0, 20.0))
+
+    def test_two_usable_samples_fit_their_line(self):
+        g = Grid(40.0, 2048)
+        f = np.zeros(g.n)
+        _, cols = fit_window(g, (10.0, 20.0))
+        idx = np.flatnonzero(cols & (g.x > 0))[[3, 40]]
+        f[idx] = np.exp(-0.8 * g.x[idx])
+        fit = decay_profile(RealField(g, f), window=(10.0, 20.0))
+        assert fit.n_points == 2
+        assert fit.a_hat == pytest.approx(0.8, rel=1e-12)
+        assert fit.residual_exp == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_row_fits_match_the_svd_fit(self, seed):
+        # random windows: rows fully usable, partly masked (zeros and
+        # samples at the 1e-300 floor), with one usable sample, and empty
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 300))
+        x = np.sort(rng.uniform(0.0, 30.0, m))
+        rates = rng.uniform(0.2, 3.0, (12, 1))
+        a = np.exp(-rates * x + rng.normal(0.0, 0.5, (12, m)) + rng.uniform(-5, 5, (12, 1)))
+        a[3:6] *= rng.random((3, m)) < 0.5
+        a[6, rng.random(m) < 0.5] = 1e-300
+        a[7] = 0.0
+        a[8] = 0.0
+        a[8, m // 2] = 1.0
+        a[9, : m // 2] = 0.0
+        got = decay_fits(x, a)
+        for i, row in enumerate(a):
+            want = svd_decay_fit(x, row)
+            if want is None or want[-1] < 2:
+                assert all(np.isnan(v[i]) for v in got[:4]), i
+                continue
+            assert got[4][i] == want[4]
+            rates, residuals = [v[i] for v in got[:2]], [v[i] for v in got[2:4]]
+            np.testing.assert_allclose(rates, want[:2], rtol=1e-12, err_msg=f"row {i}")
+            # a line through two samples leaves residuals of round-off only
+            np.testing.assert_allclose(residuals, want[2:4], rtol=1e-12,
+                                       atol=1e-12 if want[4] == 2 else 0.0, err_msg=f"row {i}")
+
+    def test_profile_is_the_one_row_case(self):
+        g = Grid(40.0, 2048)
+        rng = np.random.default_rng(3)
+        samples = np.exp(-0.6 * np.abs(g.x)) * rng.uniform(0.5, 2.0, (4, g.n))
+        (lo, hi), cols = fit_window(g)
+        rows = decay_fits(np.abs(g.x[cols]), samples[:, cols])
+        for i, f in enumerate(samples):
+            fit = decay_profile(RealField(g, f))
+            assert (fit.a_hat, fit.c_hat, fit.residual_exp, fit.residual_alg, fit.n_points) \
+                == tuple(v[i] for v in rows)
+            assert fit.window == (lo, hi)
