@@ -51,5 +51,4 @@ from .spectral import (
     invert_inertia,
 )
 from .weights import StandardWeight, decay_profile, persistence_monitor
-
-__version__ = "0.1.0"
+from .harness import CODE_VERSION as __version__

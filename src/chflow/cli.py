@@ -13,6 +13,8 @@ scenario, which validates it, before it creates the output directory.
 ``name: skipped``; a failed check adds its value and tolerance,
 ``name: fail (value=..., tolerance=...)``, and a diagnostic that raised its
 exception type and message, ``name: error (ErrorType: message)``.
+``suite`` prints ``suite name: pass`` (or ``FAIL``), then its report's
+checks in the same lines, as in ``contraction: pass (value=5.200e-02)``.
 
 Exit codes: 0 completed (a recorded blow-up still counts as completed, and
 ``suite`` exits 0 whether it prints pass or FAIL), 1 configuration error,
@@ -97,6 +99,11 @@ def _summary_detail(entry):
     return ""
 
 
+def _print_checks(entries):
+    for name, entry in entries.items():
+        print(f"  {name}: {entry.get('status', '?')}{_summary_detail(entry)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -105,13 +112,13 @@ def main(argv=None) -> int:
             scenario = _scenario_from_args(args)
             manifest = run_scenario(scenario, args.out)
             print(f"outcome: {manifest['outcome']}")
-            for name, entry in manifest["invariants"].items():
-                print(f"  {name}: {entry.get('status', '?')}{_summary_detail(entry)}")
+            _print_checks(manifest["invariants"])
             print(f"wrote {len(manifest['outputs']) + 1} files to {args.out}")
             return 0
         if args.command == "suite":
             report = run_suite(args.name, args.out)
-            print(f"suite {args.name}: {'pass' if report.get('pass') else 'FAIL'}")
+            print(f"suite {args.name}: {'pass' if report['pass'] else 'FAIL'}")
+            _print_checks(report["checks"])
             return 0
         if args.command == "check":
             parse_config(args.config)

@@ -529,11 +529,13 @@ def _diag_decay(ctx, out):
     a_hat, c_hat, residual, _, _ = weights.decay_fits(np.abs(grid.x[cols]), g)
     # columns a_hat, c_hat, window_lo, window_hi, residual; NaN where no fit
     fitted = ~np.isnan(a_hat)
+    if not fitted.any():
+        raise weights.UndefinedFitError("no snapshot has two usable samples in the fit window")
     bounds = [np.where(fitted, v, np.nan) for v in (lo, hi)]
     name = f"{ctx.scenario.name}_decay.csv"
     write_csv(os.path.join(out, name), DECAY_COLUMNS,
               [(traj.times, a_hat, c_hat, *bounds, residual)])
-    min_a = float(a_hat[fitted].min(initial=np.inf))
+    min_a = float(a_hat[fitted].min())
     detail = "minimum fitted exponential tail rate over snapshots"
     return _gate(min_a, 0.9, detail, min_a >= 0.9), [name]
 
@@ -674,6 +676,15 @@ def _write_identity_csv(path, traj, columns):
 # ---------------------------------------------------------------------------
 
 
+def _suite_report(out_dir, suite, checks, **tables):
+    """Write and return a suite's report: its tables, its checks as _gate
+    summaries, and pass when every check passes."""
+    report = {"suite": suite, **tables, "checks": checks,
+              "pass": all(c["status"] == "pass" for c in checks.values())}
+    write_json(os.path.join(out_dir, f"{suite}_report.json"), report)
+    return report
+
+
 def _integrate(scenario, output_times):
     _, params, ctrl, state0 = scenario.build()
     return dynamics.integrate(state0, params, ctrl, output_times)
@@ -715,30 +726,31 @@ def convergence_suite(out_dir):
         spatial_errs[i] / max(spatial_errs[i + 1], 1e-300)
         for i in range(len(spatial_errs) - 1)
     ]
+    # each doubling drops the error 10x, or the finer error is below the floor
     floor = 1e-11
-    spatial_ok = all(
-        d >= 10.0 or spatial_errs[i + 1] < floor for i, d in enumerate(drops)
-    )
+    pairs = list(zip(drops, spatial_errs[1:]))
+    shortfall = max(min(10.0 / d, e / floor) for d, e in pairs)
+    spatial_ok = all(d >= 10.0 or e < floor for d, e in pairs)
 
     oracle = at512[-1]
     terrs = [float(np.max(np.abs(traj.u[-1] - oracle.u[-1]))) for traj in at512[1:-1]]
     orders = [math.log2(terrs[i] / terrs[i + 1]) for i in range(len(terrs) - 1)]
-    temporal_ok = all(abs(o - 4.0) <= 0.3 for o in orders)
+    order_dev = float(np.max(np.abs(np.subtract(orders, 4.0))))
 
-    report = {
-        "suite": "convergence",
-        "spatial": {"n": list(ns[:-1]), "sup_error": spatial_errs, "drops": drops,
-                    "pass": spatial_ok},
-        "temporal": {"dt": list(dts), "sup_error": terrs, "orders": orders,
-                     "pass": temporal_ok},
-        "pass": bool(spatial_ok and temporal_ok),
-    }
     write_csv(os.path.join(out_dir, "convergence_spatial.csv"), ("n", "sup_error"),
               [(ns[:-1], spatial_errs)])
     write_csv(os.path.join(out_dir, "convergence_temporal.csv"), ("dt", "sup_error"),
               [(dts, terrs)])
-    write_json(os.path.join(out_dir, "convergence_report.json"), report)
-    return report
+    checks = {
+        "spatial": _gate(shortfall, 1.0, "worst doubling's min(10/drop, error/1e-11)",
+                         spatial_ok),
+        "temporal": _gate(order_dev, 0.3, "max |temporal order - 4|", order_dev <= 0.3),
+    }
+    return _suite_report(
+        out_dir, "convergence", checks,
+        spatial={"n": list(ns[:-1]), "sup_error": spatial_errs, "drops": drops},
+        temporal={"dt": list(dts), "sup_error": terrs, "orders": orders},
+    )
 
 
 def _stability_dataset(grid, seed):
@@ -774,43 +786,31 @@ def stability_suite(out_dir):
 
     fit_res = results[0]
     ratios = fit_res.sup_du / fit_res.eps
-    linear_ok = bool(np.max(ratios) / np.min(ratios) <= 1.2)
+    spread = float(np.max(ratios) / np.min(ratios))
 
-    # Fit the growth constant on dataset 0; validate the exponential bound
-    # on the held-out datasets with the same constant.
-    margin = 1.5
-    c_hat = 0.0
-    gi = fit_res.gamma_integral()
-    for series in fit_res.du_series:
-        for i in range(1, len(series)):
-            if series[0] > 0 and gi[i] > 0:
-                c_hat = max(c_hat, math.log(series[i] / series[0]) / gi[i])
-    c_hat *= margin
-
-    validated = True
-    for res in results[1:]:
+    def growth(res):
+        """(du(t)/du(0), Gamma(t)) at each t > 0 of each series with du(0) > 0."""
         gi = res.gamma_integral()
-        for series in res.du_series:
-            for i in range(1, len(series)):
-                if series[0] > 0:
-                    bound = math.exp(c_hat * gi[i])
-                    ok = series[i] / series[0] <= bound
-                    validated = validated and ok
+        return [(series[i] / series[0], gi[i]) for series in res.du_series
+                for i in range(1, len(series)) if series[0] > 0]
+
+    # Fit the growth constant on dataset 0, with a 1.5 margin; validate the
+    # exponential bound on the held-out datasets with the same constant.
+    c_hat = max([0.0] + [math.log(q) / g for q, g in growth(fit_res) if g > 0]) * 1.5
+    held_out = [pair for res in results[1:] for pair in growth(res)]
+    validated = all(q <= math.exp(c_hat * g) for q, g in held_out)
+    share = max(math.log(q) / g for q, g in held_out if g > 0) / c_hat
 
     write_csv(os.path.join(out_dir, "stability_table.csv"), ("eps", "sup_du", "sup_drho"),
               [(fit_res.eps, fit_res.sup_du, fit_res.sup_drho)])
-    report = {
-        "suite": "stability",
-        "eps": list(map(float, fit_res.eps)),
-        "sup_du": fit_res.sup_du.tolist(),
-        "linearity_ratios": (ratios / ratios[0]).tolist(),
-        "linear_pass": linear_ok,
-        "C_hat": c_hat,
-        "validated_on_heldout": validated,
-        "pass": bool(linear_ok and validated),
+    checks = {
+        "linearity": _gate(spread - 1.0, 0.2, "max/min - 1 of sup_du/eps", spread <= 1.2),
+        "heldout": _gate(share, 1.0, "worst held-out log(du(t)/du(0))/Gamma(t) over C_hat",
+                         validated),
     }
-    write_json(os.path.join(out_dir, "stability_report.json"), report)
-    return report
+    return _suite_report(out_dir, "stability", checks, eps=list(map(float, fit_res.eps)),
+                         sup_du=fit_res.sup_du.tolist(),
+                         linearity_ratios=(ratios / ratios[0]).tolist(), C_hat=c_hat)
 
 
 def persistence_suite(out_dir):
@@ -831,9 +831,6 @@ def persistence_suite(out_dir):
 
     # weight, p, C_hat, fit_residual, L_doubling_shift, status
     columns = ([], [], [], [], [], [])
-    all_ok = True
-    worst_resid = 0.0
-    worst_lshift = 0.0
     reports, reports2 = (weights.persistence_monitor(t, WEIGHT_BATTERY, NORM_PS)
                          for t in (traj, traj2))
     for (w, p), rep in reports.items():
@@ -842,11 +839,7 @@ def persistence_suite(out_dir):
             shift = float(
                 np.max(np.abs(rep.W - rep2.W) / np.maximum(np.abs(rep.W), 1e-300))
             )
-        l_stable = shift <= 0.01
-        ok = rep.bound_ok and rep.residual < weights.RESIDUAL_TOL and l_stable
-        all_ok = all_ok and ok
-        worst_resid = max(worst_resid, rep.residual)
-        worst_lshift = max(worst_lshift, shift)
+        ok = rep.bound_ok and rep.residual < weights.RESIDUAL_TOL and shift <= 0.01
         row = (_weight_tag(w), "inf" if math.isinf(p) else p,
                rep.C_hat, rep.residual, shift, "pass" if ok else "fail")
         for col, v in zip(columns, row):
@@ -856,14 +849,18 @@ def persistence_suite(out_dir):
         ("weight", "p", "C_hat", "fit_residual", "L_doubling_shift", "status"),
         [columns],
     )
-    report = {
-        "suite": "persistence",
-        "worst_fit_residual": worst_resid,
-        "worst_L_doubling_shift": worst_lshift,
-        "pass": bool(all_ok),
+    bound_ok = [rep.bound_ok for rep in reports.values()]
+    worst_resid, worst_lshift = (float(np.max(col)) for col in columns[3:5])
+    checks = {
+        "bound": _gate(float(np.mean(bound_ok)), 1.0,
+                       "fraction of (weight, p) pairs within the growth bound", all(bound_ok)),
+        "residual": _gate(worst_resid, weights.RESIDUAL_TOL,
+                          "worst affine-fit residual of log W_p over the battery"),
+        "L_doubling": _gate(worst_lshift, 0.01, "worst relative W_p shift when L and n double",
+                            worst_lshift <= 0.01),
     }
-    write_json(os.path.join(out_dir, "persistence_report.json"), report)
-    return report
+    return _suite_report(out_dir, "persistence", checks, worst_fit_residual=worst_resid,
+                         worst_L_doubling_shift=worst_lshift)
 
 
 def friedrichs_suite(out_dir):
@@ -890,17 +887,11 @@ def friedrichs_suite(out_dir):
             for i in range(0, len(u), chunk)
         ))
     ratios = [errs[k] / errs[k - 1] for k in range(1, len(errs))]
-    ok = all(r < 0.8 for r in ratios[1:])  # ratios between iterates 2..K
     write_csv(os.path.join(out_dir, "friedrichs_errors.csv"), ("k", "error"),
               [(range(1, K + 1), errs)])
-    report = {
-        "suite": "friedrichs",
-        "errors": errs,
-        "ratios": ratios,
-        "pass": bool(ok),
-    }
-    write_json(os.path.join(out_dir, "friedrichs_report.json"), report)
-    return report
+    checks = {"contraction": _gate(float(np.max(ratios[1:])), 0.8,
+                                   "max error ratio between iterates 2..K")}
+    return _suite_report(out_dir, "friedrichs", checks, errors=errs, ratios=ratios)
 
 
 SUITES = {

@@ -33,7 +33,10 @@ BESOV_COLUMNS = ("style", "k", "block_norm", "weighted_term")
 
 # Manifests and suite reports are strict JSON: a non-finite float (a norm
 # exponent p = inf, a non-finite max_gradient of a blow-up) is written as
-# the string "inf", "-inf" or "nan", as the CSV files write p = inf.
+# the string "inf", "-inf" or "nan", as the CSV files write p = inf.  A
+# suite report holds "suite", the suite's tables, "checks" (per check
+# {status, value, tolerance, detail}, as a manifest's invariants) and
+# "pass", true when every check passes.
 MANIFEST_KEYS = (
     "schema_version",
     "code_version",

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -23,6 +24,7 @@ from chflow.dynamics import (
     rhs_m_form,
     rhs_nonlocal,
 )
+import chflow
 from chflow import besov, characteristics, harness, offgrid, weights
 from chflow.harness import (
     PRESETS,
@@ -673,6 +675,76 @@ class TestGridDiagnostics:
                                                  fit.residual_exp)]
         assert summary["value"] == min(fits)
 
+    @pytest.mark.parametrize("sc", [
+        replace(PRESETS["decay"], decay_window=(50.0, 60.0)),    # past the L = 40 grid
+        replace(PRESETS["zero"], diagnostics=("decay",)),        # no tail to fit
+    ], ids=["window_off_the_grid", "zero_data"])
+    def test_decay_without_a_fit_is_an_error(self, sc, tmp_path):
+        manifest = run_scenario(sc, str(tmp_path))
+        entry = manifest["invariants"]["decay"]
+        assert entry["status"] == "error" and entry["error_type"] == "UndefinedFitError"
+        assert manifest["outputs"] == [f"{sc.name}_trajectory.csv"]
+        assert not (tmp_path / f"{sc.name}_decay.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def suite_reports(tmp_path_factory):
+    out = tmp_path_factory.mktemp("suites")
+    return out, {name: harness.run_suite(name, str(out)) for name in harness.SUITES}
+
+
+class TestSuiteReports:
+    """A suite reports each check as a manifest reports a diagnostic, and
+    keeps the tables the benchmark reads."""
+
+    TABLES = {
+        "convergence": (("spatial", "drops"), ("spatial", "sup_error"),
+                        ("temporal", "orders")),
+        "stability": (("linearity_ratios",),),
+        "friedrichs": (("ratios",),),
+        "persistence": (("worst_fit_residual",), ("worst_L_doubling_shift",)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(harness.SUITES))
+    def test_checks_have_the_manifest_shape(self, suite_reports, name):
+        out, reports = suite_reports
+        report = reports[name]
+        assert report["suite"] == name and report["checks"]
+        for check in report["checks"].values():
+            assert set(check) == {"status", "value", "tolerance", "detail"}
+            assert isinstance(check["value"], float) and isinstance(check["tolerance"], float)
+        assert report["pass"] is all(c["status"] == "pass" for c in report["checks"].values())
+        assert report["pass"] is True
+        written = _strict_json(out / f"{name}_report.json")
+        assert written["checks"] == report["checks"] and written["pass"] is True
+
+    @pytest.mark.parametrize("name", sorted(harness.SUITES))
+    def test_benchmark_tables_stay(self, suite_reports, name):
+        report = suite_reports[1][name]
+        for path in self.TABLES[name]:
+            table = report
+            for key in path:
+                table = table[key]
+            assert isinstance(table, (list, float)), path
+        assert not {"linear_pass", "validated_on_heldout"} & set(report)
+        assert all("pass" not in report[k] for k in ("spatial", "temporal") if k in report)
+
+    def test_one_failed_check_fails_the_suite(self, tmp_path):
+        checks = {"a": harness._gate(0.5, 1.0, "passes"), "b": harness._gate(2.0, 1.0, "fails")}
+        report = harness._suite_report(str(tmp_path), "demo", checks, table=[1.0])
+        assert report["pass"] is False
+        assert _strict_json(tmp_path / "demo_report.json") == {
+            "suite": "demo", "table": [1.0], "checks": checks, "pass": False}
+
+
+def test_one_version_string():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "pyproject.toml")
+    with open(path) as fh:     # tomllib is 3.11+
+        found = re.search(r'^\[project\][^\[]*?^version\s*=\s*"([^"]+)"', fh.read(),
+                          re.M | re.S)
+    assert chflow.__version__ == harness.CODE_VERSION == found.group(1)
+
 
 def test_suites_run_in_one_process(tmp_path):
     with pytest.raises(ConfigurationError, match="workers must be 1"):
@@ -893,6 +965,20 @@ class TestCli:
     def test_suite_runs(self, tmp_path, capsys):
         assert main(["suite", "friedrichs", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "friedrichs_report.json").exists()
+        out = capsys.readouterr().out
+        assert out.startswith("suite friedrichs: pass\n")
+        assert re.search(r"^  contraction: pass \(value=\d\.\d{3}e-\d\d\)$", out, re.M)
+
+    def test_suite_fail_lines_give_value_and_tolerance(self, tmp_path, monkeypatch, capsys):
+        def failing(out_dir):
+            checks = {"contraction": harness._gate(0.9, 0.8, "max error ratio")}
+            return harness._suite_report(out_dir, "friedrichs", checks)
+
+        monkeypatch.setitem(harness.SUITES, "friedrichs", failing)
+        assert main(["suite", "friedrichs", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "suite friedrichs: FAIL\n"
+            "  contraction: fail (value=9.000e-01, tolerance=8.000e-01)\n")
 
 
 class TestRunsWithoutScipy:
