@@ -39,7 +39,7 @@ from .dynamics import (
     stability_pairs,
     step_rk4,
 )
-from .harness import PRESETS, Scenario, run_scenario, run_suite
+from .harness import CODE_VERSION as __version__, PRESETS, Scenario, run_scenario, run_suite
 from .offgrid import evaluate
 from .spectral import (
     Grid,
@@ -51,4 +51,3 @@ from .spectral import (
     invert_inertia,
 )
 from .weights import StandardWeight, decay_profile, persistence_monitor
-from .harness import CODE_VERSION as __version__

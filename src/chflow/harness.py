@@ -722,20 +722,18 @@ def convergence_suite(out_dir):
         err = float(np.max(np.abs(traj.u[-1] - fine.u[-1, ::factor])))
         spatial_errs.append(err)
 
-    drops = [
-        spatial_errs[i] / max(spatial_errs[i + 1], 1e-300)
-        for i in range(len(spatial_errs) - 1)
-    ]
+    drops = [spatial_errs[i] / max(spatial_errs[i + 1], 1e-300)
+             for i in range(len(spatial_errs) - 1)]
     # each doubling drops the error 10x, or the finer error is below the floor
-    floor = 1e-11
+    drop, floor = 10.0, 1e-11
     pairs = list(zip(drops, spatial_errs[1:]))
-    shortfall = max(min(10.0 / d, e / floor) for d, e in pairs)
-    spatial_ok = all(d >= 10.0 or e < floor for d, e in pairs)
+    shortfall = max(min(drop / d, e / floor) for d, e in pairs)
+    spatial_ok = all(d >= drop or e < floor for d, e in pairs)
 
     oracle = at512[-1]
     terrs = [float(np.max(np.abs(traj.u[-1] - oracle.u[-1]))) for traj in at512[1:-1]]
     orders = [math.log2(terrs[i] / terrs[i + 1]) for i in range(len(terrs) - 1)]
-    order_dev = float(np.max(np.abs(np.subtract(orders, 4.0))))
+    order_dev, order_tol = float(np.max(np.abs(np.subtract(orders, 4.0)))), 0.3
 
     write_csv(os.path.join(out_dir, "convergence_spatial.csv"), ("n", "sup_error"),
               [(ns[:-1], spatial_errs)])
@@ -744,7 +742,8 @@ def convergence_suite(out_dir):
     checks = {
         "spatial": _gate(shortfall, 1.0, "worst doubling's min(10/drop, error/1e-11)",
                          spatial_ok),
-        "temporal": _gate(order_dev, 0.3, "max |temporal order - 4|", order_dev <= 0.3),
+        "temporal": _gate(order_dev, order_tol, "max |temporal order - 4|",
+                          order_dev <= order_tol),
     }
     return _suite_report(
         out_dir, "convergence", checks,
@@ -786,7 +785,7 @@ def stability_suite(out_dir):
 
     fit_res = results[0]
     ratios = fit_res.sup_du / fit_res.eps
-    spread = float(np.max(ratios) / np.min(ratios))
+    spread, spread_tol = float(np.max(ratios) / np.min(ratios)) - 1.0, 0.2
 
     def growth(res):
         """(du(t)/du(0), Gamma(t)) at each t > 0 of each series with du(0) > 0."""
@@ -804,7 +803,8 @@ def stability_suite(out_dir):
     write_csv(os.path.join(out_dir, "stability_table.csv"), ("eps", "sup_du", "sup_drho"),
               [(fit_res.eps, fit_res.sup_du, fit_res.sup_drho)])
     checks = {
-        "linearity": _gate(spread - 1.0, 0.2, "max/min - 1 of sup_du/eps", spread <= 1.2),
+        "linearity": _gate(spread, spread_tol, "max/min - 1 of sup_du/eps",
+                           spread <= spread_tol),
         "heldout": _gate(share, 1.0, "worst held-out log(du(t)/du(0))/Gamma(t) over C_hat",
                          validated),
     }
@@ -829,6 +829,7 @@ def persistence_suite(out_dir):
     sc2 = replace(sc, name="persistence_Lx2", L=160.0, n=8192)
     traj, traj2 = (_integrate(s, s.output_times()) for s in (sc, sc2))
 
+    shift_tol = 0.01    # the relative W_p shift allowed when L and n double
     # weight, p, C_hat, fit_residual, L_doubling_shift, status
     columns = ([], [], [], [], [], [])
     reports, reports2 = (weights.persistence_monitor(t, WEIGHT_BATTERY, NORM_PS)
@@ -836,10 +837,9 @@ def persistence_suite(out_dir):
     for (w, p), rep in reports.items():
         rep2 = reports2[w, p]
         with np.errstate(divide="ignore", invalid="ignore"):
-            shift = float(
-                np.max(np.abs(rep.W - rep2.W) / np.maximum(np.abs(rep.W), 1e-300))
-            )
-        ok = rep.bound_ok and rep.residual < weights.RESIDUAL_TOL and shift <= 0.01
+            shift = float(np.max(np.abs(rep.W - rep2.W)
+                                 / np.maximum(np.abs(rep.W), 1e-300)))
+        ok = rep.bound_ok and rep.residual < weights.RESIDUAL_TOL and shift <= shift_tol
         row = (_weight_tag(w), "inf" if math.isinf(p) else p,
                rep.C_hat, rep.residual, shift, "pass" if ok else "fail")
         for col, v in zip(columns, row):
@@ -856,8 +856,9 @@ def persistence_suite(out_dir):
                        "fraction of (weight, p) pairs within the growth bound", all(bound_ok)),
         "residual": _gate(worst_resid, weights.RESIDUAL_TOL,
                           "worst affine-fit residual of log W_p over the battery"),
-        "L_doubling": _gate(worst_lshift, 0.01, "worst relative W_p shift when L and n double",
-                            worst_lshift <= 0.01),
+        "L_doubling": _gate(worst_lshift, shift_tol,
+                            "worst relative W_p shift when L and n double",
+                            worst_lshift <= shift_tol),
     }
     return _suite_report(out_dir, "persistence", checks, worst_fit_residual=worst_resid,
                          worst_L_doubling_shift=worst_lshift)

@@ -25,7 +25,8 @@ get right, for the CSV formatter's tests against ``repr``.
 flow and its checks with one ``evaluate_coeffs`` call per RK4 stage and per
 field, each spreading its own coefficients, the bitwise references for the
 flow that spreads each coefficient set once and the checks that read rho and
-m in one call.
+m in one call.  The ``suite_reports`` fixture runs each suite once per
+session, for the acceptance criteria and the report-shape tests alike.
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from functools import partial
 
 from chflow import besov, weights
 from chflow.dynamics import Trajectory, _m_form, _nonlocal, rk4, rk4_stages
+from chflow.harness import SUITES, run_suite
 from chflow.offgrid import evaluate_coeffs
 from chflow.profiles import band_limited_noise
 from chflow.spectral import Grid, RealField, dealias, operators
@@ -65,6 +67,13 @@ def float_edge_values():
          1.7976931348623157e308, 0.1, 0.2, 0.3, 123.0, 0.0, np.inf, np.nan],
     ])
     return np.concatenate([values, -values])
+
+
+@pytest.fixture(scope="session")
+def suite_reports(tmp_path_factory):
+    """{name: (directory, report)} of every suite, each run in its own directory."""
+    out = tmp_path_factory.mktemp("suites")
+    return {name: (out / name, run_suite(name, str(out / name))) for name in SUITES}
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
-per criterion.  Heavy runs are shared through module-scoped fixtures.
+per criterion.  Heavy runs are shared through module-scoped fixtures, and
+the suites through conftest's session-scoped ``suite_reports``.
 """
 
 import math
@@ -22,14 +23,7 @@ from chflow.dynamics import (
     rhs_m_form,
     rhs_nonlocal,
 )
-from chflow.harness import (
-    PRESETS,
-    convergence_suite,
-    friedrichs_suite,
-    persistence_suite,
-    run_scenario,
-    stability_suite,
-)
+from chflow.harness import PRESETS, run_scenario
 from chflow.profiles import band_limited_noise, gaussian
 from chflow.spectral import Grid, RealField, dealias
 
@@ -185,14 +179,15 @@ def test_criterion_06_support_containment(out_root):
     )
 
 
-def test_criterion_07_continuous_dependence(out_root):
-    report = stability_suite(str(out_root / "stability"))
+def test_criterion_07_continuous_dependence(suite_reports):
+    _, report = suite_reports["stability"]
     lin, held = report["checks"]["linearity"], report["checks"]["heldout"]
     # sup_du/eps within 20%, and every held-out growth rate under C_hat;
     # the linearity value is the spread of the table's ratios up to round-off
     lr = report["linearity_ratios"]
     ok = (lin["tolerance"] == 0.2 and held["tolerance"] == 1.0
           and math.isclose(lin["value"], max(lr) / min(lr) - 1.0, rel_tol=1e-9)
+          and max(lr) / min(lr) <= 1.2 and held["value"] < 1.0
           and lin["status"] == held["status"] == "pass")
     _report(
         7, "continuous-dependence", ok,
@@ -202,29 +197,28 @@ def test_criterion_07_continuous_dependence(out_root):
     )
 
 
-def test_criterion_08_iteration_scheme(out_root):
-    report = friedrichs_suite(str(out_root / "friedrichs"))
+def test_criterion_08_iteration_scheme(suite_reports):
+    _, report = suite_reports["friedrichs"]
     ratios = report["ratios"][1:]       # between iterates 2..6
     check = report["checks"]["contraction"]
-    ok = check["tolerance"] == 0.8 and check["value"] == max(ratios) and report["pass"]
+    ok = (check["tolerance"] == 0.8 and check["value"] == max(ratios)
+          and all(r < 0.8 for r in ratios) and report["pass"])
     _report(
         8, "iteration-convergence", ok,
         f"error ratios {['%.3f' % r for r in ratios]} (each < 0.8) at T=0.1",
     )
 
 
-def test_criterion_09_weighted_persistence(out_root):
-    report = persistence_suite(str(out_root / "persistence"))
-    assert sorted(os.listdir(out_root / "persistence")) == [
-        "persistence_battery.csv", "persistence_report.json"
-    ]
+def test_criterion_09_weighted_persistence(suite_reports):
+    out, report = suite_reports["persistence"]
+    assert sorted(os.listdir(out)) == ["persistence_battery.csv", "persistence_report.json"]
     checks = report["checks"]
     ok = (
         checks["residual"]["tolerance"] == math.log(1.05)
-        and checks["residual"]["value"] == report["worst_fit_residual"]
+        and checks["residual"]["value"] == report["worst_fit_residual"] < math.log(1.05)
         and checks["L_doubling"]["tolerance"] == 0.01
-        and checks["L_doubling"]["value"] == report["worst_L_doubling_shift"]
-        and checks["bound"]["tolerance"] == 1.0
+        and checks["L_doubling"]["value"] == report["worst_L_doubling_shift"] <= 0.01
+        and checks["bound"]["tolerance"] == checks["bound"]["value"] == 1.0
         and report["pass"]
     )
     _report(
@@ -294,8 +288,8 @@ def test_criterion_11_besov_machinery():
     )
 
 
-def test_criterion_12_convergence(out_root):
-    report = convergence_suite(str(out_root / "convergence"))
+def test_criterion_12_convergence(suite_reports):
+    _, report = suite_reports["convergence"]
     orders = report["temporal"]["orders"]
     drops = report["spatial"]["drops"]
     spatial, temporal = report["checks"]["spatial"], report["checks"]["temporal"]
@@ -305,7 +299,9 @@ def test_criterion_12_convergence(out_root):
         spatial["tolerance"] == 1.0
         and spatial["value"] == max(min(10.0 / d, e / 1e-11) for d, e in zip(drops, errs))
         and temporal["tolerance"] == 0.3
+        and all(d >= 10.0 or e < 1e-11 for d, e in zip(drops, errs))
         and temporal["value"] == max(abs(o - 4.0) for o in orders)
+        and all(abs(o - 4.0) <= 0.3 for o in orders)
         and report["pass"]
     )
     _report(

@@ -687,12 +687,6 @@ class TestGridDiagnostics:
         assert not (tmp_path / f"{sc.name}_decay.csv").exists()
 
 
-@pytest.fixture(scope="module")
-def suite_reports(tmp_path_factory):
-    out = tmp_path_factory.mktemp("suites")
-    return out, {name: harness.run_suite(name, str(out)) for name in harness.SUITES}
-
-
 class TestSuiteReports:
     """A suite reports each check as a manifest reports a diagnostic, and
     keeps the tables the benchmark reads."""
@@ -707,8 +701,7 @@ class TestSuiteReports:
 
     @pytest.mark.parametrize("name", sorted(harness.SUITES))
     def test_checks_have_the_manifest_shape(self, suite_reports, name):
-        out, reports = suite_reports
-        report = reports[name]
+        out, report = suite_reports[name]
         assert report["suite"] == name and report["checks"]
         for check in report["checks"].values():
             assert set(check) == {"status", "value", "tolerance", "detail"}
@@ -720,7 +713,7 @@ class TestSuiteReports:
 
     @pytest.mark.parametrize("name", sorted(harness.SUITES))
     def test_benchmark_tables_stay(self, suite_reports, name):
-        report = suite_reports[1][name]
+        report = suite_reports[name][1]
         for path in self.TABLES[name]:
             table = report
             for key in path:
