@@ -13,7 +13,7 @@ continuous dependence in dyadic (Besov-type) norms, and weighted-norm
 persistence and tail decay.
 """
 
-from .besov import BesovIndex, besov_norm, besov_norms, lp_decompose, lp_norm, sobolev_norm
+from .besov import BesovIndex, besov_norm, besov_norms
 from .characteristics import (
     FlowDegeneracyError,
     SupportInterval,
@@ -35,19 +35,10 @@ from .dynamics import (
     integrate,
     integrate_ensemble,
     rhs_m_form,
-    rhs_nonlocal,
     stability_pairs,
     step_rk4,
 )
 from .harness import CODE_VERSION as __version__, PRESETS, Scenario, run_scenario, run_suite
 from .offgrid import evaluate
-from .spectral import (
-    Grid,
-    GridMismatchError,
-    RealField,
-    apply_inertia,
-    dealias,
-    derivative,
-    invert_inertia,
-)
-from .weights import StandardWeight, decay_profile, persistence_monitor
+from .spectral import Grid, GridMismatchError, RealField, invert_inertia
+from .weights import StandardWeight, persistence_monitor

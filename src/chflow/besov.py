@@ -13,8 +13,8 @@ The Besov norm is the weighted block-norm sum
     ( sum_{k >= -1} 2^{k s q} ||block_k f||_{L^p}^q )^{1/q},
 
 with the sup over k when q is infinite.  For p = q = 2 this is equivalent
-(up to partition constants) to the Sobolev multiplier norm computed by
-:func:`sobolev_norm`.
+(up to partition constants) to the Sobolev multiplier norm
+sqrt(2L * sum_k (1 + xi_k^2)^s |c_k|^2).
 """
 
 import math
@@ -39,13 +39,6 @@ class BesovIndex:
             raise ValueError("regularity index must be finite")
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be >= 1 (inf allowed)")
-
-
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    blocks: tuple          # RealField per block, k = -1 .. k_max
-    k_values: tuple        # matching block indices
-    style: str
 
 
 def k_max(grid: Grid) -> int:
@@ -93,25 +86,10 @@ def _blocks(grid: Grid, samples, style: str):
     return np.fft.irfft(mults * np.fft.rfft(samples)[..., None, :], grid.n)
 
 
-def lp_decompose(f: RealField, style: str = "sharp") -> DyadicDecomposition:
-    """Split f into dyadic frequency blocks; blocks sum back to f."""
-    blocks = _blocks(f.grid, f.samples, style)
-    return DyadicDecomposition(tuple(RealField(f.grid, b) for b in blocks),
-                               tuple(range(-1, len(blocks) - 1)), style)
-
-
 def lowpass(f: RealField, j: int) -> RealField:
     """Cumulative low-pass S_j f = sum of the sharp blocks k < j."""
     grid = f.grid
     return RealField(grid, grid.apply_multiplier(f.samples, (grid.xi < 2.0**j).astype(float)))
-
-
-def lp_norm(f: RealField, p: float) -> float:
-    """L^p norm by grid quadrature; max of |f| for p = inf."""
-    a = np.abs(f.samples)
-    if np.isinf(p):
-        return float(a.max(initial=0.0))
-    return float((f.grid.dx * np.sum(a**p)) ** (1.0 / p))
 
 
 def besov_norms(grid: Grid, samples, idx: BesovIndex, style: str = "sharp"):
@@ -133,15 +111,3 @@ def besov_norm(f: RealField, idx: BesovIndex, style: str = "sharp") -> float:
     """Besov norm of one field: the one-row case of :func:`besov_norms`."""
     return float(besov_norms(f.grid, f.samples[None], idx, style)[0])
 
-
-def sobolev_norm(f: RealField, s: float) -> float:
-    """Multiplier norm sqrt(2L * sum (1 + xi^2)^s |c_k|^2) over all modes k.
-
-    The sum runs over the half spectrum with each interior mode counted
-    twice, once for itself and once for its conjugate c_{-k}.
-    """
-    grid = f.grid
-    c = grid.half_coeffs(f.samples)
-    weights = 2.0 * np.exp(s * np.log1p(grid.xi**2))
-    weights[[0, -1]] *= 0.5
-    return float(np.sqrt(2.0 * grid.L * np.sum(weights * np.abs(c) ** 2)))

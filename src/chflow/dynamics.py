@@ -15,8 +15,9 @@ with du/dt recovered through the inverse inertia operator.  The
       u_t + u*u_x = -d/dx G * P(u, rho),
       P = (b/2)u^2 + ((3-b)/2)u_x^2 + (kappa/2)rho^2 - alpha*u,
 
-with G the kernel of (1 - d^2/dx^2)^(-1), is the reference rhs_nonlocal
-checks the m form against; no stepper advances it.
+with G the kernel of (1 - d^2/dx^2)^(-1), is the reference the
+``formulation`` diagnostic checks the m form against; no stepper advances
+it.
 
 Dealiasing (two-thirds rule) is linear, so each equation's products are
 summed pointwise and the sum is dealiased once (Orszag, J. Atmos. Sci. 28,
@@ -29,8 +30,8 @@ jet may also be handed in: integrate_ensemble transforms each step's result
 into its jet once, reads the snapshots, the gradient check and the CFL
 step from its first rows, and passes it to the next step's first stage, so
 a step makes 8 FFT calls (4 rfft, 3 irfft inside the stages, 1 irfft of
-the jet).  The public rhs_m_form, rhs_nonlocal and step_rk4 of a State
-transform at their boundaries.
+the jet).  The public rhs_m_form and step_rk4 of a State transform at
+their boundaries.
 """
 
 import math
@@ -314,11 +315,6 @@ def _on_state(rhs, state: State, params: Params, use_dealias: bool):
 def rhs_m_form(state: State, params: Params, use_dealias: bool = True):
     """Momentum-form RHS (du/dt, drho/dt); valid for any r >= 1."""
     return _on_state(_m_form, state, params, use_dealias)
-
-
-def rhs_nonlocal(state: State, params: Params, use_dealias: bool = True):
-    """Nonlocal-form RHS (du/dt, drho/dt); r = 1 and constant alpha only."""
-    return _on_state(_nonlocal, state, params, use_dealias)
 
 
 # step_rk4 reads its RHS from this table at call time, so a tracer that

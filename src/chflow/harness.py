@@ -48,6 +48,17 @@ WEIGHT_BATTERY = (
 NORM_PS = (1.0, 2.0, math.inf)
 
 
+def name_errors(name):
+    """The run name rule: every output file is named <name>_<what>, so the
+    name must be a plain file-name stem, not empty, '.' or '..', and holding
+    no path separator or NUL.  [] or the message saying why not."""
+    seps = {"/", os.sep, os.altsep, "\0"} - {None}
+    if isinstance(name, str) and name not in ("", ".", "..") and not any(c in name for c in seps):
+        return []
+    return [f"run.name must be a plain file-name stem (not empty, '.' or '..', and no "
+            f"path separator or NUL), got {name!r}"]
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str = "custom"
@@ -72,7 +83,7 @@ class Scenario:
     u0_is_momentum: bool = False
     # diagnostics and outputs
     diagnostics: tuple = ("casimir", "transport", "formulation")
-    decay_window: tuple = None        # None -> decay_profile's default window
+    decay_window: tuple = None        # None -> weights.fit_window's default
 
     def _models(self):
         """(section, constructor, keyword arguments) of the grid, the model
@@ -84,9 +95,9 @@ class Scenario:
 
     def validate(self):
         """Every reason this scenario cannot run, one message per field: the
-        constructors' own messages prefixed with their section, then the
-        rules that span objects (profiles, diagnostics)."""
-        errors = []
+        run name rule, the constructors' own messages prefixed with their
+        section, then the rules that span objects (profiles, diagnostics)."""
+        errors = name_errors(self.name)
         for section, model, kwargs in self._models():
             try:
                 model(**kwargs)
@@ -477,8 +488,8 @@ def _diag_support(ctx, out):
 
 
 def _diag_formulation(ctx, out):
-    # five sampled snapshots as one stack through each RHS form, as
-    # rhs_m_form and rhs_nonlocal evaluate one state: one rfft in, one irfft out
+    # five sampled snapshots as one stack through each RHS form, one rfft
+    # in and one irfft out, as rhs_m_form evaluates one state
     traj, grid = ctx.traj, ctx.grid
     rows = np.linspace(0, len(traj.times) - 1, 5).astype(int)
     y_hat = np.fft.rfft(traj.y[rows])
@@ -542,8 +553,8 @@ def _diag_decay(ctx, out):
 
 def _diag_besov(ctx, out):
     # the blocks of both cutoff styles from one rfft of u(t_final) and one
-    # irfft; each block's L2 norm as lp_norm takes it, whose scalar power
-    # can round apart from the array one
+    # irfft; each block's L2 norm takes its scalar square root, which can
+    # round apart from the array power besov_norms takes
     grid = ctx.grid
     styles = ("sharp", "smooth")
     mults = [besov._block_multipliers(grid, style) for style in styles]

@@ -128,7 +128,7 @@ def evaluate_spread(grid, fine, points, deriv: bool = False):
     are first reduced by fmod, which is exact in floating point, so a
     marker far outside the box costs no more accuracy than one inside it.
     The derivative is the spectral derivative of the interpolant,
-    consistent with spectral.derivative.
+    consistent with ``spectral.operators(grid).dx`` on the grid.
     """
     points = np.asarray(points, dtype=float)
     vals, dvals = trig_eval(fine, np.pi / grid.L, np.fmod(points, 2.0 * grid.L).ravel(), deriv)

@@ -96,9 +96,6 @@ class Grid:
         """
         return np.fft.irfft(mult * np.fft.rfft(samples), self.n)
 
-    def dealias_samples(self, samples):
-        return self.apply_multiplier(samples, self.dealias_mask)
-
     def half_coeffs(self, samples):
         """Coefficients c_k, k = 0..n/2, of f(x) = sum_k c_k exp(i*xi_k*x)."""
         return self.half_phase * np.fft.rfft(samples) / self.n
@@ -124,35 +121,15 @@ class RealField:
         return self
 
 
-def derivative(f: RealField, order: int = 1) -> RealField:
-    """Spectral derivative d^order/dx^order, multiplier (i*xi)^order."""
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if order == 0:
-        return f
-    return RealField(f.grid, f.grid.apply_multiplier(f.samples, (1j * f.grid.xi) ** order))
-
-
 def inertia_multiplier(grid: Grid, r: float):
     """(1 + xi^2)^r, computed pointwise; exact for any real r."""
     return np.exp(r * np.log1p(grid.xi**2))
-
-
-def apply_inertia(f: RealField, r: float) -> RealField:
-    """Momentum from velocity: multiplier (1 + xi^2)^r."""
-    raise_errors(inertia_exponent_errors(r))
-    return RealField(f.grid, f.grid.apply_multiplier(f.samples, operators(f.grid, r).inertia))
 
 
 def invert_inertia(m: RealField, r: float) -> RealField:
     """Velocity from momentum: multiplier (1 + xi^2)^(-r).  Smooths by 2r."""
     raise_errors(inertia_exponent_errors(r))
     return RealField(m.grid, m.grid.apply_multiplier(m.samples, inertia_multiplier(m.grid, -r)))
-
-
-def dealias(f: RealField) -> RealField:
-    """Zero all modes with |xi| > (2/3)*xi_max (two-thirds rule)."""
-    return RealField(f.grid, f.grid.dealias_samples(f.samples))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +155,7 @@ class Operators:
     solve: np.ndarray
 
     def dx(self, a):
-        """Spectral d/dx of samples, as :func:`derivative`."""
+        """Spectral d/dx of samples, multiplier i*xi."""
         return self.grid.apply_multiplier(a, self.ixi)
 
 

@@ -8,10 +8,10 @@ optionally one-sided (w = 1 on x <= 0).  A weight is flagged admissible for
 the persistence bound when a >= 0, 0 <= b <= 1 and a*b < 1.
 
 Tail decay rates come from a centred least-squares fit of log|f| on a
-window of |x|, made for every row of a (rows, m) block at once by
-:func:`decay_fits`; :func:`decay_profile` is its one-row case.  Samples
-with |f| <= 1e-300 stay out of their row's fit, and a row needs at least
-two usable samples, at distinct |x|, to be fitted.
+window of |x| (see :func:`fit_window`), made for every row of a (rows, m)
+block at once by :func:`decay_fits`.  Samples with |f| <= 1e-300 stay out
+of their row's fit, and a row needs at least two usable samples, at
+distinct |x|, to be fitted.
 """
 
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .spectral import RealField, operators
+from .spectral import operators
 
 # persistence_monitor: the tolerance of its growth bound on log W (5%
 # multiplicative), and the floor, relative to each field's peak, below which
@@ -143,16 +143,6 @@ def persistence_monitor(traj: Trajectory, battery, ps) -> dict:
     return reports
 
 
-@dataclass
-class DecayFit:
-    a_hat: float          # exponential rate: |f| ~ exp(-a|x|)
-    c_hat: float          # algebraic rate:  |f| ~ (1+|x|)^(-c)
-    residual_exp: float   # rms residual of the exponential fit (log scale)
-    residual_alg: float
-    window: tuple
-    n_points: int
-
-
 def window_errors(window):
     """The fit window rule: [] when window is None (the default window) or a
     pair of finite numbers with 0 <= lo < hi, else the message saying why not."""
@@ -183,10 +173,11 @@ def decay_fits(x, a):
     """Tail decay fits of every row of a = |f| (shape (rows, m)) against the
     window abscissae x = |x| (shape (m,)).
 
-    Returns the arrays (a_hat, c_hat, residual_exp, residual_alg, n_points)
-    of :class:`DecayFit`, one entry per row: the negated least-squares
-    slopes of log|f| against |x| and against log(1+|x|), in the centred
-    closed form, their rms residuals and the number of samples fitted.
+    Returns the arrays (a_hat, c_hat, residual_exp, residual_alg, n_points),
+    one entry per row: the negated least-squares slopes of log|f| against
+    |x| (the exponential rate, |f| ~ exp(-a|x|)) and against log(1+|x|)
+    (the algebraic rate, |f| ~ (1+|x|)^(-c)), in the centred closed form,
+    their rms residuals on the log scale and the number of samples fitted.
     Samples with |f| <= 1e-300 stay out of their row's fit; a row with
     fewer than two of them at distinct |x| gets NaN fits.
     """
@@ -219,18 +210,3 @@ def decay_fits(x, a):
     (a_hat, res_exp), (c_hat, res_alg) = fits
     return a_hat, c_hat, res_exp, res_alg, count
 
-
-def decay_profile(f: RealField, window=None) -> DecayFit:
-    """Fit tail decay rates of |f| on a window of |x| (see :func:`fit_window`):
-    the one-row case of :func:`decay_fits`.
-
-    Least squares of log|f| against |x| gives the exponential rate, against
-    log(1+|x|) the algebraic rate.
-    """
-    bounds, cols = fit_window(f.grid, window)
-    a_hat, c_hat, res_exp, res_alg, count = (
-        v[0] for v in decay_fits(np.abs(f.grid.x[cols]), np.abs(f.samples[cols])[None]))
-    if math.isnan(a_hat):
-        raise UndefinedFitError("fewer than two usable samples in the fit window")
-    return DecayFit(float(a_hat), float(c_hat), float(res_exp), float(res_alg), bounds,
-                    int(count))

@@ -27,20 +27,31 @@ field, each spreading its own coefficients, the bitwise references for the
 flow that spreads each coefficient set once and the checks that read rho and
 m in one call.  The ``suite_reports`` fixture runs each suite once per
 session, for the acceptance criteria and the report-shape tests alike.
+
+The field operators and fits no run needs are oracles here, each a thin
+wrapper of a package primitive: :func:`derivative`, :func:`apply_inertia`
+and :func:`dealias` apply (i*xi)^order, ``operators(grid, r).inertia`` and
+``grid.dealias_mask`` through ``Grid.apply_multiplier``;
+:func:`lp_decompose` splits a field with ``besov._blocks``, and
+:func:`lp_norm` and :func:`sobolev_norm` are the plain quadrature and
+multiplier norms; :func:`rhs_nonlocal` evaluates ``dynamics._nonlocal``
+through ``dynamics._on_state``; and :func:`decay_profile` is the one-row
+case of ``weights.fit_window`` and ``weights.decay_fits``.
 """
+
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from functools import partial
-
 from chflow import besov, weights
-from chflow.dynamics import Trajectory, _m_form, _nonlocal, rk4, rk4_stages
+from chflow.dynamics import Trajectory, _m_form, _nonlocal, _on_state, rk4, rk4_stages
 from chflow.harness import SUITES, run_suite
 from chflow.offgrid import evaluate_coeffs
 from chflow.profiles import band_limited_noise
-from chflow.spectral import Grid, RealField, dealias, operators
+from chflow.spectral import Grid, RealField, inertia_multiplier, operators
 
 
 def _float_neighbours(values, count):
@@ -117,6 +128,85 @@ def full_samples(grid, coeffs):
 def full_multiplier(mult, samples):
     """A multiplier given on every mode (FFT order), through the complex FFT."""
     return np.fft.ifft(mult * np.fft.fft(samples)).real
+
+
+def derivative(f, order=1):
+    """Spectral derivative d^order/dx^order, multiplier (i*xi)^order."""
+    if order == 0:
+        return f
+    return RealField(f.grid, f.grid.apply_multiplier(f.samples, (1j * f.grid.xi) ** order))
+
+
+def apply_inertia(f, r):
+    """Momentum from velocity: multiplier (1 + xi^2)^r."""
+    return RealField(f.grid, f.grid.apply_multiplier(f.samples, operators(f.grid, r).inertia))
+
+
+def dealias(f):
+    """Zero all modes with |xi| > (2/3)*xi_max (two-thirds rule)."""
+    return RealField(f.grid, f.grid.apply_multiplier(f.samples, f.grid.dealias_mask))
+
+
+@dataclass(frozen=True)
+class DyadicDecomposition:
+    blocks: tuple          # RealField per block, k = -1 .. k_max
+    k_values: tuple        # matching block indices
+    style: str
+
+
+def lp_decompose(f, style="sharp"):
+    """Split f into dyadic frequency blocks; blocks sum back to f."""
+    blocks = besov._blocks(f.grid, f.samples, style)
+    return DyadicDecomposition(tuple(RealField(f.grid, b) for b in blocks),
+                               tuple(range(-1, len(blocks) - 1)), style)
+
+
+def lp_norm(f, p):
+    """L^p norm by grid quadrature; max of |f| for p = inf."""
+    a = np.abs(f.samples)
+    if np.isinf(p):
+        return float(a.max(initial=0.0))
+    return float((f.grid.dx * np.sum(a**p)) ** (1.0 / p))
+
+
+def sobolev_norm(f, s):
+    """Multiplier norm sqrt(2L * sum (1 + xi^2)^s |c_k|^2) over all modes k.
+
+    The sum runs over the half spectrum with each interior mode counted
+    twice, once for itself and once for its conjugate c_{-k}.
+    """
+    grid = f.grid
+    c = grid.half_coeffs(f.samples)
+    weights = 2.0 * inertia_multiplier(grid, s)
+    weights[[0, -1]] *= 0.5
+    return float(np.sqrt(2.0 * grid.L * np.sum(weights * np.abs(c) ** 2)))
+
+
+def rhs_nonlocal(state, params, use_dealias=True):
+    """Nonlocal-form RHS (du/dt, drho/dt); r = 1 and constant alpha only."""
+    return _on_state(_nonlocal, state, params, use_dealias)
+
+
+@dataclass
+class DecayFit:
+    a_hat: float          # exponential rate: |f| ~ exp(-a|x|)
+    c_hat: float          # algebraic rate:  |f| ~ (1+|x|)^(-c)
+    residual_exp: float   # rms residual of the exponential fit (log scale)
+    residual_alg: float
+    window: tuple
+    n_points: int
+
+
+def decay_profile(f, window=None):
+    """Tail decay rates of |f| on a window of |x|: the one-row case of
+    weights.decay_fits on the window of weights.fit_window.  The fits are
+    NaN when the window holds fewer than two usable samples at distinct |x|.
+    """
+    bounds, cols = weights.fit_window(f.grid, window)
+    a_hat, c_hat, res_exp, res_alg, count = (
+        v[0] for v in weights.decay_fits(np.abs(f.grid.x[cols]), np.abs(f.samples[cols])[None]))
+    return DecayFit(float(a_hat), float(c_hat), float(res_exp), float(res_alg), bounds,
+                    int(count))
 
 
 def serial_friedrichs_iterate(u0, rho0, params, K, ctrl):

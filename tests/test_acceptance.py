@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chflow.besov import BesovIndex, besov_norm, k_max, lp_decompose
+from chflow.besov import BesovIndex, besov_norm, k_max
 from chflow.characteristics import check_flow_identities, evolve_flow
 from chflow.dynamics import (
     Params,
@@ -21,13 +21,12 @@ from chflow.dynamics import (
     StepControl,
     integrate,
     rhs_m_form,
-    rhs_nonlocal,
 )
 from chflow.harness import PRESETS, run_scenario
 from chflow.profiles import band_limited_noise, gaussian
-from chflow.spectral import Grid, RealField, dealias
+from chflow.spectral import Grid, RealField
 
-from conftest import reconstruct_rho
+from conftest import dealias, lp_decompose, reconstruct_rho, rhs_nonlocal, sobolev_norm
 
 CH_PARAMS = Params(b=2.0, kappa=1.0, alpha=0.0, r=1.0)
 
@@ -254,8 +253,6 @@ def test_criterion_11_besov_machinery():
 
     # (b) squared-norm ratio to the Sobolev multiplier norm stays in the
     # interval given by enumerating the weight envelope per dyadic block
-    from chflow.besov import sobolev_norm
-
     grid = Grid(20.0, 256)
     s = 2.0
     axi = np.abs(grid.xi)

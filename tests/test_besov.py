@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from chflow.besov import (
-    BesovIndex,
-    besov_norm,
-    besov_norms,
-    k_max,
-    lowpass,
+from chflow.besov import BesovIndex, besov_norm, besov_norms, k_max, lowpass
+from chflow.spectral import Grid, RealField, invert_inertia
+
+from conftest import (
+    derivative,
+    full_coeffs,
+    full_xi,
     lp_decompose,
     lp_norm,
+    random_fields,
     sobolev_norm,
 )
-from chflow.spectral import Grid, RealField, derivative, invert_inertia
-
-from conftest import full_coeffs, full_xi, random_fields
 
 
 class TestDecomposition:

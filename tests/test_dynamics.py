@@ -25,17 +25,19 @@ from chflow.dynamics import (
     integrate_ensemble,
     lagrange4,
     rhs_m_form,
-    rhs_nonlocal,
     rk4,
     stability_pairs,
     step_rk4,
 )
 from chflow.profiles import band_limited_noise, gaussian
-from chflow.spectral import ConfigurationError, Grid, RealField, apply_inertia, dealias, operators
+from chflow.spectral import ConfigurationError, Grid, RealField, operators
 
 from conftest import (
+    apply_inertia,
+    dealias,
     full_xi,
     physical_friedrichs_iterate,
+    rhs_nonlocal,
     serial_friedrichs_iterate,
     stage_by_stage_rk4,
     stepwise_integrate,

@@ -22,10 +22,9 @@ from chflow.dynamics import (
     Trajectory,
     integrate,
     rhs_m_form,
-    rhs_nonlocal,
 )
 import chflow
-from chflow import besov, characteristics, harness, offgrid, weights
+from chflow import characteristics, harness, offgrid, weights
 from chflow.harness import (
     PRESETS,
     ConfigurationError,
@@ -35,9 +34,17 @@ from chflow.harness import (
 )
 from chflow.profiles import make_profile, mode, profile_errors
 from chflow.schema import IDENTITY_COLUMNS, SCHEMA_VERSION, TRAJECTORY_COLUMNS
-from chflow.spectral import Grid, RealField, apply_inertia, derivative
+from chflow.spectral import Grid, RealField
 
-from conftest import float_edge_values
+from conftest import (
+    apply_inertia,
+    decay_profile,
+    derivative,
+    float_edge_values,
+    lp_decompose,
+    lp_norm,
+    rhs_nonlocal,
+)
 
 GOOD_CONFIG = """
 [params]
@@ -247,6 +254,18 @@ class TestConfig:
     def test_non_integer_counts_fail_at_validate(self, field, value, label):
         errors = replace(PRESETS["zero"], **{field: value}).validate()
         assert len(errors) == 1 and errors[0].startswith(label)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "/abs", "a\0b",
+                                      os.sep + "x", 3])
+    def test_name_that_is_no_file_stem_fails_at_validate(self, name):
+        # every output file is <name>_<what>: '../escaped' used to pass and
+        # write its files into the output directory's parent
+        errors = replace(PRESETS["zero"], name=name).validate()
+        assert len(errors) == 1 and errors[0].startswith("run.name must be a plain file-name stem")
+
+    @pytest.mark.parametrize("name", ["zero", "my.run", "..x", "a b"])
+    def test_file_stem_names_pass_validate(self, name):
+        assert replace(PRESETS["zero"], name=name).validate() == []
 
     def test_numpy_integer_counts_pass_validate(self):
         sc = replace(PRESETS["zero"], n=np.int64(128), snapshots=np.int32(101))
@@ -634,10 +653,10 @@ class TestGridDiagnostics:
         u_final = RealField(ctx.grid, ctx.traj.u[-1])
         rows, norms = [], {}
         for style in ("sharp", "smooth"):
-            dec = besov.lp_decompose(u_final, style)
+            dec = lp_decompose(u_final, style)
             total = 0.0
             for k, block in zip(dec.k_values, dec.blocks):
-                bn = besov.lp_norm(block, 2.0)
+                bn = lp_norm(block, 2.0)
                 term = 2.0 ** (2.0 * k) * bn
                 total += term**2
                 rows.append([style, repr(float(k)), repr(bn), repr(term)])
@@ -664,12 +683,11 @@ class TestGridDiagnostics:
         fits = []
         for i, row in enumerate(rows):
             g = RealField(grid, np.abs(traj.u[i]) + np.abs(u_x[i]) + np.abs(traj.rho[i]))
+            fit = decay_profile(g, sc.decay_window)
             if i in (1, 2, 3):
-                with pytest.raises(weights.UndefinedFitError):
-                    weights.decay_profile(g, sc.decay_window)
+                assert math.isnan(fit.a_hat) and math.isnan(fit.c_hat)
                 assert row[1:] == ["nan"] * 5
                 continue
-            fit = weights.decay_profile(g, sc.decay_window)
             fits.append(fit.a_hat)
             assert row[1:] == [repr(v) for v in (fit.a_hat, fit.c_hat, lo, hi,
                                                  fit.residual_exp)]
@@ -879,6 +897,15 @@ class TestCli:
         assert main(["run", "--preset", "zero", "--n", "100", "--out", str(out)]) == 1
         assert "grid.n must be a power of two" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_escaping_name_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "evil.cfg"
+        path.write_text("[run]\nname = ../escaped\n")
+        out = tmp_path / "out"
+        assert main(["check", str(path)]) == 1
+        assert main(["run", "--preset", "zero", "--config", str(path), "--out", str(out)]) == 1
+        assert "run.name must be a plain file-name stem" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["evil.cfg"]
 
     def test_run_preset_zero(self, tmp_path, capsys):
         assert main(["run", "--preset", "zero", "--out", str(tmp_path)]) == 0

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from chflow.offgrid import BLOCK, evaluate, evaluate_coeffs, evaluate_spread, spread
 from chflow.profiles import band_limited_noise
-from chflow.spectral import Grid, RealField, derivative
+from chflow.spectral import Grid, RealField
 
-from conftest import full_coeffs, full_xi
+from conftest import derivative, full_coeffs, full_xi
 
 
 def _dense_oracle(grid, f, pts):
@@ -20,7 +20,7 @@ def _dense_oracle(grid, f, pts):
 
 def _dense_derivative(grid, f, pts):
     # d/dx of the same mode sum, Nyquist term included (off the grid it does
-    # not vanish, unlike in spectral.derivative)
+    # not vanish, unlike in the grid derivative)
     c = full_coeffs(grid, f.samples)
     xi = full_xi(grid)
     return np.real(np.exp(1j * np.outer(pts, xi)) @ (1j * xi * c))

